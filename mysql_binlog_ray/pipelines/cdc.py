@@ -14,7 +14,10 @@ sink it leaves to the consumer (SURVEY.md §2.7):
 
 Streaming execution end-to-end: nothing materializes the full stream;
 the only all-to-all exchange carries partially-combined rows.  Resume
-reads back only the lake partitions the increment touches.
+reads back only touched partitions, inside the merge task: the task
+that rewrites a partition reads that partition's committed file itself,
+so a follow step is two Ray Data executions (spill, merge) and the
+prior lake rows never transit the exchange.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import ray.data as rd
 from ..stages.decode_stage import BinlogDecoder
 from ..stages.merge import (
     PARTITION_HASH_ALGO,
+    SEQ_COLS,
     add_partition_column,
     flatten_changefeed,
     lww_final,
@@ -425,9 +429,27 @@ def _cleanup_orphan_parts(lake_dir: str, live_parts: set[int]) -> None:
                 _shutil.rmtree(os.path.join(lake_dir, entry), ignore_errors=True)
 
 
+def _lake_rows_as_inserts(tab: pa.Table) -> pa.Table:
+    """Committed lake rows as flat merge input: op='insert', original
+    (event_seq, row_seq) lineage kept so newer events win, commit_seq
+    unknown (-1).  Column order matches flatten_changefeed's output,
+    [value cols..., op, event_seq, row_seq, commit_seq].  A hive-inferred
+    ``part`` directory column is layout metadata, not table data, and is
+    dropped."""
+    if "part" in tab.column_names:
+        tab = tab.drop_columns(["part"])
+    n = tab.num_rows
+    cols = {c: tab.column(c) for c in tab.column_names if c not in SEQ_COLS}
+    cols["op"] = pa.array(["insert"] * n, pa.string())
+    cols["event_seq"] = tab.column("event_seq")
+    cols["row_seq"] = tab.column("row_seq")
+    cols["commit_seq"] = pa.array([-1] * n, pa.int64())
+    return pa.table(cols)
+
+
 def read_lake_as_flat(lake_dir: str, cfg: CdcConfig) -> rd.Dataset | None:
-    """Prior lake state as flat merge input: op='insert', original
-    (event_seq, row_seq) lineage preserved so new events beat old rows."""
+    """Prior lake state as flat merge input (see ``_lake_rows_as_inserts``)
+    for the non-selective resume, which must re-hash every prior row."""
     m = read_manifest(lake_dir)
     if m is None:
         return None
@@ -436,25 +458,7 @@ def read_lake_as_flat(lake_dir: str, cfg: CdcConfig) -> rd.Dataset | None:
     ]
     if not paths:
         return None
-    ds = rd.read_parquet(paths)
-
-    def _as_upserts(batch: pa.Table) -> pa.Table:
-        # column order must match flatten_changefeed's output exactly for
-        # Dataset.union: [value cols..., op, event_seq, row_seq, commit_seq].
-        # Drop the hive-inferred `part` directory column — it is layout
-        # metadata, not table data.
-        if "part" in batch.column_names:
-            batch = batch.drop_columns(["part"])
-        n = batch.num_rows
-        value_cols = [c for c in batch.column_names if c not in ("event_seq", "row_seq")]
-        cols = {c: batch.column(c) for c in value_cols}
-        cols["op"] = pa.array(["insert"] * n, pa.string())
-        cols["event_seq"] = batch.column("event_seq")
-        cols["row_seq"] = batch.column("row_seq")
-        cols["commit_seq"] = pa.array([-1] * n, pa.int64())
-        return pa.table(cols)
-
-    return ds.map_batches(_as_upserts, batch_format="pyarrow")
+    return rd.read_parquet(paths).map_batches(_lake_rows_as_inserts, batch_format="pyarrow")
 
 
 def _group_rgs(entries: list[tuple[str, int]]) -> list[tuple[str, list[int]]]:
@@ -473,7 +477,7 @@ def _collect_table(ds: rd.Dataset) -> pa.Table | None:
     here).  ``take_all()`` materializes Python row dicts one at a time
     on the driver (~0.3 s of driver CPU on the sf0.1 headline);
     ``to_arrow_refs()`` re-executes the plan for ``schema()`` — deadly
-    when a stage has side effects (merge_one writes lake files) — so
+    when a stage has side effects (the merge writes lake files) — so
     this walks ``iter_internal_ref_bundles`` directly.  Our callers'
     stages emit Arrow blocks (map_batches returning pa.Table)."""
     import ray
@@ -499,51 +503,88 @@ def _collect_table(ds: rd.Dataset) -> pa.Table | None:
     return pa.concat_tables(tabs, promote_options="default")
 
 
-def _manifest_rows(stats: pa.Table | None) -> list[dict[str, Any]]:
-    """(part, rows, bytes, max_event_seq) table -> manifest row dicts."""
-    if stats is None:
-        return []
-    return [
-        {
-            "part": int(p),
-            "rows": int(r),
-            "bytes": int(b),
-            "max_event_seq": int(m),
-        }
-        for p, r, b, m in zip(
-            stats.column("part").to_pylist(),
-            stats.column("rows").to_pylist(),
-            stats.column("bytes").to_pylist(),
-            stats.column("max_event_seq").to_pylist(),
-        )
+# one row per rewritten partition: the manifest entry plus the number of
+# committed rows the merge task read back for it
+_MERGE_STATS = pa.schema(
+    [
+        ("part", pa.int32()),
+        ("rows", pa.int64()),
+        ("bytes", pa.int64()),
+        ("max_event_seq", pa.int64()),
+        ("prior_rows", pa.int64()),
     ]
+)
+
+
+def _merge_stats_rows(stats: pa.Table | None) -> list[dict[str, Any]]:
+    return [] if stats is None else stats.to_pylist()
+
+
+def _merge_write_partition(
+    new: list[pa.Table],
+    part: int,
+    lake_dir: str,
+    key_cols: tuple[str, ...],
+    prior_rows: int,
+) -> dict[str, Any]:
+    """The per-partition final merge of both exchanges: the increment's
+    rows for ``part``, then (selective resume, ``prior_rows > 0``) the
+    partition's committed lake rows, read back here rather than shipped
+    through the exchange; final LWW, key sort, one atomic zstd write.
+
+    The read-back goes AFTER the new rows so that a column added by DDL
+    inside the increment keeps the position the decoder gives it.  Rows
+    are sorted by key, so a rerun produces byte-identical files
+    (exactly-once via idempotence, SURVEY §7.3).  Returns one
+    ``_MERGE_STATS`` row.
+    """
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    path = _lake_partition_path(lake_dir, part)
+    if prior_rows:
+        # ParquetFile, not read_table: no hive `part` column is inferred
+        new = [*new, _lake_rows_as_inserts(pq.ParquetFile(path).read())]
+    final = lww_final(pa.concat_tables(new, promote_options="default"), key_cols)
+    final = final.take(pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols]))
+    size = atomic_write_parquet(final, path, compression="zstd")
+    mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
+    return {
+        "part": part,
+        "rows": final.num_rows,
+        "bytes": size,
+        "max_event_seq": mx,
+        "prior_rows": prior_rows,
+    }
 
 
 def _external_shuffle_merge(
     parted: rd.Dataset,
     lake_dir: str,
     cfg: CdcConfig,
+    prior_rows: dict[int, int],
 ) -> list[dict[str, Any]]:
     """Filesystem-based keyed exchange (Spark-external-shuffle shape).
 
     Stage A: every upstream task appends its partial rows, split by
     ``_part``, as one parquet chunk per touched partition under a scratch
     dir — fused with decode/flatten, so partials never transit the object
-    store.  Stage B: one task per partition reads that partition's
-    chunks, applies the final LWW merge, and writes the lake file.
+    store.  Its chunk index lists every touched partition.  Stage B: one
+    task per touched partition reads that partition's chunks (plus its
+    ``prior_rows`` committed lake rows on selective resume) and runs
+    :func:`_merge_write_partition`.
 
     On a multi-node cluster the scratch dir must be a shared filesystem
     (lake storage itself qualifies); the object-store path
     (``shuffle='object_store'``) has no such requirement.
     """
+    import shutil as _shutil
     import uuid
 
-    import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
     key_cols = cfg.key_cols
     spill_dir = os.path.join(lake_dir, "_shuffle")
-    shutil_token = uuid.uuid4().hex[:8]
 
     def spill(batch: pa.Table) -> pa.Table:
         """ONE segment file per task, ONE row group per touched partition
@@ -601,80 +642,53 @@ def _external_shuffle_merge(
             by_part.setdefault(int(part), []).append((chunk, int(rg)))
 
     def merge_one(batch: dict) -> pa.Table:
-        import numpy as np
-
         out = []
         for part in batch["part"]:
             part = int(part)
-            chunks = []
-            for path, rgs in _group_rgs(by_part[part]):
-                chunks.append(pq.ParquetFile(path).read_row_groups(rgs))
-            group = pa.concat_tables(chunks, promote_options="default")
-            final = lww_final(group, key_cols)
-            final = final.take(
-                pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols])
+            new = [
+                pq.ParquetFile(path).read_row_groups(rgs)
+                for path, rgs in _group_rgs(by_part[part])
+            ]
+            out.append(
+                _merge_write_partition(new, part, lake_dir, key_cols, prior_rows.get(part, 0))
             )
-            path = _lake_partition_path(lake_dir, part)
-            size = atomic_write_parquet(final, path, compression="zstd")
-            mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
-            out.append((part, final.num_rows, size, mx))
-        return pa.table(
-            {
-                "part": pa.array([o[0] for o in out], pa.int32()),
-                "rows": pa.array([o[1] for o in out], pa.int64()),
-                "bytes": pa.array([o[2] for o in out], pa.int64()),
-                "max_event_seq": pa.array([o[3] for o in out], pa.int64()),
-            }
+        return pa.Table.from_pylist(out, schema=_MERGE_STATS)
+
+    stats = None
+    if by_part:  # an increment with no row events touches no partition
+        parts_ds = rd.from_items([{"part": p} for p in sorted(by_part)])
+        stats = _collect_table(
+            parts_ds.map_batches(merge_one, batch_size=1, batch_format="numpy")
         )
-
-    parts_ds = rd.from_items([{"part": p} for p in sorted(by_part)])
-    stats = _collect_table(
-        parts_ds.map_batches(merge_one, batch_size=1, batch_format="numpy")
-    )
-    import shutil as _shutil
-
     _shutil.rmtree(spill_dir, ignore_errors=True)
-    return _manifest_rows(stats)
+    return _merge_stats_rows(stats)
 
 
 def _groupby_merge_parts(
-    parted: rd.Dataset, lake_dir: str, key_cols: tuple[str, ...]
+    parted: rd.Dataset,
+    lake_dir: str,
+    cfg: CdcConfig,
+    prior_rows: dict[int, int],
 ) -> list[dict[str, Any]]:
-    """Object-store keyed exchange: ``groupby('_part').map_groups`` with a
-    per-partition LWW merge + atomic lake-file write; returns the
-    manifest partition rows.  The ``shuffle='object_store'`` counterpart
-    of :func:`_external_shuffle_merge`."""
+    """Object-store keyed exchange: ``groupby('_part').map_groups`` with
+    :func:`_merge_write_partition` per group (touched partitions only, so
+    the selective-resume read-back happens in the same task).  The
+    ``shuffle='object_store'`` counterpart of
+    :func:`_external_shuffle_merge`."""
+    key_cols = cfg.key_cols
 
     def _merge_and_write(group: pa.Table) -> pa.Table:
-        """Per-partition merge + atomic write; emits one manifest row.
-
-        Deterministic content: rows sorted by key so a rerun produces
-        byte-identical files (exactly-once via idempotence, SURVEY §7.3).
-        """
         part = int(group.column("_part")[0].as_py())
-        final = lww_final(group, key_cols)
-        import pyarrow.compute as pc
-
-        order = pc.sort_indices(
-            final, sort_keys=[(k, "ascending") for k in key_cols]
-        )
-        final = final.take(order)
-        path = _lake_partition_path(lake_dir, part)
-        size = atomic_write_parquet(final, path, compression="zstd")
-        max_seq = (
-            int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
-        )
-        return pa.table(
-            {
-                "part": pa.array([part], pa.int32()),
-                "rows": pa.array([final.num_rows], pa.int64()),
-                "bytes": pa.array([size], pa.int64()),
-                "max_event_seq": pa.array([max_seq], pa.int64()),
-            }
-        )
+        row = _merge_write_partition([group], part, lake_dir, key_cols, prior_rows.get(part, 0))
+        return pa.Table.from_pylist([row], schema=_MERGE_STATS)
 
     stats = parted.groupby("_part").map_groups(_merge_and_write, batch_format="pyarrow")
-    return _manifest_rows(_collect_table(stats))  # tiny: one row per partition
+    return _merge_stats_rows(_collect_table(stats))  # tiny: one row per partition
+
+
+def _exchange(cfg: CdcConfig):
+    """The keyed exchange + per-partition merge selected by ``cfg.shuffle``."""
+    return _external_shuffle_merge if cfg.shuffle == "external" else _groupby_merge_parts
 
 
 def run_to_lake(
@@ -686,7 +700,9 @@ def run_to_lake(
     """Run the pipeline into a partitioned Parquet lake with an atomic
     watermark manifest; rerun/resume reproduces the identical table.
 
-    Returns the committed manifest.
+    Returns the committed manifest.  Besides ``elapsed_sec`` it records
+    ``readback_rows`` (committed rows the merge tasks read back) and
+    ``partitions_rewritten`` for the commit.
     """
     import time as _time
 
@@ -738,96 +754,39 @@ def run_to_lake(
 
     # selective (O(increment)) resume requires the prior lake's partition
     # layout to be reproducible: same partition count AND same hash
-    # algorithm.  Otherwise fall back to a full re-merge of prior state —
-    # in which case prior partition files/manifest rows must NOT be
-    # carried over (all their rows are re-ingested into the new layout;
-    # carrying them would duplicate keys on read_lake).
+    # algorithm.  Then resume reads back only touched partitions, inside
+    # the merge task: each task that rewrites a partition reads its
+    # committed file itself (``prior_rows`` says how many rows it holds),
+    # and untouched partitions keep their files and manifest rows.
+    # Otherwise fall back to a full re-merge of prior state, re-hashed
+    # into the new layout — prior partition files/manifest rows must NOT
+    # be carried over then (carrying them would duplicate keys on
+    # read_lake; their orphaned files are cleaned after the commit).
     selective = (
         prior is not None
         and prior.get("num_partitions") == cfg.num_partitions
         and prior.get("hash_algo") == PARTITION_HASH_ALGO
     )
-    untouched_parts: list[dict[str, Any]] = []
+    prior_rows: dict[int, int] = {}
     if selective:
-        # incremental resume: only lake partitions actually touched by the
-        # increment are read back and re-merged; the rest keep their files
-        # and manifest rows untouched.  At scale this is the difference
-        # between "rewrite the lake per increment" and "O(increment)".
-        parted_new = flat.map_batches(
-            lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
-            batch_format="pyarrow",
-        ).materialize()  # partials only: bounded by the increment size
-        touched = set(parted_new.unique("_part"))
-        prior_by_part = {p["part"]: p for p in prior["partitions"]}
-        untouched_parts = [
-            p for part, p in prior_by_part.items() if part not in touched
-        ]
-        lake_paths = [
-            _lake_partition_path(lake_dir, part)
-            for part in sorted(touched)
-            if prior_by_part.get(part, {}).get("rows", 0) > 0
-        ]
-        parted = parted_new
-        if lake_paths:
-            lake_sub = rd.read_parquet(lake_paths)
-
-            def _lake_flat(batch: pa.Table) -> pa.Table:
-                if "part" in batch.column_names:
-                    batch = batch.drop_columns(["part"])
-                n = batch.num_rows
-                value_cols = [c for c in batch.column_names if c not in ("event_seq", "row_seq")]
-                cols = {c: batch.column(c) for c in value_cols}
-                cols["op"] = pa.array(["insert"] * n, pa.string())
-                cols["event_seq"] = batch.column("event_seq")
-                cols["row_seq"] = batch.column("row_seq")
-                cols["commit_seq"] = pa.array([-1] * n, pa.int64())
-                return add_partition_column(pa.table(cols), key_cols, cfg.num_partitions)
-
-            parted = parted.union(lake_sub.map_batches(_lake_flat, batch_format="pyarrow"))
-    else:
-        if prior:
-            lake_ds = read_lake_as_flat(lake_dir, cfg)
-            if lake_ds is not None:
-                flat = flat.union(lake_ds)
-        parted = flat.map_batches(
-            lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
-            batch_format="pyarrow",
-        )
+        prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]}
+    elif prior:
+        lake_ds = read_lake_as_flat(lake_dir, cfg)
+        if lake_ds is not None:
+            flat = flat.union(lake_ds)
+    parted = flat.map_batches(
+        lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
+        batch_format="pyarrow",
+    )
     if cfg.merge_coalesce_blocks:
         parted = parted.repartition(cfg.merge_coalesce_blocks)
 
-    lake = lake_dir
-
-    if cfg.shuffle == "external":
-        parts = _external_shuffle_merge(parted, lake_dir, cfg)
-        if selective:
-            # untouched partitions keep their files and manifest rows;
-            # non-selective resume re-ingested every prior row, so prior
-            # entries are dropped and their orphaned files cleaned below.
-            have = {p["part"] for p in parts}
-            parts.extend(p for p in untouched_parts if p["part"] not in have)
-        m = commit_manifest(
-            lake_dir,
-            watermark,
-            parts,
-            extra={
-                "key_cols": list(cfg.key_cols),
-                "num_partitions": cfg.num_partitions,
-                "hash_algo": PARTITION_HASH_ALGO,
-                "elapsed_sec": round(_time.time() - t_start, 3),
-                "resumed_from": start_after,
-            },
-        )
-        _cleanup_orphan_parts(lake_dir, {p["part"] for p in parts})
-        return m
-
-    parts = _groupby_merge_parts(parted, lake, key_cols)
-    seen = {p["part"] for p in parts}
+    parts = _exchange(cfg)(parted, lake_dir, cfg, prior_rows)
+    readback_rows = sum(p.pop("prior_rows") for p in parts)
+    partitions_rewritten = len(parts)
     if selective:
-        for p in untouched_parts:
-            if p["part"] not in seen:
-                parts.append(p)
-
+        have = {p["part"] for p in parts}
+        parts.extend(p for p in prior["partitions"] if p["part"] not in have)
     m = commit_manifest(
         lake_dir,
         watermark,
@@ -837,6 +796,8 @@ def run_to_lake(
             "num_partitions": cfg.num_partitions,
             "hash_algo": PARTITION_HASH_ALGO,
             "elapsed_sec": round(_time.time() - t_start, 3),
+            "readback_rows": readback_rows,
+            "partitions_rewritten": partitions_rewritten,
             "resumed_from": start_after,
         },
     )
@@ -888,10 +849,9 @@ def seed_lake_from_snapshot(
         return add_partition_column(pa.table(cols), key_cols, cfg.num_partitions)
 
     parted = snapshot.map_batches(_as_flat, batch_format="pyarrow")
-    if cfg.shuffle == "external":
-        parts = _external_shuffle_merge(parted, lake_dir, cfg)
-    else:
-        parts = _groupby_merge_parts(parted, lake_dir, key_cols)
+    parts = _exchange(cfg)(parted, lake_dir, cfg, {})
+    for p in parts:
+        del p["prior_rows"]
     m = commit_manifest(
         lake_dir,
         snapshot_seq,

@@ -17,12 +17,23 @@ duplicates lake state.
 from __future__ import annotations
 
 import json
+import logging
 import os
 import time
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
 from .cdc import CdcConfig, follow, read_manifest
+
+log = logging.getLogger(__name__)
+
+# an endless run keeps only this many of the latest TailStats in the
+# history it returns, so a long-lived daemon runs in bounded memory
+HISTORY_LIMIT = 1_000
+# a snapshotless tick is logged on the first occurrence and every this
+# many after it
+SNAPSHOTLESS_LOG_EVERY = 100
 
 
 @dataclass
@@ -49,7 +60,9 @@ class FollowDaemon:
 
     ``run(max_iterations=...)`` for tests / bounded catch-up; without it
     the loop is endless (the reference's behavior) until ``stop()`` is
-    called from another thread or the callback returns False.
+    called from another thread or the callback returns False.  A bounded
+    run returns every iteration's stats; an endless one only the last
+    ``HISTORY_LIMIT``.
     """
 
     manifest_path: str
@@ -64,7 +77,7 @@ class FollowDaemon:
     _stop: bool = field(default=False, repr=False)
     _errors: int = field(default=0, repr=False)
     # ticks spent waiting on a cleanly-parsed manifest with no
-    # table_maps yet (idle stream) — observability only, never aborts
+    # table_maps yet (idle stream) — logged, never aborts
     _snapshotless_ticks: int = field(default=0, repr=False)
 
     def stop(self) -> None:
@@ -77,7 +90,9 @@ class FollowDaemon:
             return json.load(f)
 
     def run(self, max_iterations: int | None = None) -> list[TailStats]:
-        history: list[TailStats] = []
+        history: list[TailStats] | deque[TailStats] = (
+            [] if max_iterations is not None else deque(maxlen=HISTORY_LIMIT)
+        )
         i = 0
         while not self._stop and (max_iterations is None or i < max_iterations):
             t0 = time.time()
@@ -98,6 +113,13 @@ class FollowDaemon:
                 # parse-error streak survives these ticks untouched.
                 stream = None
                 self._snapshotless_ticks += 1
+                if self._snapshotless_ticks % SNAPSHOTLESS_LOG_EVERY == 1:
+                    log.warning(
+                        "FollowDaemon: stream manifest %s has no table_maps "
+                        "yet (%d snapshotless ticks so far)",
+                        self.manifest_path,
+                        self._snapshotless_ticks,
+                    )
             prior = read_manifest(self.lake_dir)
             prev_wm = prior["watermark"] if prior else None
             prev_rows = prior["totals"]["rows"] if prior else 0
@@ -140,4 +162,4 @@ class FollowDaemon:
                 max_iterations is None or i < max_iterations
             ):
                 time.sleep(remain)
-        return history
+        return list(history)

@@ -47,7 +47,7 @@ def flatten_changefeed(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Table:
     """
     if batch.num_rows == 0:
         # column order must match the non-empty branch exactly — Ray Data
-        # concatenates blocks by schema and read_lake_as_flat (cdc.py)
+        # concatenates blocks by schema and _lake_rows_as_inserts (cdc.py)
         # depends on [...values, op, event_seq, row_seq, commit_seq]
         after = batch.schema.field("after").type
         cols = {f.name: pa.array([], f.type) for f in after}

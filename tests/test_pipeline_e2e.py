@@ -5,6 +5,7 @@ reruns, and schema evolution through the whole Ray pipeline."""
 import glob
 import hashlib
 import json
+import os
 import shutil
 
 import pytest
@@ -276,26 +277,202 @@ class TestSchemaEvolutionE2E:
         assert got.equals(exp)
 
 
+def _part_files(lake):
+    """{part dir: file bytes} of every lake partition file."""
+    return {
+        path.split("/")[-2]: open(path, "rb").read()
+        for path in sorted(glob.glob(f"{lake}/part=*/data.parquet"))
+    }
+
+
+def _file_ids(lake):
+    """{part: (inode, mtime_ns)}: an atomic rewrite replaces the inode."""
+    out = {}
+    for path in glob.glob(f"{lake}/part=*/data.parquet"):
+        st = os.stat(path)
+        out[int(path.split("/")[-2].split("=")[1])] = (st.st_ino, st.st_mtime_ns)
+    return out
+
+
+def _prefix(manifest, upto, table_maps=None):
+    m = json.loads(json.dumps(manifest))
+    m["shards"] = manifest["shards"][:upto]
+    if table_maps is not None:
+        m["table_maps"] = table_maps
+    return m
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestFollowMode:
-    def test_three_increments_equal_full(self, small_stream, tmp_path):
+    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
+    def test_three_increments_equal_full(self, small_stream, tmp_path, shuffle):
         """Tailing mode: growing the stream shard-by-shard and following
-        produces the same lake as one full run."""
-        import json as _json
+        writes the same partition files, byte for byte, as one full run."""
+        from mysql_binlog_ray.pipelines.cdc import follow
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        lake_inc = str(tmp_path / "inc")
+        for upto in (1, 2, 3):
+            follow(_prefix(manifest, upto), lake_inc, cfg)
+        lake_full = str(tmp_path / "full")
+        run_to_lake(manifest, lake_full, cfg)
+        full = _part_files(lake_full)
+        assert full and _part_files(lake_inc) == full
+        a = read_lake(lake_full).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
+        b = read_lake(lake_inc).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
+        assert a.equals(b)
+
+    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
+    def test_alter_inside_increment(self, small_stream, tmp_path, shuffle):
+        """The ALTER adding `stars` lands inside the second increment, and
+        the first step saw only the old table map (as a wire tail does), so
+        the read-back files lack the new column: the merged partitions
+        still equal a one-shot run byte for byte."""
+        import pyarrow.parquet as pq
 
         from mysql_binlog_ray.pipelines.cdc import follow
 
         spec, out, manifest = small_stream
-        lake_inc = str(tmp_path / "inc")
-        for upto in (1, 2, 3):
-            m = _json.loads(_json.dumps(manifest))
-            m["shards"] = manifest["shards"][:upto]
-            follow(m, lake_inc, CdcConfig(num_partitions=8))
+        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        lake = str(tmp_path / "inc")
+        follow(_prefix(manifest, 1, manifest["table_maps"][:1]), lake, cfg)
+        first = glob.glob(f"{lake}/part=*/data.parquet")
+        assert first and all("stars" not in pq.read_schema(f).names for f in first)
+        for upto in (2, 3):
+            follow(_prefix(manifest, upto), lake, cfg)
+            lake_full = str(tmp_path / f"full{upto}")
+            run_to_lake(_prefix(manifest, upto), lake_full, cfg)
+            assert _part_files(lake) == _part_files(lake_full)
+        got = _normalize(read_lake(lake).to_pandas())
+        exp = final_state_oracle(spec, out).to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        assert got.equals(exp.sort_values(["repo", "path"]).reset_index(drop=True))
+
+    def test_increment_empties_a_partition(self, tmp_path):
+        """An increment that deletes every live row of a touched partition
+        leaves a 0-row file and a 0-row manifest entry, byte-identical to
+        a one-shot run (stream seed chosen so partition 3 of 16 holds rows
+        after the first shard and none after the second)."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import follow
+
+        spec = StreamSpec(seed=1, n_keys=40, n_ops=240, n_shards=2, p_delete=0.4, ddl_at=None)
+        out = str(tmp_path / "s")
+        manifest = generate_stream(spec, out)
+        cfg = CdcConfig(num_partitions=16)
+        lake = str(tmp_path / "inc")
+        m1 = follow(_prefix(manifest, 1), lake, cfg)
+        assert {p["part"]: p["rows"] for p in m1["partitions"]}.get(3, 0) > 0
+        m2 = follow(manifest, lake, cfg)
+        assert {p["part"]: p["rows"] for p in m2["partitions"]}[3] == 0
+        assert pq.ParquetFile(f"{lake}/part=00003/data.parquet").metadata.num_rows == 0
         lake_full = str(tmp_path / "full")
-        run_to_lake(manifest, lake_full, CdcConfig(num_partitions=8))
-        a = read_lake(lake_full).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        b = read_lake(lake_inc).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        assert a.equals(b)
+        full = run_to_lake(manifest, lake_full, cfg)
+        assert _part_files(lake) == _part_files(lake_full)
+        assert m2["partitions"] == full["partitions"]
+
+    def test_increment_without_row_events(self, small_stream, tmp_path):
+        """An increment holding no row events touches no partition: no
+        file is rewritten, the partition entries carry over unchanged and
+        the watermark still advances."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import follow
+        from mysql_binlog_ray.protocol.constants import EventType
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        lake = str(tmp_path / "inc")
+        m1 = follow(_prefix(manifest, 2), lake, cfg)
+        before = _file_ids(lake)
+
+        row_types = {int(t) for t in EventType if "ROWS" in t.name}
+        shard = dict(manifest["shards"][2], path=str(tmp_path / "no-rows.parquet"))
+        events = pq.read_table(manifest["shards"][2]["path"])
+        keep = [p[5] not in row_types for p in events.column("payload").to_pylist()]
+        pq.write_table(events.filter(keep), shard["path"])
+        m = _prefix(manifest, 2)
+        m["shards"].append(shard)
+
+        m2 = follow(m, lake, cfg)
+        assert m2["watermark"] == shard["last_event_seq"] > m1["watermark"]
+        assert m2["partitions"] == m1["partitions"]
+        assert m2["readback_rows"] == 0 and m2["partitions_rewritten"] == 0
+        assert _file_ids(lake) == before
+
+    def test_resume_stats_in_manifest(self, small_stream, tmp_path):
+        """Each commit records how many committed rows its merge tasks
+        read back and how many partitions it rewrote: exactly the prior
+        manifest's rows of the partitions whose files were replaced."""
+        from mysql_binlog_ray.pipelines.cdc import follow
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        lake = str(tmp_path / "inc")
+        m1 = follow(_prefix(manifest, 1), lake, cfg)
+        assert m1["readback_rows"] == 0
+        assert m1["partitions_rewritten"] == len(m1["partitions"])
+        for upto in (2, 3):
+            prior = {p["part"]: p["rows"] for p in m1["partitions"]}
+            before = _file_ids(lake)
+            m2 = follow(_prefix(manifest, upto), lake, cfg)
+            after = _file_ids(lake)
+            rewritten = [p for p in after if before.get(p) != after[p]]
+            assert rewritten
+            assert m2["partitions_rewritten"] == len(rewritten)
+            assert m2["readback_rows"] == sum(prior.get(p, 0) for p in rewritten)
+            assert m2["readback_rows"] > 0
+            m1 = m2
+
+    @pytest.mark.parametrize("shuffle,executions", [("external", 2), ("object_store", 1)])
+    def test_selective_step_reads_back_inside_merge(
+        self, small_stream, tmp_path, monkeypatch, shuffle, executions
+    ):
+        """Structural guard: a selective follow step reads no lake file
+        through Ray Data, materializes nothing, runs no `unique` pass, and
+        runs only the exchange's executions (spill + merge for the
+        external exchange, the groupby merge for the object store)."""
+        import ray.data
+        from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+        from mysql_binlog_ray.pipelines.cdc import follow
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        lake = str(tmp_path / "inc")
+        follow(_prefix(manifest, 1), lake, cfg)
+
+        real_read = ray.data.read_parquet
+
+        def read_parquet(paths, *a, **k):
+            listed = [paths] if isinstance(paths, str) else list(paths)
+            if any(str(p).startswith(lake) for p in listed):
+                raise AssertionError(f"lake file read through Ray Data: {listed}")
+            return real_read(paths, *a, **k)
+
+        def forbidden(name):
+            def fail(*a, **k):
+                raise AssertionError(f"Dataset.{name} during a selective follow step")
+
+            return fail
+
+        runs = []
+        real_execute = StreamingExecutor.execute
+
+        def execute(self, *a, **k):
+            runs.append(1)
+            return real_execute(self, *a, **k)
+
+        monkeypatch.setattr(ray.data, "read_parquet", read_parquet)
+        monkeypatch.setattr(ray.data.Dataset, "materialize", forbidden("materialize"))
+        monkeypatch.setattr(ray.data.Dataset, "unique", forbidden("unique"))
+        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        m = follow(_prefix(manifest, 2), lake, cfg)
+        monkeypatch.undo()
+        assert m["readback_rows"] > 0
+        assert len(runs) == executions
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -270,6 +270,50 @@ class TestFollowDaemon:
         assert a.equals(b)
 
 
+class TestFollowDaemonBounds:
+    """Ray-free: ``follow`` and the lake manifest read are stubbed."""
+
+    def test_endless_run_keeps_last_history(self, tmp_path, monkeypatch):
+        """An endless run returns only the last HISTORY_LIMIT ticks; a
+        bounded run of the same length returns them all."""
+        from mysql_binlog_ray.pipelines import tailer
+
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"shards": [], "table_maps": []}))
+        lake = {"watermark": 7, "totals": {"rows": 3}}
+        monkeypatch.setattr(tailer, "follow", lambda *a: lake)
+        monkeypatch.setattr(tailer, "read_manifest", lambda d: lake)
+        n = tailer.HISTORY_LIMIT + 50
+
+        def stop_after_n(stats):
+            return stats.iteration < n - 1
+
+        daemon = tailer.FollowDaemon(str(mpath), str(tmp_path), interval_sec=0, on_stats=stop_after_n)
+        endless = daemon.run()
+        assert len(endless) == tailer.HISTORY_LIMIT
+        assert [s.iteration for s in endless] == list(range(50, n))
+        bounded = tailer.FollowDaemon(str(mpath), str(tmp_path), interval_sec=0).run(max_iterations=n)
+        assert len(bounded) == n
+
+    def test_snapshotless_ticks_are_logged(self, tmp_path, monkeypatch, caplog):
+        """The first snapshotless tick and every 100th after it log a
+        warning naming the manifest."""
+        import logging
+
+        from mysql_binlog_ray.pipelines import tailer
+
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps({"shards": []}))
+        monkeypatch.setattr(tailer, "read_manifest", lambda d: None)
+        daemon = tailer.FollowDaemon(str(mpath), str(tmp_path), interval_sec=0)
+        with caplog.at_level(logging.WARNING, logger=tailer.__name__):
+            assert daemon.run(max_iterations=250) == []
+        warned = [r for r in caplog.records if r.name == tailer.__name__]
+        assert len(warned) == 3  # ticks 1, 101 and 201
+        assert all(str(mpath) in r.getMessage() for r in warned)
+        assert "201 snapshotless ticks" in warned[-1].getMessage()
+
+
 class TestConfigEnvArgsLayering:
     """Reference Config.php:21-171: fromEnv overrides defaults, fromArgs
     overrides fromEnv — the CLI reproduces that precedence."""
