@@ -35,7 +35,6 @@ from ..stages.merge import (
     PARTITION_HASH_ALGO,
     SEQ_COLS,
     add_partition_column,
-    flatten_changefeed,
     lww_final,
     lww_partial,
 )
@@ -52,21 +51,6 @@ DEFAULT_KEY_COLS = ("repo", "path")
 class CdcConfig:
     key_cols: tuple[str, ...] = DEFAULT_KEY_COLS
     num_partitions: int = 32
-    # None (default) = stateless tasks with a per-worker cached decoder:
-    # decoder setup is ~3 ms, so an actor pool buys nothing and its
-    # ramp-up adds seconds of variance (measured).  Set an int/(min,max)
-    # to force an actor pool (needed only for registry-actor mode where
-    # decode state must outlive tasks).
-    decode_concurrency: int | tuple[int, int] | None = None
-    # None = decode whole blocks: the per-call overhead (batch slicing,
-    # arrow rebuild) dwarfs the decode kernel on small batches
-    decode_batch_size: int | None = None
-    # coalesce upstream blocks to this many before the keyed merge
-    # shuffle when the upstream block count is much larger (sort-shuffle
-    # cost grows with input block count); None disables.  Only kicks in
-    # for many-tiny-block inputs — repartitioning big blocks re-ships
-    # the whole dataset for nothing.
-    merge_coalesce_blocks: int | None = None
     verify_checksums: bool = True
     databases: list[str] | None = None
     tables: list[str] | None = None
@@ -116,27 +100,12 @@ def read_event_stream(manifest: dict[str, Any], start_after_seq: int | None = No
     return rd.read_parquet(paths, override_num_blocks=nblocks)
 
 
-def _map_decoder(
-    events: rd.Dataset,
-    decoder_kwargs: dict[str, Any],
-    cfg: CdcConfig,
-) -> rd.Dataset:
-    """Shared decode-stage dispatch: actor pool when
-    ``cfg.decode_concurrency`` is set (registry-actor mode needs state to
-    outlive tasks), else stateless tasks with a per-worker cached decoder
-    (decoder setup is ~3 ms; actor ramp-up adds seconds of variance)."""
-    kwargs: dict[str, Any] = dict(
-        batch_format="pyarrow",
-        batch_size=cfg.decode_batch_size,
-        zero_copy_batch=True,
-    )
-    if cfg.decode_concurrency is not None:
-        return events.map_batches(
-            BinlogDecoder,
-            fn_constructor_kwargs=decoder_kwargs,
-            concurrency=cfg.decode_concurrency,
-            **kwargs,
-        )
+def _map_decoder(events: rd.Dataset, decoder_kwargs: dict[str, Any]) -> rd.Dataset:
+    """Shared decode-stage dispatch: stateless tasks over whole blocks
+    with a per-worker cached decoder.  Decoder setup is ~3 ms, so an
+    actor pool buys nothing and its ramp-up adds seconds of variance
+    (measured); registry-actor mode reaches its actor from the cached
+    decoder via ``decoder_kwargs["registry_actor_name"]``."""
     cache: dict[str, BinlogDecoder] = {}
 
     def decode_fn(batch: pa.Table) -> pa.Table:
@@ -145,7 +114,7 @@ def _map_decoder(
             dec = cache["d"] = BinlogDecoder(**decoder_kwargs)
         return dec(batch)
 
-    return events.map_batches(decode_fn, **kwargs)
+    return events.map_batches(decode_fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
 def build_xid_index(events: rd.Dataset) -> tuple[Any, Any, Any]:
@@ -277,7 +246,7 @@ def decode_changefeed(
         start_after_seq=start_after_seq,
         **cfg.decoder_kwargs,
     )
-    cf = _map_decoder(events, decoder_kwargs, cfg)
+    cf = _map_decoder(events, decoder_kwargs)
     if exact_commits:
         cf = repair_commit_seqs(cf, build_xid_index(events))
     return cf
@@ -310,39 +279,24 @@ def decode_all_tables(
         verify_checksums=cfg.verify_checksums,
         start_after_seq=start_after_seq,
     )
-    return _map_decoder(events, decoder_kwargs, cfg)
+    return _map_decoder(events, decoder_kwargs)
 
 
-def merge_lww(
-    changefeed: rd.Dataset,
-    cfg: CdcConfig,
-    extra_inputs: list[rd.Dataset] | None = None,
-    already_flat: bool = False,
-) -> rd.Dataset:
-    """Merge stage: flatten -> partial combine -> hash partition -> final
-    LWW.  ``extra_inputs`` lets resume union the prior lake state (flat
-    rows with op='insert' and their original sequence lineage)."""
+def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
+    """Dataset-returning LWW merge of flat rows (``[value cols..., op,
+    event_seq, row_seq[, commit_seq]]``): per-batch partial combine ->
+    hash partition on ``cfg.key_cols`` into ``cfg.num_partitions`` ->
+    ``groupby("_part").map_groups`` final LWW.  The lake sink runs the
+    same kernels through its own exchange (``_exchange``)."""
     key_cols = cfg.key_cols
 
-    def _flatten_combine(batch: pa.Table) -> pa.Table:
-        if not already_flat:
-            batch = flatten_changefeed(batch, key_cols)
-        return lww_partial(batch, key_cols)
-
-    flat = changefeed.map_batches(_flatten_combine, batch_format="pyarrow")
-    if extra_inputs:
-        flat = flat.union(*extra_inputs)
-
-    parted = flat.map_batches(
-        lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
-        batch_format="pyarrow",
-    )
-    if cfg.merge_coalesce_blocks:
-        parted = parted.repartition(cfg.merge_coalesce_blocks)
+    def _combine_and_partition(batch: pa.Table) -> pa.Table:
+        return add_partition_column(lww_partial(batch, key_cols), key_cols, cfg.num_partitions)
 
     def _final(group: pa.Table) -> pa.Table:
         return lww_final(group, key_cols)
 
+    parted = flat.map_batches(_combine_and_partition, batch_format="pyarrow")
     return parted.groupby("_part").map_groups(_final, batch_format="pyarrow")
 
 
@@ -355,23 +309,16 @@ def _with_flat_decode(cfg: CdcConfig) -> CdcConfig:
     return replace(cfg, decoder_kwargs=dk)
 
 
-def run_to_dataset(
-    manifest: dict[str, Any],
-    cfg: CdcConfig | None = None,
-    start_after_seq: int | None = None,
-    extra_inputs: list[rd.Dataset] | None = None,
-) -> rd.Dataset:
+def run_to_dataset(manifest: dict[str, Any], cfg: CdcConfig | None = None) -> rd.Dataset:
     """Full pipeline, returning the merged final table as a Dataset.
 
     Uses the flat decode path: before-images are byte-skipped (merge
     keys only for deletes) — the changefeed-shape decode remains
     available via ``decode_changefeed`` for changefeed consumers.
     """
-    cfg = cfg or CdcConfig()
-    cfg = _with_flat_decode(cfg)
-    events = read_event_stream(manifest, start_after_seq)
-    cf = decode_changefeed(events, manifest["table_maps"], cfg, start_after_seq)
-    return merge_lww(cf, cfg, extra_inputs=extra_inputs, already_flat=True)
+    cfg = _with_flat_decode(cfg or CdcConfig())
+    events = read_event_stream(manifest)
+    return merge_lww(decode_changefeed(events, manifest["table_maps"], cfg), cfg)
 
 
 def state_as_of(
@@ -398,8 +345,7 @@ def state_as_of(
         lambda b: b.filter(pc.less_equal(b.column("event_seq"), watermark)),
         batch_format="pyarrow",
     )
-    cf = decode_changefeed(events, manifest["table_maps"], cfg)
-    return merge_lww(cf, cfg, already_flat=True)
+    return merge_lww(decode_changefeed(events, manifest["table_maps"], cfg), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -429,6 +375,45 @@ def _cleanup_orphan_parts(lake_dir: str, live_parts: set[int]) -> None:
                 _shutil.rmtree(os.path.join(lake_dir, entry), ignore_errors=True)
 
 
+def _commit_lake(
+    lake_dir: str,
+    watermark: int,
+    parts: list[dict[str, Any]],
+    key_cols: tuple[str, ...],
+    num_partitions: int,
+    **extra: Any,
+) -> dict[str, Any]:
+    """The lake's one commit path: publish the manifest with the
+    partition layout record (``key_cols``, ``num_partitions``,
+    ``hash_algo``) that selective resume and ``lake_point_lookup`` rely
+    on, plus the caller's ``extra`` fields, then remove the ``part=``
+    dirs the new manifest no longer lists.  Returns the manifest."""
+    m = commit_manifest(
+        lake_dir,
+        watermark,
+        parts,
+        extra={
+            "key_cols": list(key_cols),
+            "num_partitions": num_partitions,
+            "hash_algo": PARTITION_HASH_ALGO,
+            **extra,
+        },
+    )
+    _cleanup_orphan_parts(lake_dir, {p["part"] for p in parts})
+    return m
+
+
+def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
+    """Hive read of the committed partition files that hold rows (the
+    physical ``part`` directory column included).  A lake with no live
+    row reads as an empty Dataset — ``read_parquet`` refuses an empty
+    path list."""
+    paths = [
+        _lake_partition_path(lake_dir, p["part"]) for p in m["partitions"] if p["rows"] > 0
+    ]
+    return rd.read_parquet(paths) if paths else rd.from_items([])
+
+
 def _lake_rows_as_inserts(tab: pa.Table) -> pa.Table:
     """Committed lake rows as flat merge input: op='insert', original
     (event_seq, row_seq) lineage kept so newer events win, commit_seq
@@ -445,20 +430,6 @@ def _lake_rows_as_inserts(tab: pa.Table) -> pa.Table:
     cols["row_seq"] = tab.column("row_seq")
     cols["commit_seq"] = pa.array([-1] * n, pa.int64())
     return pa.table(cols)
-
-
-def read_lake_as_flat(lake_dir: str, cfg: CdcConfig) -> rd.Dataset | None:
-    """Prior lake state as flat merge input (see ``_lake_rows_as_inserts``)
-    for the non-selective resume, which must re-hash every prior row."""
-    m = read_manifest(lake_dir)
-    if m is None:
-        return None
-    paths = [
-        _lake_partition_path(lake_dir, p["part"]) for p in m["partitions"] if p["rows"] > 0
-    ]
-    if not paths:
-        return None
-    return rd.read_parquet(paths).map_batches(_lake_rows_as_inserts, batch_format="pyarrow")
 
 
 def _group_rgs(entries: list[tuple[str, int]]) -> list[tuple[str, list[int]]]:
@@ -771,15 +742,12 @@ def run_to_lake(
     if selective:
         prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]}
     elif prior:
-        lake_ds = read_lake_as_flat(lake_dir, cfg)
-        if lake_ds is not None:
-            flat = flat.union(lake_ds)
+        prior_flat = _read_live_partitions(lake_dir, prior)
+        flat = flat.union(prior_flat.map_batches(_lake_rows_as_inserts, batch_format="pyarrow"))
     parted = flat.map_batches(
         lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
         batch_format="pyarrow",
     )
-    if cfg.merge_coalesce_blocks:
-        parted = parted.repartition(cfg.merge_coalesce_blocks)
 
     parts = _exchange(cfg)(parted, lake_dir, cfg, prior_rows)
     readback_rows = sum(p.pop("prior_rows") for p in parts)
@@ -787,22 +755,17 @@ def run_to_lake(
     if selective:
         have = {p["part"] for p in parts}
         parts.extend(p for p in prior["partitions"] if p["part"] not in have)
-    m = commit_manifest(
+    return _commit_lake(
         lake_dir,
         watermark,
         parts,
-        extra={
-            "key_cols": list(cfg.key_cols),
-            "num_partitions": cfg.num_partitions,
-            "hash_algo": PARTITION_HASH_ALGO,
-            "elapsed_sec": round(_time.time() - t_start, 3),
-            "readback_rows": readback_rows,
-            "partitions_rewritten": partitions_rewritten,
-            "resumed_from": start_after,
-        },
+        key_cols,
+        cfg.num_partitions,
+        elapsed_sec=round(_time.time() - t_start, 3),
+        readback_rows=readback_rows,
+        partitions_rewritten=partitions_rewritten,
+        resumed_from=start_after,
     )
-    _cleanup_orphan_parts(lake_dir, {p["part"] for p in parts})
-    return m
 
 
 def seed_lake_from_snapshot(
@@ -852,19 +815,9 @@ def seed_lake_from_snapshot(
     parts = _exchange(cfg)(parted, lake_dir, cfg, {})
     for p in parts:
         del p["prior_rows"]
-    m = commit_manifest(
-        lake_dir,
-        snapshot_seq,
-        parts,
-        extra={
-            "key_cols": list(cfg.key_cols),
-            "num_partitions": cfg.num_partitions,
-            "hash_algo": PARTITION_HASH_ALGO,
-            "bootstrap": True,
-        },
+    return _commit_lake(
+        lake_dir, snapshot_seq, parts, key_cols, cfg.num_partitions, bootstrap=True
     )
-    _cleanup_orphan_parts(lake_dir, {p["part"] for p in parts})
-    return m
 
 
 def bootstrap_lake(
@@ -978,10 +931,7 @@ def read_lake(lake_dir: str) -> rd.Dataset:
     m = read_manifest(lake_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest in {lake_dir}")
-    paths = [
-        _lake_partition_path(lake_dir, p["part"]) for p in m["partitions"] if p["rows"] > 0
-    ]
-    ds = rd.read_parquet(paths)
+    ds = _read_live_partitions(lake_dir, m)
 
     def _strip_hive(batch: pa.Table) -> pa.Table:
         return batch.drop_columns(["part"]) if "part" in batch.column_names else batch
@@ -1176,19 +1126,7 @@ def compact_lake(
         }
         for r in stats
     ]
-    new_manifest = commit_manifest(
-        lake_dir,
-        m["watermark"],
-        parts,
-        extra={
-            "key_cols": list(key_cols),
-            "num_partitions": new_num_partitions,
-            "hash_algo": PARTITION_HASH_ALGO,
-        },
-    )
-    # drop now-orphaned partition dirs (old layout had more partitions)
-    _cleanup_orphan_parts(lake_dir, {int(r["part"]) for r in stats})
-    return new_manifest
+    return _commit_lake(lake_dir, m["watermark"], parts, key_cols, new_num_partitions)
 
 
 def audit_lake(
@@ -1234,13 +1172,7 @@ def audit_lake(
 
     expected = run_to_dataset(manifest, cfg).materialize()
     # hive-partitioned read keeps the physical `part` column
-    actual = rd.read_parquet(
-        [
-            _lake_partition_path(lake_dir, p["part"])
-            for p in m["partitions"]
-            if p["rows"] > 0
-        ]
-    )
+    actual = _read_live_partitions(lake_dir, m)
     common = sorted(
         (set(expected.schema().names) & set(actual.schema().names)) - {"part"}
     )

@@ -78,12 +78,12 @@ def lww_merge_events(sf_dir: str):
     """The LWW merge operator (M6) applied to the events table: each event
     upserts the per-user state, ordered by event_id — the exact semantics
     the CDC merge uses, with a window-function SQL oracle."""
-    from ..stages.merge import add_partition_column, lww_final, lww_partial
+    from .cdc import CdcConfig, merge_lww
 
     ds = _rp(_t(sf_dir, "events"), columns=["event_id", "user_id", "event_type", "value", "props"])
 
     def to_flat(batch: pa.Table) -> pa.Table:
-        out = pa.table(
+        return pa.table(
             {
                 "user_id": batch.column("user_id"),
                 "event_type": batch.column("event_type"),
@@ -94,14 +94,10 @@ def lww_merge_events(sf_dir: str):
                 "row_seq": pa.array([0] * batch.num_rows, pa.int32()),
             }
         )
-        return lww_partial(out, ("user_id",))
 
-    flat = ds.map_batches(to_flat, batch_format="pyarrow")
-    parted = flat.map_batches(
-        lambda b: add_partition_column(b, ("user_id",), 16), batch_format="pyarrow"
-    )
-    merged = parted.groupby("_part").map_groups(
-        lambda g: lww_final(g, ("user_id",)), batch_format="pyarrow"
+    merged = merge_lww(
+        ds.map_batches(to_flat, batch_format="pyarrow"),
+        CdcConfig(key_cols=("user_id",), num_partitions=16),
     )
     return merged.map_batches(
         lambda b: b.select(["user_id", "event_type", "value", "props"]),

@@ -17,9 +17,11 @@ Scale design (the part the single-threaded reference never needed):
 3. partition column        — deterministic hash of the primary key mod
    ``num_partitions`` (stable across runs/processes: required for the
    resumable, idempotent sink).
-4. ``groupby("_part").map_groups(lww_final)`` — the single all-to-all
-   exchange in the pipeline; within each partition the same vectorized
-   kernel picks winners and drops delete tombstones.
+4. keyed exchange on ``_part``, then ``lww_final`` per partition — the
+   same vectorized kernel picks winners and drops delete tombstones.
+   The lake sink's exchange is chosen by ``CdcConfig.shuffle``
+   (filesystem spill or ``groupby("_part")``); the Dataset-returning
+   paths go through ``cdc.merge_lww``'s ``groupby("_part").map_groups``.
 
 Skew (M8): the partition hash spreads keys uniformly; a pathologically
 hot *single key* is already collapsed to ~one row per upstream batch by
@@ -355,49 +357,6 @@ def collect_hot_keys(actors: list, threshold: int) -> np.ndarray:
     """Gather + sort the hot set from the sketch shards."""
     parts = ray.get([a.hot.remote(threshold) for a in actors])
     return np.sort(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
-
-
-def detect_hot_keys(
-    flat, key_cols: tuple[str, ...], threshold: int
-) -> np.ndarray:
-    """Distributed hot-key sketch: per-batch partial counts by 53-bit key
-    hash -> groupby sum -> keys whose total count exceeds ``threshold``.
-    The shuffle carries one (hash, n) row per distinct key per batch;
-    only the (tiny) hot set reaches the driver.
-
-    When ``flat`` has already been through the per-batch LWW combine, a
-    key's count equals the number of upstream blocks containing it — so
-    ``threshold`` is a fan-in bound (rows converging on the key's final
-    partition), which is exactly the quantity salting exists to cap.
-    """
-    import pandas as pd
-
-    from .relational import keyed_reduce
-
-    def partial(batch: pa.Table) -> pa.Table:
-        uniq, cnt = np.unique(_key_hash53(batch, key_cols), return_counts=True)
-        return pa.table(
-            {"khash": pa.array(uniq, pa.int64()), "n": pa.array(cnt, pa.int64())}
-        )
-
-    partials = flat.map_batches(partial, batch_format="pyarrow")
-
-    def hot_only(g: pd.DataFrame) -> pd.DataFrame:
-        tot = g.groupby("khash", sort=False)["n"].sum()
-        return pd.DataFrame({"khash": tot.index[tot > threshold].to_numpy()})
-
-    # hash-partitioned reduce (keyed_reduce): key cardinality never hits
-    # a per-group Python loop; only the hot set reaches the driver.
-    # Explicit fanout (partials are slim (hash, n) rows — ~1/100th of the
-    # stream bytes) skips the adaptive path's sizing materialization.
-    try:
-        n_parts = max(64, flat.num_blocks() // 8)  # materialized input
-    except Exception:
-        n_parts = 64
-    hot = keyed_reduce(partials, ["khash"], hot_only, num_parts=n_parts).to_pandas()
-    if hot.empty or "khash" not in hot.columns:
-        return np.zeros(0, dtype=np.int64)
-    return np.sort(hot["khash"].to_numpy().astype(np.int64))
 
 
 def salted_presqueeze(

@@ -693,18 +693,21 @@ class TestHotKeySalting:
 
     def test_detect_and_squeeze_bounds_hot_key(self):
         from mysql_binlog_ray.stages.merge import (
-            detect_hot_keys,
+            _CountAccumulator,
+            collect_hot_keys,
             lww_partial,
+            make_counting_combine,
             salted_presqueeze,
         )
 
         keys = ("repo", "path")
         flat, last_seq = self._flat()
-        # per-batch combine first (as the pipeline does)
-        combined = flat.map_batches(
-            lambda b: lww_partial(b, keys), batch_format="pyarrow"
-        ).materialize()
-        hot = detect_hot_keys(combined, keys, threshold=10)
+        # run_to_lake's detector: the per-batch combine also streams its
+        # (key hash, count) partials to the sketch shards
+        actors = [_CountAccumulator.remote() for _ in range(4)]
+        counting = make_counting_combine(lambda b: lww_partial(b, keys), keys, actors)
+        combined = flat.map_batches(counting, batch_format="pyarrow").materialize()
+        hot = collect_hot_keys(actors, threshold=10)
         assert len(hot) == 1, "exactly the planted hot key must be detected"
 
         squeezed = salted_presqueeze(combined, keys, hot, n_salts=4)

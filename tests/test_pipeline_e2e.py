@@ -800,18 +800,56 @@ class TestSnapshotBootstrap:
         prefix = json.loads(json.dumps(manifest))
         prefix["shards"] = manifest["shards"][:2]
         snapshot_seq = max(s["last_event_seq"] for s in prefix["shards"])
-        snapshot = run_to_dataset(prefix, CdcConfig(num_partitions=8))
-
-        lake_boot = str(tmp_path / f"boot_{shuffle}")
-        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
-        m = bootstrap_lake(snapshot, snapshot_seq, manifest, lake_boot, cfg)
-        assert m["watermark"] == max(s["last_event_seq"] for s in manifest["shards"])
-
-        got = _normalize(read_lake(lake_boot).to_pandas())
+        merged = run_to_dataset(prefix, CdcConfig(num_partitions=8)).materialize()
         exp = final_state_oracle(spec, out).to_pandas()
         exp["stars"] = exp["stars"].astype("float64")
         exp = exp.sort_values(["repo", "path"]).reset_index(drop=True)
-        assert got.equals(exp), "bootstrapped lake differs from replay oracle"
+
+        # the engine's merged state carries event_seq/row_seq lineage; a
+        # plain table dump has value columns only — both must seed
+        snapshots = {
+            "lineage": merged,
+            "plain": merged.drop_columns(["event_seq", "row_seq"]),
+        }
+        for name, snapshot in snapshots.items():
+            lake_boot = str(tmp_path / f"boot_{shuffle}_{name}")
+            cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+            m = bootstrap_lake(snapshot, snapshot_seq, manifest, lake_boot, cfg)
+            assert m["watermark"] == max(s["last_event_seq"] for s in manifest["shards"])
+
+            got = _normalize(read_lake(lake_boot).to_pandas())
+            assert got.equals(exp), f"{name} snapshot: bootstrapped lake differs from oracle"
+
+    @pytest.mark.parametrize("shuffle", ["object_store", "external"])
+    def test_empty_snapshot_lake_reads_compacts_follows(self, small_stream, tmp_path, shuffle):
+        """A lake with zero live rows is a valid lake: read_lake returns
+        an empty Dataset, compact_lake commits, and follow (under a
+        partition count that differs from the compacted one, so the full
+        re-merge path unions the empty prior state) catches up to the
+        replay oracle."""
+        import ray.data as rd
+
+        from mysql_binlog_ray.pipelines.cdc import compact_lake, follow, seed_lake_from_snapshot
+        from mysql_binlog_ray.state.checkpoint import read_manifest
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / f"empty_{shuffle}")
+        # an empty table snapshotted before the stream's first event
+        snapshot_seq = manifest["shards"][0]["first_event_seq"] - 1
+        m = seed_lake_from_snapshot(rd.from_items([]), snapshot_seq, lake, CdcConfig())
+        assert m["partitions"] == [] and m["watermark"] == snapshot_seq
+
+        assert read_lake(lake).count() == 0
+        m = compact_lake(lake, 4)
+        assert m["num_partitions"] == 4 and m["partitions"] == []
+        assert read_manifest(lake)["watermark"] == snapshot_seq
+
+        follow(manifest, lake, CdcConfig(num_partitions=8, shuffle=shuffle))
+        got = _normalize(read_lake(lake).to_pandas())
+        exp = final_state_oracle(spec, out).to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        exp = exp.sort_values(["repo", "path"]).reset_index(drop=True)
+        assert got.equals(exp)
 
     def test_catchup_delete_removes_snapshot_row(self, small_stream, tmp_path):
         """A key deleted between snapshot and head must not survive: the
@@ -920,3 +958,59 @@ class TestSnapshotBootstrap:
             bootstrap_lake(
                 snapshot, snapshot_seq, manifest, lake, CdcConfig(num_partitions=8)
             )
+
+
+class TestOneLakeWriter:
+    """Structural guard: the lake has one commit path and one final LWW
+    per flavor (Dataset-returning ``merge_lww`` and the per-partition
+    lake writer).  A second writer would have to re-derive the layout
+    record that selective resume and point lookups depend on."""
+
+    PIPELINES = os.path.join(
+        os.path.dirname(__file__), os.pardir, "mysql_binlog_ray", "pipelines"
+    )
+
+    def _calls(self, path, name):
+        """Top-level functions of ``path`` that call ``name``, with counts."""
+        import ast
+
+        tree = ast.parse(open(path).read())
+        found = {}
+        for top in tree.body:
+            if not isinstance(top, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                    getattr(node.func, "id", None),
+                    getattr(node.func, "attr", None),
+                ):
+                    found[top.name] = found.get(top.name, 0) + 1
+        return found
+
+    def _modules(self):
+        return sorted(glob.glob(os.path.join(self.PIPELINES, "*.py")))
+
+    def test_only_cdc_imports_commit_manifest(self):
+        import ast
+
+        importers, callers = [], []
+        for path in self._modules():
+            for node in ast.walk(ast.parse(open(path).read())):
+                if isinstance(node, ast.ImportFrom) and any(
+                    a.name == "commit_manifest" for a in node.names
+                ):
+                    importers.append(os.path.basename(path))
+            if self._calls(path, "commit_manifest"):
+                callers.append(os.path.basename(path))
+        assert importers == ["cdc.py"] and callers == ["cdc.py"]
+
+    def test_commit_manifest_called_from_one_function(self):
+        calls = self._calls(os.path.join(self.PIPELINES, "cdc.py"), "commit_manifest")
+        assert list(calls) == ["_commit_lake"] and calls["_commit_lake"] == 1
+
+    def test_lww_final_called_from_merge_lww_and_lake_writer(self):
+        callers = {}
+        for path in self._modules():
+            for fn in self._calls(path, "lww_final"):
+                callers.setdefault(os.path.basename(path), []).append(fn)
+        assert callers == {"cdc.py": ["merge_lww", "_merge_write_partition"]}

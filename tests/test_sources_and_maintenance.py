@@ -1,5 +1,5 @@
 """Tests for the binlog-file source format, snapshot bootstrap, and lake
-compaction."""
+maintenance."""
 
 import hashlib
 import json
@@ -11,13 +11,13 @@ import pytest
 import ray.data as rd
 
 from mysql_binlog_ray.fixtures.generator import final_state_oracle
-from mysql_binlog_ray.pipelines.bootstrap import bootstrap_lake
 from mysql_binlog_ray.pipelines.cdc import (
     CdcConfig,
     compact_lake,
     follow,
     read_lake,
     run_to_lake,
+    seed_lake_from_snapshot,
 )
 from mysql_binlog_ray.sources.binlog_file import (
     binlog_files_to_dataset,
@@ -66,7 +66,7 @@ class TestBinlogFilePipeline:
         events = binlog_files_to_dataset(paths)
         cfg = _with_flat_decode(CdcConfig(num_partitions=8))
         cf = decode_changefeed(events, manifest["table_maps"], cfg)
-        merged = merge_lww(cf, cfg, already_flat=True)
+        merged = merge_lww(cf, cfg)
         got = _normalize(merged.to_pandas())
         exp = final_state_oracle(spec, out).to_pandas()
         exp["stars"] = exp["stars"].astype("float64")
@@ -80,10 +80,8 @@ class TestBinlogFilePipeline:
 @pytest.mark.usefixtures("ray_session")
 class TestSnapshotBootstrap:
     def test_snapshot_then_stream_equals_full_replay(self, small_stream, tmp_path):
-        """Load a snapshot consistent with shard 0's end, then follow the
-        remaining shards — final lake equals the full-stream run."""
-        import pandas as pd
-
+        """Seed a lake from a snapshot consistent with shard 0's end, then
+        follow the remaining shards — final lake equals the full-stream run."""
         from mysql_binlog_ray.pipelines.cdc import run_to_dataset
 
         spec, out, manifest = small_stream
@@ -96,7 +94,9 @@ class TestSnapshotBootstrap:
         snap_df = run_to_dataset(prefix, CdcConfig(num_partitions=8)).to_pandas()
         snap_df = snap_df.drop(columns=["event_seq", "row_seq"])
         lake = str(tmp_path / "lake")
-        bootstrap_lake(rd.from_pandas(snap_df), watermark, lake, CdcConfig(num_partitions=8))
+        seed_lake_from_snapshot(
+            rd.from_pandas(snap_df), watermark, lake, CdcConfig(num_partitions=8)
+        )
 
         follow(manifest, lake, CdcConfig(num_partitions=8))
 
