@@ -16,8 +16,9 @@ Streaming execution end-to-end: nothing materializes the full stream;
 the only all-to-all exchange carries partially-combined rows.  Resume
 reads back only touched partitions, inside the merge task: the task
 that rewrites a partition reads that partition's committed file itself,
-so a follow step is two Ray Data executions (spill, merge) and the
-prior lake rows never transit the exchange.
+so a follow step is one Ray Data execution (spill) plus one plain Ray
+task per touched partition (merge), and the prior lake rows never
+transit the exchange.
 """
 
 from __future__ import annotations
@@ -474,23 +475,6 @@ def _collect_table(ds: rd.Dataset) -> pa.Table | None:
     return pa.concat_tables(tabs, promote_options="default")
 
 
-# one row per rewritten partition: the manifest entry plus the number of
-# committed rows the merge task read back for it
-_MERGE_STATS = pa.schema(
-    [
-        ("part", pa.int32()),
-        ("rows", pa.int64()),
-        ("bytes", pa.int64()),
-        ("max_event_seq", pa.int64()),
-        ("prior_rows", pa.int64()),
-    ]
-)
-
-
-def _merge_stats_rows(stats: pa.Table | None) -> list[dict[str, Any]]:
-    return [] if stats is None else stats.to_pylist()
-
-
 def _merge_write_partition(
     new: list[pa.Table],
     part: int,
@@ -506,8 +490,8 @@ def _merge_write_partition(
     The read-back goes AFTER the new rows so that a column added by DDL
     inside the increment keeps the position the decoder gives it.  Rows
     are sorted by key, so a rerun produces byte-identical files
-    (exactly-once via idempotence, SURVEY §7.3).  Returns one
-    ``_MERGE_STATS`` row.
+    (exactly-once via idempotence, SURVEY §7.3).  Returns the manifest
+    entry plus ``prior_rows``, the committed rows read back for it.
     """
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -529,6 +513,23 @@ def _merge_write_partition(
     }
 
 
+@ray.remote
+def _merge_spilled_partition(
+    chunks: list[tuple[str, list[int]]],
+    part: int,
+    lake_dir: str,
+    key_cols: tuple[str, ...],
+    prior_rows: int,
+) -> dict[str, Any]:
+    """Merge half of the external exchange, one plain Ray task per
+    touched partition: read the partition's spill row groups, then
+    :func:`_merge_write_partition`."""
+    import pyarrow.parquet as pq
+
+    new = [pq.ParquetFile(path).read_row_groups(rgs) for path, rgs in chunks]
+    return _merge_write_partition(new, part, lake_dir, key_cols, prior_rows)
+
+
 def _external_shuffle_merge(
     parted: rd.Dataset,
     lake_dir: str,
@@ -537,13 +538,13 @@ def _external_shuffle_merge(
 ) -> list[dict[str, Any]]:
     """Filesystem-based keyed exchange (Spark-external-shuffle shape).
 
-    Stage A: every upstream task appends its partial rows, split by
-    ``_part``, as one parquet chunk per touched partition under a scratch
-    dir — fused with decode/flatten, so partials never transit the object
-    store.  Its chunk index lists every touched partition.  Stage B: one
-    task per touched partition reads that partition's chunks (plus its
-    ``prior_rows`` committed lake rows on selective resume) and runs
-    :func:`_merge_write_partition`.
+    Stage A, the one Ray Data execution: every upstream task appends its
+    partial rows, split by ``_part``, as one parquet chunk per touched
+    partition under a scratch dir — fused with decode/flatten, so
+    partials never transit the object store.  Its chunk index lists
+    every touched partition.  Stage B: one plain Ray task per touched
+    partition, :func:`_merge_spilled_partition`.  The scratch dir is
+    removed on failure too, once every merge task has ended.
 
     On a multi-node cluster the scratch dir must be a shared filesystem
     (lake storage itself qualifies); the object-store path
@@ -554,7 +555,6 @@ def _external_shuffle_merge(
 
     import pyarrow.parquet as pq
 
-    key_cols = cfg.key_cols
     spill_dir = os.path.join(lake_dir, "_shuffle")
 
     def spill(batch: pa.Table) -> pa.Table:
@@ -599,40 +599,29 @@ def _external_shuffle_merge(
             }
         )
 
-    # block-level collect (O(blocks) driver work): take_all() iterates
-    # Python row dicts — measured ~0.3 s of pure driver CPU on the sf0.1
-    # headline, a constant that dominates small runs
-    chunk_index = _collect_table(parted.map_batches(spill, batch_format="pyarrow"))
-    by_part: dict[int, list[tuple[str, int]]] = {}
-    if chunk_index is not None:
-        for part, chunk, rg in zip(
-            chunk_index.column("part").to_pylist(),
-            chunk_index.column("chunk").to_pylist(),
-            chunk_index.column("rg").to_pylist(),
-        ):
-            by_part.setdefault(int(part), []).append((chunk, int(rg)))
-
-    def merge_one(batch: dict) -> pa.Table:
-        out = []
-        for part in batch["part"]:
-            part = int(part)
-            new = [
-                pq.ParquetFile(path).read_row_groups(rgs)
-                for path, rgs in _group_rgs(by_part[part])
-            ]
-            out.append(
-                _merge_write_partition(new, part, lake_dir, key_cols, prior_rows.get(part, 0))
+    refs: list[ray.ObjectRef] = []
+    try:
+        chunk_index = _collect_table(parted.map_batches(spill, batch_format="pyarrow"))
+        by_part: dict[int, list[tuple[str, int]]] = {}
+        if chunk_index is not None:
+            for part, chunk, rg in zip(
+                chunk_index.column("part").to_pylist(),
+                chunk_index.column("chunk").to_pylist(),
+                chunk_index.column("rg").to_pylist(),
+            ):
+                by_part.setdefault(int(part), []).append((chunk, int(rg)))
+        # an increment with no row events touches no partition
+        refs = [
+            _merge_spilled_partition.remote(
+                _group_rgs(by_part[p]), p, lake_dir, cfg.key_cols, prior_rows.get(p, 0)
             )
-        return pa.Table.from_pylist(out, schema=_MERGE_STATS)
-
-    stats = None
-    if by_part:  # an increment with no row events touches no partition
-        parts_ds = rd.from_items([{"part": p} for p in sorted(by_part)])
-        stats = _collect_table(
-            parts_ds.map_batches(merge_one, batch_size=1, batch_format="numpy")
-        )
-    _shutil.rmtree(spill_dir, ignore_errors=True)
-    return _merge_stats_rows(stats)
+            for p in sorted(by_part)
+        ]
+        return ray.get(refs)
+    finally:
+        if refs:  # a failed merge must not race its siblings' spill reads
+            ray.wait(refs, num_returns=len(refs))
+        _shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 def _groupby_merge_parts(
@@ -651,10 +640,11 @@ def _groupby_merge_parts(
     def _merge_and_write(group: pa.Table) -> pa.Table:
         part = int(group.column("_part")[0].as_py())
         row = _merge_write_partition([group], part, lake_dir, key_cols, prior_rows.get(part, 0))
-        return pa.Table.from_pylist([row], schema=_MERGE_STATS)
+        return pa.Table.from_pylist([row])
 
     stats = parted.groupby("_part").map_groups(_merge_and_write, batch_format="pyarrow")
-    return _merge_stats_rows(_collect_table(stats))  # tiny: one row per partition
+    stats = _collect_table(stats)  # tiny: one row per partition
+    return [] if stats is None else stats.to_pylist()
 
 
 def _exchange(cfg: CdcConfig):
@@ -1173,9 +1163,11 @@ def audit_lake(
     expected = run_to_dataset(manifest, cfg).materialize()
     # hive-partitioned read keeps the physical `part` column
     actual = _read_live_partitions(lake_dir, m)
-    common = sorted(
-        (set(expected.schema().names) & set(actual.schema().names)) - {"part"}
-    )
+    # a side with no rows may have no schema (a lake with no live row
+    # reads as an empty, schemaless Dataset): it adds no column constraint
+    # and folds to nothing
+    names = [set(sc.names) for sc in (expected.schema(), actual.schema()) if sc is not None]
+    common = sorted(set.intersection(*names) - {"part"}) if names else []
 
     def digest_partials(tab: pa.Table) -> pa.Table:
         if "part" in tab.column_names:

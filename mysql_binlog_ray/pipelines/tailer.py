@@ -48,10 +48,20 @@ class TailStats:
     rows_total: int
     rows_delta: int
     advanced: bool
+    # the stream manifest's max last_event_seq when the tick read it
+    source_head: int
 
     @property
     def rows_per_sec(self) -> float:
         return self.rows_delta / self.elapsed_sec if self.elapsed_sec > 0 else 0.0
+
+    @property
+    def lag_events(self) -> int:
+        """Events the lake was behind the source when the tick began
+        (no prior watermark counts as -1).  Unlike ``rows_delta``, this
+        moves on update-only traffic too."""
+        prev = -1 if self.prev_watermark is None else self.prev_watermark
+        return self.source_head - prev
 
 
 @dataclass
@@ -149,6 +159,9 @@ class FollowDaemon:
                     rows_total=m["totals"]["rows"],
                     rows_delta=m["totals"]["rows"] - prev_rows,
                     advanced=prev_wm is None or m["watermark"] > prev_wm,
+                    source_head=max(
+                        (s["last_event_seq"] for s in stream["shards"]), default=-1
+                    ),
                 )
                 history.append(stats)
                 if self.on_stats is not None:

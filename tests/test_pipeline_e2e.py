@@ -426,14 +426,15 @@ class TestFollowMode:
             assert m2["readback_rows"] > 0
             m1 = m2
 
-    @pytest.mark.parametrize("shuffle,executions", [("external", 2), ("object_store", 1)])
+    @pytest.mark.parametrize("shuffle,executions", [("external", 1), ("object_store", 1)])
     def test_selective_step_reads_back_inside_merge(
         self, small_stream, tmp_path, monkeypatch, shuffle, executions
     ):
         """Structural guard: a selective follow step reads no lake file
-        through Ray Data, materializes nothing, runs no `unique` pass, and
-        runs only the exchange's executions (spill + merge for the
-        external exchange, the groupby merge for the object store)."""
+        through Ray Data, materializes nothing, runs no `unique` pass,
+        builds no Dataset from driver items, and runs one Ray Data
+        execution (the spill for the external exchange, whose merge half
+        runs as plain tasks; the groupby merge for the object store)."""
         import ray.data
         from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
@@ -468,11 +469,42 @@ class TestFollowMode:
         monkeypatch.setattr(ray.data, "read_parquet", read_parquet)
         monkeypatch.setattr(ray.data.Dataset, "materialize", forbidden("materialize"))
         monkeypatch.setattr(ray.data.Dataset, "unique", forbidden("unique"))
+        monkeypatch.setattr(ray.data, "from_items", forbidden("from_items"))
         monkeypatch.setattr(StreamingExecutor, "execute", execute)
         m = follow(_prefix(manifest, 2), lake, cfg)
         monkeypatch.undo()
         assert m["readback_rows"] > 0
         assert len(runs) == executions
+
+    def test_failed_merge_keeps_commit_and_removes_spill(self, small_stream, tmp_path):
+        """A merge task that cannot read back its committed partition
+        fails the step: the manifest stays byte-identical and the spill
+        dir is removed once the other merge tasks have ended."""
+        from mysql_binlog_ray.pipelines.cdc import follow
+        from mysql_binlog_ray.state.checkpoint import manifest_path
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        lake, probe = str(tmp_path / "inc"), str(tmp_path / "probe")
+        m1 = follow(_prefix(manifest, 1), lake, cfg)
+        # a partition the next step rewrites and must read back
+        shutil.copytree(lake, probe)
+        before = _file_ids(probe)
+        follow(_prefix(manifest, 2), probe, cfg)
+        after = _file_ids(probe)
+        victim = min(
+            p["part"] for p in m1["partitions"] if p["rows"] and before[p["part"]] != after[p["part"]]
+        )
+
+        with open(f"{lake}/part={victim:05d}/data.parquet", "r+b") as f:
+            f.truncate(10)
+        with open(manifest_path(lake), "rb") as f:
+            committed = f.read()
+        with pytest.raises(Exception):
+            follow(_prefix(manifest, 2), lake, cfg)
+        with open(manifest_path(lake), "rb") as f:
+            assert f.read() == committed
+        assert not os.path.exists(f"{lake}/_shuffle")
 
 
 @pytest.mark.usefixtures("ray_session")

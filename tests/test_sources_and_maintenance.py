@@ -313,6 +313,37 @@ class TestFollowDaemonBounds:
         assert all(str(mpath) in r.getMessage() for r in warned)
         assert "201 snapshotless ticks" in warned[-1].getMessage()
 
+    def test_source_lag_moves_on_update_only_traffic(self, tmp_path, monkeypatch):
+        """Each tick records the stream head; ``lag_events`` is the head
+        minus the lake's prior watermark (-1 before the first commit), so
+        a tick that applies only updates (``rows_delta`` 0) still shows
+        the progress it made."""
+        from mysql_binlog_ray.pipelines import tailer
+
+        mpath = tmp_path / "manifest.json"
+
+        def publish(head):
+            shards = [{"last_event_seq": 4}, {"last_event_seq": head}]
+            mpath.write_text(json.dumps({"shards": shards, "table_maps": []}))
+
+        def follow(stream, *a):
+            head = max(s["last_event_seq"] for s in stream["shards"])
+            return {"watermark": head, "totals": {"rows": 5}}
+
+        publish(9)
+        lakes = iter([None, {"watermark": 9, "totals": {"rows": 5}}])
+        monkeypatch.setattr(tailer, "follow", follow)
+        monkeypatch.setattr(tailer, "read_manifest", lambda d: next(lakes))
+
+        def on_stats(stats):
+            publish(25)
+
+        daemon = tailer.FollowDaemon(str(mpath), str(tmp_path), interval_sec=0, on_stats=on_stats)
+        first, second = daemon.run(max_iterations=2)
+        assert (first.source_head, first.prev_watermark, first.lag_events) == (9, None, 10)
+        assert (second.source_head, second.prev_watermark, second.lag_events) == (25, 9, 16)
+        assert second.rows_delta == 0 and second.advanced
+
 
 class TestConfigEnvArgsLayering:
     """Reference Config.php:21-171: fromEnv overrides defaults, fromArgs
@@ -445,6 +476,23 @@ class TestAuditLake:
         rep = audit_lake(manifest, lake)
         bad = set(rep[~rep["match"]]["part"])
         assert bad == {p_src, p_dst}
+
+    def test_lake_with_no_live_rows(self, small_stream, tmp_path):
+        """A lake seeded from an empty snapshot reads as a schemaless
+        Dataset: the audit folds it to nothing and reports every
+        partition the replay fills as missing its rows."""
+        import ray.data as rd
+
+        from mysql_binlog_ray.pipelines.cdc import audit_lake, seed_lake_from_snapshot
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / "audit_empty")
+        snapshot_seq = manifest["shards"][0]["first_event_seq"] - 1
+        seed_lake_from_snapshot(rd.from_items([]), snapshot_seq, lake, CdcConfig(num_partitions=8))
+        rep = audit_lake(manifest, lake)
+        assert len(rep) and (rep["expected_rows"] > 0).all()
+        assert (rep["actual_rows"] == 0).all()
+        assert not rep["match"].any()
 
 
 @pytest.mark.usefixtures("ray_session")
