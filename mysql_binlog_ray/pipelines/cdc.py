@@ -1,29 +1,30 @@
 """The flagship CDC pipeline: binlog shards -> exactly-once Parquet lake.
 
-Ray-Data-native realization of the reference's whole dataflow plus the
-sink it leaves to the consumer (SURVEY.md §2.7):
+Ray-native realization of the reference's whole dataflow plus the sink
+it leaves to the consumer (SURVEY.md §2.7), by default (``shuffle=
+'external'``) as plain Ray tasks over a filesystem exchange:
 
-    read_parquet(event shards)                       # S3/S6: resumable source
-      -> map_batches(decode, pyarrow, zero-copy)     # M2/M3/M4: flat decode+stamp
-      -> map_batches(partial LWW combine)            # M6 combiner half
-      -> add `_part` hash column                     # M5 key routing
-      -> keyed exchange                              # external fs shuffle
-      |    (or groupby("_part") object-store sort)   #   (cfg.shuffle)
-      -> per-partition final LWW + atomic parquet    # M6/M7 exactly-once sink
+    event_read_units(event shards)                   # S3/S6: resumable source
+      -> per shard, a spill task: flat decode+stamp  # M2/M3/M4
+           -> partial LWW combine -> `_part` hash    # M6 combiner half, M5
+           -> one row group per partition, per unit  # external fs shuffle
+      -> per touched partition, a merge task:
+           final LWW + atomic parquet                # M6/M7 exactly-once sink
       -> watermark manifest commit                   # M7 atomicity point
 
-Streaming execution end-to-end: nothing materializes the full stream;
-the only all-to-all exchange carries partially-combined rows.  Resume
-reads back only touched partitions, inside the merge task: the task
-that rewrites a partition reads that partition's committed file itself,
-so a follow step is one Ray Data execution (spill) plus one plain Ray
-task per touched partition (merge), and the prior lake rows never
-transit the exchange.
+``shuffle='object_store'`` runs the same kernels as one Ray Data plan
+ending in ``groupby("_part").map_groups``.  Nothing materializes the
+full stream; the only all-to-all exchange carries partially-combined
+rows.  Resume reads back only touched partitions, inside the merge task
+that rewrites them, so an external ``follow`` step runs no Ray Data
+execution.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -76,29 +77,45 @@ class CdcConfig:
     decoder_kwargs: dict[str, Any] = field(default_factory=dict)
 
 
-def read_event_stream(manifest: dict[str, Any], start_after_seq: int | None = None) -> rd.Dataset:
-    """Source stage: the shard files listed in the generator manifest.
+# compressed event payload per read block, and the block cap (see
+# event_read_units)
+_EVENT_BLOCK_BYTES = 1 << 24
+_MAX_EVENT_BLOCKS = 512
 
-    Column pruning is irrelevant here (payload is the data), but resume
-    (F2, `EventsIterator.php:92-101`) prunes whole shards whose
-    last_event_seq is already behind the watermark — the distributed
-    version of "start at the configured file/offset".
-    """
+
+def event_read_units(
+    manifest: dict[str, Any], start_after_seq: int | None = None
+) -> list[tuple[str, int, int]]:
+    """The one block plan for event shards: ``(path, i, k)``, slice ``i``
+    of ``k`` equal row slices of ``path``, for the shards past
+    ``start_after_seq`` (resume, F2 `EventsIterator.php:92-101`).  ~16 MiB
+    of compressed payload per block, at most 512 unless there are more
+    files, spread evenly, at least one per file.  Smaller blocks pay
+    per-block overhead; larger ones weaken parallelism and the partial
+    combine.  Measured fastest and stablest at both 8 and 32 CPUs."""
     shards = manifest["shards"]
     if start_after_seq is not None:
         shards = [s for s in shards if s["last_event_seq"] > start_after_seq]
     paths = [s["path"] for s in shards]
     if not paths:
-        return rd.from_items([])
-    # Block sizing: ~16 MiB of compressed payload per block (the default
-    # splitter makes hundreds of ~1 MiB blocks from these shards and the
-    # per-block overhead then dominates; much larger blocks weaken both
-    # pipeline parallelism and the per-batch partial combine).  Block
-    # count scales with DATA size, deliberately not with CPU count —
-    # measured fastest and stablest at both 8 and 32 CPUs.
+        return []
     total = sum(os.path.getsize(p) for p in paths if os.path.exists(p))
-    nblocks = min(512, max(len(paths), total >> 24))
-    return rd.read_parquet(paths, override_num_blocks=nblocks)
+    n = max(len(paths), min(_MAX_EVENT_BLOCKS, total // _EVENT_BLOCK_BYTES))
+    base, extra = divmod(n, len(paths))
+    ks = [base + (j < extra) for j in range(len(paths))]
+    return [(p, i, k) for p, k in zip(paths, ks) for i in range(k)]
+
+
+def read_event_stream(manifest: dict[str, Any], start_after_seq: int | None = None) -> rd.Dataset:
+    """Source stage of the Ray Data paths: the shard files past
+    ``start_after_seq``, one block per :func:`event_read_units` unit up
+    to the block cap.  Column pruning is irrelevant here (payload is the
+    data)."""
+    units = event_read_units(manifest, start_after_seq)
+    if not units:
+        return rd.from_items([])
+    paths = list(dict.fromkeys(path for path, _i, _k in units))
+    return rd.read_parquet(paths, override_num_blocks=min(_MAX_EVENT_BLOCKS, len(units)))
 
 
 def _map_decoder(events: rd.Dataset, decoder_kwargs: dict[str, Any]) -> rd.Dataset:
@@ -236,7 +253,17 @@ def decode_changefeed(
             "commit_source='gtid' would mix numbering domains — "
             "use 'xid' or 'hybrid'"
         )
-    decoder_kwargs = dict(
+    cf = _map_decoder(events, _decoder_kwargs(registry_snapshot, cfg, start_after_seq))
+    if exact_commits:
+        cf = repair_commit_seqs(cf, build_xid_index(events))
+    return cf
+
+
+def _decoder_kwargs(
+    registry_snapshot: list[dict[str, Any]], cfg: CdcConfig, start_after_seq: int | None
+) -> dict[str, Any]:
+    """``BinlogDecoder`` arguments of a table-targeted decode."""
+    return dict(
         registry_snapshot=registry_snapshot,
         target_table=cfg.target_table,
         databases=cfg.databases,
@@ -247,10 +274,6 @@ def decode_changefeed(
         start_after_seq=start_after_seq,
         **cfg.decoder_kwargs,
     )
-    cf = _map_decoder(events, decoder_kwargs)
-    if exact_commits:
-        cf = repair_commit_seqs(cf, build_xid_index(events))
-    return cf
 
 
 def decode_all_tables(
@@ -404,14 +427,15 @@ def _commit_lake(
     return m
 
 
+def _live_partition_paths(lake_dir: str, m: dict[str, Any]) -> list[str]:
+    """The committed partition files that hold rows."""
+    return [_lake_partition_path(lake_dir, p["part"]) for p in m["partitions"] if p["rows"] > 0]
+
+
 def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
-    """Hive read of the committed partition files that hold rows (the
-    physical ``part`` directory column included).  A lake with no live
-    row reads as an empty Dataset — ``read_parquet`` refuses an empty
-    path list."""
-    paths = [
-        _lake_partition_path(lake_dir, p["part"]) for p in m["partitions"] if p["rows"] > 0
-    ]
+    """Hive read of :func:`_live_partition_paths` (``part`` column
+    included); ``read_parquet`` refuses an empty path list."""
+    paths = _live_partition_paths(lake_dir, m)
     return rd.read_parquet(paths) if paths else rd.from_items([])
 
 
@@ -442,37 +466,18 @@ def _group_rgs(entries: list[tuple[str, int]]) -> list[tuple[str, list[int]]]:
     return [(p, sorted(rgs)) for p, rgs in sorted(by_path.items())]
 
 
-def _collect_table(ds: rd.Dataset) -> pa.Table | None:
-    """Execute ``ds`` ONCE and return it as a single Arrow table via
-    block refs, or ``None`` when it produced no rows — the small-result
-    collect (bounded: O(tasks) index rows / O(parts) manifest rows
-    here).  ``take_all()`` materializes Python row dicts one at a time
-    on the driver (~0.3 s of driver CPU on the sf0.1 headline);
-    ``to_arrow_refs()`` re-executes the plan for ``schema()`` — deadly
-    when a stage has side effects (the merge writes lake files) — so
-    this walks ``iter_internal_ref_bundles`` directly.  Our callers'
-    stages emit Arrow blocks (map_batches returning pa.Table)."""
-    import ray
+def _block_refs(ds: rd.Dataset):
+    """``ds``'s output block refs as its ONE execution streams them
+    (``to_arrow_refs()`` would re-execute the plan for ``schema()``)."""
+    return (ref for bundle in ds.iter_internal_ref_bundles() for ref, _md in bundle.blocks)
 
-    refs = [
-        block_ref
-        for bundle in ds.iter_internal_ref_bundles()
-        for block_ref, _md in bundle.blocks
-    ]
-    # Ray's groupby shuffle can emit empty PANDAS blocks that bypassed
-    # the map UDF (the repo's documented empty-block wart) — len() works
-    # for both block kinds; convert any non-Arrow stragglers rather than
-    # assuming .num_rows exists
-    tabs = []
-    for t in ray.get(refs):
-        if not len(t):
-            continue
-        if not isinstance(t, pa.Table):
-            t = pa.Table.from_pandas(t, preserve_index=False)
-        tabs.append(t)
-    if not tabs:
-        return None
-    return pa.concat_tables(tabs, promote_options="default")
+
+def _as_arrow(block: Any) -> pa.Table:
+    """A Dataset block as Arrow: a caller's Dataset may hold pandas
+    blocks, and so may Ray's groupby shuffle (empty ones)."""
+    if isinstance(block, pa.Table):
+        return block
+    return pa.Table.from_pandas(block, preserve_index=False)
 
 
 def _merge_write_partition(
@@ -530,105 +535,119 @@ def _merge_spilled_partition(
     return _merge_write_partition(new, part, lake_dir, key_cols, prior_rows)
 
 
-def _external_shuffle_merge(
-    parted: rd.Dataset,
-    lake_dir: str,
-    cfg: CdcConfig,
-    prior_rows: dict[int, int],
-) -> list[dict[str, Any]]:
-    """Filesystem-based keyed exchange (Spark-external-shuffle shape).
+def _spill(parted: pa.Table, spill_dir: str) -> list[tuple[int, str, int]]:
+    """ONE segment file per block, ONE row group per touched partition;
+    returns its chunk index, ``(part, path, row_group)`` per partition.
+    A block touching 64 partitions costs 1 file + 64 row groups instead
+    of 64 small files, which is the difference between ~N_blocks and
+    ~N_blocks x N_parts filesystem ops on the shared scratch dir."""
+    import uuid
 
-    Stage A, the one Ray Data execution: every upstream task appends its
-    partial rows, split by ``_part``, as one parquet chunk per touched
-    partition under a scratch dir — fused with decode/flatten, so
-    partials never transit the object store.  Its chunk index lists
-    every touched partition.  Stage B: one plain Ray task per touched
-    partition, :func:`_merge_spilled_partition`.  The scratch dir is
-    removed on failure too, once every merge task has ended.
+    import numpy as np
+    import pyarrow.parquet as pq
+
+    pn = parted.column("_part").to_numpy(zero_copy_only=False)
+    order = np.argsort(pn, kind="stable")
+    sorted_tab = parted.take(pa.array(order)).drop_columns(["_part"])
+    uniq, bounds = np.unique(pn[order], return_index=True)
+    bounds = np.append(bounds, len(pn))
+    path = os.path.join(spill_dir, f"chunk-{uuid.uuid4().hex}.parquet")
+    os.makedirs(spill_dir, exist_ok=True)
+    with pq.ParquetWriter(path, sorted_tab.schema, compression="lz4") as w:
+        for i in range(len(uniq)):
+            n = int(bounds[i + 1] - bounds[i])
+            # row_group_size >= n guarantees exactly one row group
+            w.write_table(sorted_tab.slice(int(bounds[i]), n), row_group_size=n)
+    return [(int(part), path, i) for i, part in enumerate(uniq)]
+
+
+@ray.remote
+def _spill_task(
+    src: Any, spill_dir: str, key_cols: tuple[str, ...], num_partitions: int, decoder_kwargs
+) -> tuple[list[tuple[int, str, int]], dict[str, int]]:
+    """Stage A of the external exchange, one plain Ray task per input.
+    With ``decoder_kwargs``, ``src`` is an event shard ``(path, k)``: read
+    ONCE (shards are written in row groups of up to 1Mi events, so a
+    unit is not a row group of its own), then its ``k`` read units
+    decoded, partially combined and spilled in turn.  Without, a
+    committed lake file path (the layout-change re-merge) or a Dataset
+    block, already flat.  Returns :func:`_spill`'s chunk index entries
+    and the decode counters."""
+    import pyarrow.parquet as pq
+
+    dec = None
+    if decoder_kwargs is None:
+        tab = pq.ParquetFile(src).read() if isinstance(src, str) else _as_arrow(src)
+        blocks = [_lake_rows_as_inserts(tab) if isinstance(src, str) else tab]
+    else:
+        (path, k), dec = src, BinlogDecoder(**decoder_kwargs)
+        tab = pq.ParquetFile(path).read()
+        bounds = [tab.num_rows * i // k for i in range(k + 1)]
+        blocks = (
+            lww_partial(dec(tab.slice(lo, hi - lo)), key_cols) for lo, hi in zip(bounds, bounds[1:])
+        )
+    entries = []
+    for flat in blocks:
+        if flat.num_rows:
+            entries += _spill(add_partition_column(flat, key_cols, num_partitions), spill_dir)
+    if dec is None:
+        return entries, {}
+    n = dec.n_events, dec.n_rows, dec.n_checksum_failures
+    return entries, dict(zip(("events_decoded", "row_images", "checksum_failures"), n))
+
+
+def _external_shuffle_merge(
+    sources: Any, lake_dir: str, cfg: CdcConfig, prior_rows: dict[int, int]
+) -> tuple[list[dict[str, Any]], dict[str, int]]:
+    """Filesystem-based keyed exchange (Spark-external-shuffle shape) in
+    plain Ray tasks.  Stage A: one :func:`_spill_task` per ``(src,
+    decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
+    blocks stay under Ray Data's backpressure; their chunk indexes list
+    every touched partition.  Stage B: one :func:`_merge_spilled_partition`
+    task per touched partition.  The scratch dir is removed on failure
+    too, once every submitted task has ended (a running spill task would
+    re-create it).  Returns the merge stats and summed decode counters.
 
     On a multi-node cluster the scratch dir must be a shared filesystem
     (lake storage itself qualifies); the object-store path
     (``shuffle='object_store'``) has no such requirement.
     """
     import shutil as _shutil
-    import uuid
-
-    import pyarrow.parquet as pq
 
     spill_dir = os.path.join(lake_dir, "_shuffle")
-
-    def spill(batch: pa.Table) -> pa.Table:
-        """ONE segment file per task, ONE row group per touched partition
-        (plus an index of (part, path, row_group)) — a task touching 64
-        partitions costs 1 file + 64 row groups instead of 64 small
-        files, which is the difference between ~N_tasks and
-        ~N_tasks x N_parts filesystem ops on the shared scratch dir."""
-        import numpy as np
-
-        pn = batch.column("_part").to_numpy(zero_copy_only=False)
-        if not len(pn):
-            return pa.table(
-                {
-                    "part": pa.array([], pa.int32()),
-                    "chunk": pa.array([], pa.string()),
-                    "rg": pa.array([], pa.int32()),
-                    "rows": pa.array([], pa.int64()),
-                }
-            )
-        order = np.argsort(pn, kind="stable")
-        sorted_tab = batch.take(pa.array(order)).drop_columns(["_part"])
-        uniq, bounds = np.unique(pn[order], return_index=True)
-        bounds = np.append(bounds, len(pn))
-        path = os.path.join(spill_dir, f"chunk-{uuid.uuid4().hex}.parquet")
-        os.makedirs(spill_dir, exist_ok=True)
-        out_parts, out_rgs, out_rows = [], [], []
-        with pq.ParquetWriter(path, sorted_tab.schema, compression="lz4") as w:
-            for i, part in enumerate(uniq):
-                n = int(bounds[i + 1] - bounds[i])
-                # row_group_size >= n guarantees exactly one row group
-                w.write_table(sorted_tab.slice(int(bounds[i]), n), row_group_size=n)
-                out_parts.append(int(part))
-                out_rgs.append(i)
-                out_rows.append(n)
-        return pa.table(
-            {
-                "part": pa.array(out_parts, pa.int32()),
-                "chunk": pa.array([path] * len(out_parts), pa.string()),
-                "rg": pa.array(out_rgs, pa.int32()),
-                "rows": pa.array(out_rows, pa.int64()),
-            }
-        )
-
-    refs: list[ray.ObjectRef] = []
+    window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    spills: list[ray.ObjectRef] = []
+    merges: list[ray.ObjectRef] = []
     try:
-        chunk_index = _collect_table(parted.map_batches(spill, batch_format="pyarrow"))
+        running: list[ray.ObjectRef] = []
+        for src, dk in sources:  # the next source is pulled only when the window has room
+            spills.append(_spill_task.remote(src, spill_dir, cfg.key_cols, cfg.num_partitions, dk))
+            running.append(spills[-1])
+            if len(running) >= window:
+                _, running = ray.wait(running, num_returns=1)
         by_part: dict[int, list[tuple[str, int]]] = {}
-        if chunk_index is not None:
-            for part, chunk, rg in zip(
-                chunk_index.column("part").to_pylist(),
-                chunk_index.column("chunk").to_pylist(),
-                chunk_index.column("rg").to_pylist(),
-            ):
-                by_part.setdefault(int(part), []).append((chunk, int(rg)))
+        counters: Counter[str] = Counter()
+        for entries, counts in ray.get(spills):
+            for part, chunk, rg in entries:
+                by_part.setdefault(part, []).append((chunk, rg))
+            counters.update(counts)
         # an increment with no row events touches no partition
-        refs = [
+        merges = [
             _merge_spilled_partition.remote(
                 _group_rgs(by_part[p]), p, lake_dir, cfg.key_cols, prior_rows.get(p, 0)
             )
             for p in sorted(by_part)
         ]
-        return ray.get(refs)
+        return ray.get(merges), dict(counters)
     finally:
-        if refs:  # a failed merge must not race its siblings' spill reads
-            ray.wait(refs, num_returns=len(refs))
+        pending = spills + merges
+        if pending:
+            ray.wait(pending, num_returns=len(pending))
         _shutil.rmtree(spill_dir, ignore_errors=True)
 
 
 def _groupby_merge_parts(
-    parted: rd.Dataset,
-    lake_dir: str,
-    cfg: CdcConfig,
-    prior_rows: dict[int, int],
+    flat: rd.Dataset, lake_dir: str, cfg: CdcConfig, prior_rows: dict[int, int]
 ) -> list[dict[str, Any]]:
     """Object-store keyed exchange: ``groupby('_part').map_groups`` with
     :func:`_merge_write_partition` per group (touched partitions only, so
@@ -642,14 +661,81 @@ def _groupby_merge_parts(
         row = _merge_write_partition([group], part, lake_dir, key_cols, prior_rows.get(part, 0))
         return pa.Table.from_pylist([row])
 
+    parted = flat.map_batches(
+        lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
+        batch_format="pyarrow",
+    )
     stats = parted.groupby("_part").map_groups(_merge_and_write, batch_format="pyarrow")
-    stats = _collect_table(stats)  # tiny: one row per partition
-    return [] if stats is None else stats.to_pylist()
+    # tiny: one row per partition.  ``take_all()`` would build Python row
+    # dicts one at a time on the driver
+    return [row for b in ray.get(list(_block_refs(stats))) for row in _as_arrow(b).to_pylist()]
 
 
-def _exchange(cfg: CdcConfig):
-    """The keyed exchange + per-partition merge selected by ``cfg.shuffle``."""
-    return _external_shuffle_merge if cfg.shuffle == "external" else _groupby_merge_parts
+def _exchange(
+    lake_dir: str, cfg: CdcConfig, prior_rows: dict[int, int], remerge: list[str], *,
+    flat: rd.Dataset | None = None, manifest: dict[str, Any] | None = None, start_after=None,
+) -> tuple[list[dict[str, Any]], dict[str, int]]:
+    """The keyed exchange + per-partition merge selected by
+    ``cfg.shuffle``, over ``flat`` rows or ``manifest``'s increment past
+    ``start_after``, plus the lake files ``remerge`` that a layout change
+    folds back in.  The external exchange decodes an unsalted increment
+    in its spill tasks (no Ray Data execution); any other increment goes
+    through :func:`_flat_stream`.  Returns the merge stats and the decode
+    counters (empty unless the spill tasks decoded)."""
+    external = cfg.shuffle == "external"
+    if manifest is not None and (not external or cfg.salt_hot_keys):
+        flat = _flat_stream(manifest, cfg, start_after)
+    if external:
+        if flat is None:
+            dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
+            units = event_read_units(manifest, start_after)
+            sources = (((path, k), dk) for path, i, k in units if i == 0)
+        else:
+            sources = ((ref, None) for ref in _block_refs(flat))
+        sources = itertools.chain(sources, ((path, None) for path in remerge))
+        return _external_shuffle_merge(sources, lake_dir, cfg, prior_rows)
+    if remerge:
+        lake = rd.read_parquet(remerge).map_batches(_lake_rows_as_inserts, batch_format="pyarrow")
+        flat = flat.union(lake)
+    return _groupby_merge_parts(flat, lake_dir, cfg, prior_rows), {}
+
+
+def _flat_stream(manifest: dict[str, Any], cfg: CdcConfig, start_after: int | None) -> rd.Dataset:
+    """The increment as a Ray Data plan of partially-combined flat rows:
+    read, flat decode, per-block LWW combine and, under
+    ``cfg.salt_hot_keys``, the hot-key pre-squeeze."""
+    key_cols = cfg.key_cols
+    events = read_event_stream(manifest, start_after)
+    cf = decode_changefeed(events, manifest["table_maps"], _with_flat_decode(cfg), start_after)
+
+    def _flatten_combine(batch: pa.Table) -> pa.Table:
+        return lww_partial(batch, key_cols)
+
+    if not cfg.salt_hot_keys:
+        return cf.map_batches(_flatten_combine, batch_format="pyarrow")
+
+    from ..stages.merge import (
+        _CountAccumulator,
+        collect_hot_keys,
+        make_counting_combine,
+        salted_presqueeze,
+    )
+
+    # the hot-key sketch PIGGYBACKS on the combine pass (per-batch
+    # count partials stream to a small accumulator-actor pool) — no
+    # separate detection scan; the one materialize is still needed
+    # because the cold/hot split consumes the stream twice.
+    # Shard count scales with the cluster; actors are NOT killed
+    # afterwards — the materialized dataset's lineage still closes
+    # over their handles, and a lineage reconstruction of a lost
+    # block must be able to re-run the counting combine (handles are
+    # dropped naturally with the dataset; the actors are num_cpus=0)
+    n_shards = min(64, max(4, int(ray.cluster_resources().get("CPU", 8)) // 8))
+    actors = [_CountAccumulator.remote() for _ in range(n_shards)]
+    counting = make_counting_combine(_flatten_combine, key_cols, actors)
+    flat = cf.map_batches(counting, batch_format="pyarrow").materialize()
+    hot = collect_hot_keys(actors, cfg.salt_threshold)
+    return salted_presqueeze(flat, key_cols, hot, cfg.n_salts) if len(hot) else flat
 
 
 def run_to_lake(
@@ -663,7 +749,9 @@ def run_to_lake(
 
     Returns the committed manifest.  Besides ``elapsed_sec`` it records
     ``readback_rows`` (committed rows the merge tasks read back) and
-    ``partitions_rewritten`` for the commit.
+    ``partitions_rewritten``; the external exchange without
+    ``salt_hot_keys`` adds ``events_decoded``, ``row_images`` and
+    ``checksum_failures``.
     """
     import time as _time
 
@@ -675,43 +763,6 @@ def run_to_lake(
     watermark = max(s["last_event_seq"] for s in manifest["shards"])
     if prior and prior["watermark"] >= watermark:
         return prior  # nothing new: idempotent no-op
-
-    events = read_event_stream(manifest, start_after)
-    flat_cfg = _with_flat_decode(cfg)
-    cf = decode_changefeed(events, manifest["table_maps"], flat_cfg, start_after)
-    key_cols = cfg.key_cols
-
-    def _flatten_combine(batch: pa.Table) -> pa.Table:
-        return lww_partial(batch, key_cols)
-
-    if cfg.salt_hot_keys:
-        import ray
-
-        from ..stages.merge import (
-            _CountAccumulator,
-            collect_hot_keys,
-            make_counting_combine,
-            salted_presqueeze,
-        )
-
-        # the hot-key sketch PIGGYBACKS on the combine pass (per-batch
-        # count partials stream to a small accumulator-actor pool) — no
-        # separate detection scan; the one materialize is still needed
-        # because the cold/hot split consumes the stream twice.
-        # Shard count scales with the cluster; actors are NOT killed
-        # afterwards — the materialized dataset's lineage still closes
-        # over their handles, and a lineage reconstruction of a lost
-        # block must be able to re-run the counting combine (handles are
-        # dropped naturally with the dataset; the actors are num_cpus=0)
-        n_shards = min(64, max(4, int(ray.cluster_resources().get("CPU", 8)) // 8))
-        actors = [_CountAccumulator.remote() for _ in range(n_shards)]
-        counting = make_counting_combine(_flatten_combine, key_cols, actors)
-        flat = cf.map_batches(counting, batch_format="pyarrow").materialize()
-        hot = collect_hot_keys(actors, cfg.salt_threshold)
-        if len(hot):
-            flat = salted_presqueeze(flat, key_cols, hot, cfg.n_salts)
-    else:
-        flat = cf.map_batches(_flatten_combine, batch_format="pyarrow")
 
     # selective (O(increment)) resume requires the prior lake's partition
     # layout to be reproducible: same partition count AND same hash
@@ -729,17 +780,15 @@ def run_to_lake(
         and prior.get("hash_algo") == PARTITION_HASH_ALGO
     )
     prior_rows: dict[int, int] = {}
+    remerge: list[str] = []
     if selective:
         prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]}
     elif prior:
-        prior_flat = _read_live_partitions(lake_dir, prior)
-        flat = flat.union(prior_flat.map_batches(_lake_rows_as_inserts, batch_format="pyarrow"))
-    parted = flat.map_batches(
-        lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
-        batch_format="pyarrow",
-    )
+        remerge = _live_partition_paths(lake_dir, prior)
 
-    parts = _exchange(cfg)(parted, lake_dir, cfg, prior_rows)
+    parts, decoded = _exchange(
+        lake_dir, cfg, prior_rows, remerge, manifest=manifest, start_after=start_after
+    )
     readback_rows = sum(p.pop("prior_rows") for p in parts)
     partitions_rewritten = len(parts)
     if selective:
@@ -749,12 +798,13 @@ def run_to_lake(
         lake_dir,
         watermark,
         parts,
-        key_cols,
+        cfg.key_cols,
         cfg.num_partitions,
         elapsed_sec=round(_time.time() - t_start, 3),
         readback_rows=readback_rows,
         partitions_rewritten=partitions_rewritten,
         resumed_from=start_after,
+        **decoded,
     )
 
 
@@ -786,7 +836,6 @@ def seed_lake_from_snapshot(
             f"lake {lake_dir} already has a manifest; "
             "seed_lake_from_snapshot only initializes empty lakes"
         )
-    key_cols = cfg.key_cols
 
     def _as_flat(batch: pa.Table) -> pa.Table:
         n = batch.num_rows
@@ -799,14 +848,14 @@ def seed_lake_from_snapshot(
         cols["event_seq"] = pa.array([snapshot_seq] * n, pa.int64())
         cols["row_seq"] = pa.array([0] * n, pa.int32())
         cols["commit_seq"] = pa.array([-1] * n, pa.int64())
-        return add_partition_column(pa.table(cols), key_cols, cfg.num_partitions)
+        return pa.table(cols)
 
-    parted = snapshot.map_batches(_as_flat, batch_format="pyarrow")
-    parts = _exchange(cfg)(parted, lake_dir, cfg, {})
+    flat = snapshot.map_batches(_as_flat, batch_format="pyarrow")
+    parts, _ = _exchange(lake_dir, cfg, {}, [], flat=flat)
     for p in parts:
         del p["prior_rows"]
     return _commit_lake(
-        lake_dir, snapshot_seq, parts, key_cols, cfg.num_partitions, bootstrap=True
+        lake_dir, snapshot_seq, parts, cfg.key_cols, cfg.num_partitions, bootstrap=True
     )
 
 

@@ -23,6 +23,25 @@ from ..stages.text import Fingerprinter, LangId, QualityScorer, TokenCounter
 
 
 
+def _parquet_files(path) -> list[str]:
+    """``path`` (a file or directory, or a list of them) as the parquet
+    files it names: a directory counts as the parquet files under it."""
+    out: list[str] = []
+    for p in [path] if isinstance(path, str) else path:
+        if os.path.isdir(p):
+            out.extend(
+                sorted(
+                    os.path.join(root, f)
+                    for root, _dirs, files in os.walk(p)
+                    for f in files
+                    if f.endswith(".parquet")
+                )
+            )
+        else:
+            out.append(p)
+    return out
+
+
 def _rp(path, *, columns=None, **kw):
     """``read_parquet`` with a DATA-scaled block count for SMALL tables
     (~4 MiB of file per block, floor 8 for per-batch compute
@@ -37,10 +56,10 @@ def _rp(path, *, columns=None, **kw):
     and a hard block-count cap would grow block SIZE past worker heaps
     at TB scale.  The arithmetic is `adaptive_num_parts`' (one copy of
     the size-partitions-to-data rule); only the 1 GiB passthrough is
-    read-specific."""
+    read-specific.  A directory counts as the parquet files under it."""
     if "override_num_blocks" not in kw:
         try:
-            paths = [path] if isinstance(path, str) else list(path)
+            paths = _parquet_files(path)
             total = sum(os.path.getsize(p) for p in paths)
             if total <= (1 << 30):
                 kw["override_num_blocks"] = R.adaptive_num_parts(

@@ -3279,3 +3279,32 @@ class TestDriverContractIntegrity:
                 for m in re.findall(r"(\w+)\s*(?:\([^)]*\))?\s+AS\s*\(", sql, re.I)
             }
             assert unknown <= ctes, f"{name}: unregistered tables {unknown - ctes}"
+
+
+class TestReadSizing:
+    def test_rp_sizes_a_directory_by_its_parquet_files(self, tmp_path, monkeypatch):
+        """`_rp` of a multi-file directory computes its block override from
+        the parquet files under it, not from the directory inode's size."""
+        import os
+
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines import queries
+
+        table_dir = tmp_path / "table"
+        (table_dir / "nested").mkdir(parents=True)
+        files = [table_dir / "part-0.parquet", table_dir / "nested" / "part-1.parquet"]
+        for i, f in enumerate(files):
+            pq.write_table(pa.table({"x": list(range(1000 * (i + 1)))}), f)
+        (table_dir / "_SUCCESS").write_bytes(b"x" * 4096)  # not parquet: not counted
+        assert queries._parquet_files(str(table_dir)) == sorted(map(str, files))
+
+        sized, seen = [], {}
+        monkeypatch.setattr(
+            queries.R, "adaptive_num_parts", lambda total, **kw: sized.append((total, kw)) or 11
+        )
+        monkeypatch.setattr(queries.rd, "read_parquet", lambda path, **kw: seen.update(kw))
+        queries._rp(str(table_dir))
+        total, kw = sized[0]
+        assert total == sum(os.path.getsize(f) for f in files)
+        assert kw["min_parts"] == 8 and seen["override_num_blocks"] == 11

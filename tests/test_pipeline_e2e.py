@@ -302,6 +302,43 @@ def _prefix(manifest, upto, table_maps=None):
     return m
 
 
+def _guard_ray_data(monkeypatch, refuse_read):
+    """Patch Ray Data so that ``read_parquet`` raises for any path
+    ``refuse_read`` accepts and ``materialize``, ``unique`` and
+    ``from_items`` raise; returns the list that every streaming
+    execution appends to.  ``monkeypatch.undo()`` lifts the guard."""
+    import ray.data
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    real_read = ray.data.read_parquet
+
+    def read_parquet(paths, *a, **k):
+        listed = [paths] if isinstance(paths, str) else list(paths)
+        if any(refuse_read(str(p)) for p in listed):
+            raise AssertionError(f"read through Ray Data: {listed}")
+        return real_read(paths, *a, **k)
+
+    def forbidden(name):
+        def fail(*a, **k):
+            raise AssertionError(f"Dataset.{name} under the Ray Data guard")
+
+        return fail
+
+    runs = []
+    real_execute = StreamingExecutor.execute
+
+    def execute(self, *a, **k):
+        runs.append(1)
+        return real_execute(self, *a, **k)
+
+    monkeypatch.setattr(ray.data, "read_parquet", read_parquet)
+    monkeypatch.setattr(ray.data.Dataset, "materialize", forbidden("materialize"))
+    monkeypatch.setattr(ray.data.Dataset, "unique", forbidden("unique"))
+    monkeypatch.setattr(ray.data, "from_items", forbidden("from_items"))
+    monkeypatch.setattr(StreamingExecutor, "execute", execute)
+    return runs
+
+
 @pytest.mark.usefixtures("ray_session")
 class TestFollowMode:
     @pytest.mark.parametrize("shuffle", ["external", "object_store"])
@@ -426,18 +463,16 @@ class TestFollowMode:
             assert m2["readback_rows"] > 0
             m1 = m2
 
-    @pytest.mark.parametrize("shuffle,executions", [("external", 1), ("object_store", 1)])
+    @pytest.mark.parametrize("shuffle,executions", [("external", 0), ("object_store", 1)])
     def test_selective_step_reads_back_inside_merge(
         self, small_stream, tmp_path, monkeypatch, shuffle, executions
     ):
         """Structural guard: a selective follow step reads no lake file
         through Ray Data, materializes nothing, runs no `unique` pass,
         builds no Dataset from driver items, and runs one Ray Data
-        execution (the spill for the external exchange, whose merge half
-        runs as plain tasks; the groupby merge for the object store)."""
-        import ray.data
-        from ray.data._internal.execution.streaming_executor import StreamingExecutor
-
+        execution on the object store (the groupby merge) and none on the
+        external exchange, whose spill and merge halves are plain tasks:
+        there `read_parquet` refuses every path."""
         from mysql_binlog_ray.pipelines.cdc import follow
 
         spec, out, manifest = small_stream
@@ -445,36 +480,140 @@ class TestFollowMode:
         lake = str(tmp_path / "inc")
         follow(_prefix(manifest, 1), lake, cfg)
 
-        real_read = ray.data.read_parquet
-
-        def read_parquet(paths, *a, **k):
-            listed = [paths] if isinstance(paths, str) else list(paths)
-            if any(str(p).startswith(lake) for p in listed):
-                raise AssertionError(f"lake file read through Ray Data: {listed}")
-            return real_read(paths, *a, **k)
-
-        def forbidden(name):
-            def fail(*a, **k):
-                raise AssertionError(f"Dataset.{name} during a selective follow step")
-
-            return fail
-
-        runs = []
-        real_execute = StreamingExecutor.execute
-
-        def execute(self, *a, **k):
-            runs.append(1)
-            return real_execute(self, *a, **k)
-
-        monkeypatch.setattr(ray.data, "read_parquet", read_parquet)
-        monkeypatch.setattr(ray.data.Dataset, "materialize", forbidden("materialize"))
-        monkeypatch.setattr(ray.data.Dataset, "unique", forbidden("unique"))
-        monkeypatch.setattr(ray.data, "from_items", forbidden("from_items"))
-        monkeypatch.setattr(StreamingExecutor, "execute", execute)
+        refuse = (lambda p: True) if shuffle == "external" else (lambda p: p.startswith(lake))
+        runs = _guard_ray_data(monkeypatch, refuse)
         m = follow(_prefix(manifest, 2), lake, cfg)
         monkeypatch.undo()
         assert m["readback_rows"] > 0
         assert len(runs) == executions
+
+    def test_fresh_external_commit_runs_no_ray_data(self, small_stream, tmp_path, monkeypatch):
+        """A fresh external commit is plain Ray tasks only: no Ray Data
+        execution and no `read_parquet`, yet the lake matches the
+        object-store exchange's byte for byte."""
+        spec, out, manifest = small_stream
+        lake, ref = str(tmp_path / "ext"), str(tmp_path / "obj")
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
+        m = run_to_lake(manifest, lake, CdcConfig(num_partitions=8), resume=False)
+        monkeypatch.undo()
+        assert runs == [] and m["partitions_rewritten"] > 0
+        run_to_lake(manifest, ref, CdcConfig(num_partitions=8, shuffle="object_store"))
+        assert _part_files(lake) == _part_files(ref)
+
+    def test_failed_spill_keeps_commit_and_removes_spill(self, small_stream, tmp_path):
+        """A spill task that cannot read its stream shard (the newest one,
+        truncated) fails the step: the manifest stays byte-identical, and
+        the spill dir stays removed after the other spill tasks end."""
+        import time
+
+        from mysql_binlog_ray.pipelines.cdc import follow
+        from mysql_binlog_ray.state.checkpoint import manifest_path
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        lake = str(tmp_path / "inc")
+        follow(_prefix(manifest, 1), lake, cfg)
+        broken = _prefix(manifest, 2)
+        newest = dict(manifest["shards"][2], path=str(tmp_path / "newest.parquet"))
+        broken["shards"].append(newest)
+        shutil.copyfile(manifest["shards"][2]["path"], newest["path"])
+        with open(newest["path"], "r+b") as f:
+            f.truncate(os.path.getsize(newest["path"]) // 2)
+        with open(manifest_path(lake), "rb") as f:
+            committed = f.read()
+        with pytest.raises(Exception):
+            follow(broken, lake, cfg)
+        time.sleep(1.0)  # a spill task left running would re-create the dir
+        with open(manifest_path(lake), "rb") as f:
+            assert f.read() == committed
+        assert not os.path.exists(f"{lake}/_shuffle")
+
+    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
+    def test_split_shard_files(self, small_stream, tmp_path, monkeypatch, shuffle):
+        """Blocks that split shard files (a smaller block-byte target, so
+        ``k > 1``) write the same partition files, fresh and under a
+        3-step follow, as whole-file blocks, and match the oracle."""
+        from mysql_binlog_ray.pipelines import cdc
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        whole = str(tmp_path / "whole")
+        run_to_lake(manifest, whole, cfg)
+        assert all(k == 1 for _p, _i, k in cdc.event_read_units(manifest))
+
+        monkeypatch.setattr(cdc, "_EVENT_BLOCK_BYTES", 64 << 10)
+        assert max(k for _p, _i, k in cdc.event_read_units(manifest)) > 1
+        fresh, inc = str(tmp_path / "fresh"), str(tmp_path / "inc")
+        run_to_lake(manifest, fresh, cfg)
+        for upto in (1, 2, 3):
+            cdc.follow(_prefix(manifest, upto), inc, cfg)
+        assert _part_files(fresh) == _part_files(whole) == _part_files(inc)
+        exp = final_state_oracle(spec, out).to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        exp = exp.sort_values(["repo", "path"]).reset_index(drop=True)
+        assert _normalize(read_lake(inc).to_pandas()).equals(exp)
+
+    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
+    def test_more_shard_files_than_block_cap(self, small_stream, tmp_path, monkeypatch, shuffle):
+        """More shard files than the block cap: every file still gets a
+        read unit, so the commit, whose watermark passes every file,
+        holds every file's row images and matches the oracle."""
+        from mysql_binlog_ray.pipelines import cdc
+
+        spec, out, manifest = small_stream
+        monkeypatch.setattr(cdc, "_MAX_EVENT_BLOCKS", 2)
+        monkeypatch.setattr(cdc, "_EVENT_BLOCK_BYTES", 1)
+        paths = sorted(s["path"] for s in manifest["shards"])
+        assert len(paths) > 2
+        assert sorted(p for p, _i, _k in cdc.event_read_units(manifest)) == paths
+        lake = str(tmp_path / "lake")
+        m = run_to_lake(manifest, lake, CdcConfig(num_partitions=8, shuffle=shuffle))
+        if shuffle == "external":
+            assert m["row_images"] == sum(s["num_ops"] for s in manifest["shards"])
+        exp = final_state_oracle(spec, out).to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        exp = exp.sort_values(["repo", "path"]).reset_index(drop=True)
+        assert _normalize(read_lake(lake).to_pandas()).equals(exp)
+
+    def test_spill_tasks_in_flight_are_bounded(self, tmp_path, monkeypatch):
+        """The external exchange keeps at most two spill tasks per CPU in
+        flight, so a streamed Dataset's blocks (here a snapshot seed's)
+        stay under Ray Data's backpressure rather than all landing in
+        the object store while slow spill tasks queue."""
+        import time
+
+        import ray
+        import ray.data as rd
+
+        from mysql_binlog_ray.pipelines import cdc
+
+        window = 2 * int(ray.cluster_resources()["CPU"])
+        spill = cdc._spill_task._function
+
+        @ray.remote
+        def slow_spill(*a):
+            time.sleep(0.2)
+            return spill(*a)
+
+        refs, unfinished = [], []
+
+        class Counting:
+            def remote(self, *a):
+                unfinished.append(len(ray.wait(refs, num_returns=len(refs), timeout=0)[1]))
+                refs.append(slow_spill.remote(*a))
+                return refs[-1]
+
+        monkeypatch.setattr(cdc, "_spill_task", Counting())
+        rows = [
+            {"repo": f"r{i % 7}", "path": f"p{i}", "commit": "c", "lang": "py", "content": "x"}
+            for i in range(6 * window)
+        ]
+        snapshot = rd.from_items(rows, override_num_blocks=3 * window)
+        lake = str(tmp_path / "seeded")
+        cdc.seed_lake_from_snapshot(snapshot, 0, lake, CdcConfig(num_partitions=4))
+        assert len(unfinished) == 3 * window
+        assert max(unfinished) < window
+        assert read_lake(lake).count() == len(rows)
 
     def test_failed_merge_keeps_commit_and_removes_spill(self, small_stream, tmp_path):
         """A merge task that cannot read back its committed partition
@@ -596,6 +735,57 @@ class TestShuffleModes:
         a = read_lake(lake_ext).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
         b = read_lake(lake_obj).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
         assert a.equals(b)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestDecodeCounters:
+    COUNTERS = {"events_decoded", "row_images", "checksum_failures"}
+
+    def test_counters_count_every_row_image(self, small_stream, tmp_path):
+        """The external exchange commits its spill tasks' decode counters:
+        a fresh run counts every row image the generator wrote, a follow
+        counts each increment's once, and the object store, whose decode
+        runs inside Ray Data, commits none."""
+        from mysql_binlog_ray.pipelines.cdc import follow
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        n_ops = sum(s["num_ops"] for s in manifest["shards"])
+        fresh = run_to_lake(manifest, str(tmp_path / "fresh"), cfg)
+        assert fresh["row_images"] == n_ops
+        assert fresh["events_decoded"] > n_ops // 10
+        assert fresh["checksum_failures"] == 0
+        steps = [follow(_prefix(manifest, upto), str(tmp_path / "inc"), cfg) for upto in (1, 2, 3)]
+        assert sum(m["row_images"] for m in steps) == n_ops
+        assert sum(m["events_decoded"] for m in steps) == fresh["events_decoded"]
+        obj = run_to_lake(
+            manifest, str(tmp_path / "obj"), CdcConfig(num_partitions=8, shuffle="object_store")
+        )
+        assert not self.COUNTERS & set(obj)
+
+    def test_checksum_failure_is_counted(self, small_stream, tmp_path):
+        """One flipped byte in one WRITE_ROWS event (on a copy of the
+        shard): the corrupt event's rows are missing from the commit, and
+        the manifest now says so."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        spec, out, manifest = small_stream
+        m = _prefix(manifest, 3)
+        m["shards"][0] = dict(m["shards"][0], path=str(tmp_path / "flipped.parquet"))
+        t = pq.read_table(manifest["shards"][0]["path"])
+        payloads = t.column("payload").to_pylist()
+        i = next(k for k, p in enumerate(payloads) if p[5] == 0x1E)  # WRITE_ROWS_V2
+        flipped = bytearray(payloads[i])
+        flipped[len(flipped) // 2] ^= 0xFF
+        payloads[i] = bytes(flipped)
+        col = t.schema.get_field_index("payload")
+        pq.write_table(
+            t.set_column(col, "payload", pa.array(payloads, pa.binary())), m["shards"][0]["path"]
+        )
+        got = run_to_lake(m, str(tmp_path / "lake"), CdcConfig(num_partitions=8))
+        assert got["checksum_failures"] == 1
+        assert got["row_images"] < sum(s["num_ops"] for s in manifest["shards"])
 
 
 @pytest.mark.usefixtures("ray_session")
