@@ -214,7 +214,8 @@ def _follow(args: argparse.Namespace) -> int:
             json.dumps(
                 {
                     "rows_delta": s.rows_delta,
-                    "rows_per_sec": round(s.rows_per_sec, 1),
+                    "row_images": s.row_images,
+                    "row_images_per_sec": round(s.row_images_per_sec, 1),
                     "elapsed_sec": round(s.elapsed_sec, 3),
                 }
             ),

@@ -1,32 +1,32 @@
 """The flagship CDC pipeline: binlog shards -> exactly-once Parquet lake.
 
 Ray-native realization of the reference's whole dataflow plus the sink
-it leaves to the consumer (SURVEY.md §2.7), by default (``shuffle=
-'external'``) as plain Ray tasks over a filesystem exchange:
+it leaves to the consumer (SURVEY.md §2.7), as plain Ray tasks over a
+filesystem exchange:
 
     event_read_units(event shards)                   # S3/S6: resumable source
       -> per shard, a spill task: flat decode+stamp  # M2/M3/M4
-           -> partial LWW combine -> `_part` hash    # M6 combiner half, M5
-           -> one row group per partition, per unit  # external fs shuffle
+           -> partial LWW combine -> `_part` hash    # M6 combiner half, M5, M8
+           -> one row group per partition, per unit  # keyed exchange
       -> per touched partition, a merge task:
            final LWW + atomic parquet                # M6/M7 exactly-once sink
       -> watermark manifest commit                   # M7 atomicity point
 
-``shuffle='object_store'`` runs the same kernels as one Ray Data plan
-ending in ``groupby("_part").map_groups``.  Nothing materializes the
-full stream; the only all-to-all exchange carries partially-combined
-rows.  Resume reads back only touched partitions, inside the merge task
-that rewrites them, so an external ``follow`` step runs no Ray Data
-execution.
+Nothing materializes the full stream; the only all-to-all exchange
+carries partially-combined rows, so a hot key reaches its merge task as
+at most one row per read unit.  Resume reads back only touched
+partitions, inside the merge task that rewrites them, so a
+``run_to_lake`` commit runs no Ray Data execution.  The Dataset-returning paths
+(``run_to_dataset``, ``state_as_of``) run the same kernels through
+:func:`merge_lww`.
 """
 
 from __future__ import annotations
 
-import itertools
 import os
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Iterable
 
 import pyarrow as pa
 import ray
@@ -59,21 +59,6 @@ class CdcConfig:
     exclude_databases: list[str] | None = None
     exclude_tables: list[str] | None = None
     target_table: tuple[str, str] | None = None
-    # keyed-exchange implementation for the lake sink: 'external' spills
-    # per-partition parquet chunks to the lake filesystem (fast, needs a
-    # shared fs on multi-node); 'object_store' uses Ray Data's groupby
-    # sort shuffle (no fs requirement)
-    shuffle: str = "external"
-    # M8 active hot-key salting: detect keys with more than salt_threshold
-    # row images (distributed sketch) and pre-reduce them under
-    # (key, event_seq % n_salts) before the single keyed exchange, so a
-    # pathologically hot key contributes <= n_salts rows to its final
-    # partition instead of one per upstream batch.  Costs one
-    # materialization of the (already partially combined) flat stream;
-    # off by default — the partial combiner alone bounds ordinary skew.
-    salt_hot_keys: bool = False
-    salt_threshold: int = 10_000
-    n_salts: int = 16
     decoder_kwargs: dict[str, Any] = field(default_factory=dict)
 
 
@@ -473,8 +458,8 @@ def _block_refs(ds: rd.Dataset):
 
 
 def _as_arrow(block: Any) -> pa.Table:
-    """A Dataset block as Arrow: a caller's Dataset may hold pandas
-    blocks, and so may Ray's groupby shuffle (empty ones)."""
+    """A Dataset block as Arrow: a caller's snapshot Dataset may hold
+    pandas blocks."""
     if isinstance(block, pa.Table):
         return block
     return pa.Table.from_pandas(block, preserve_index=False)
@@ -487,7 +472,7 @@ def _merge_write_partition(
     key_cols: tuple[str, ...],
     prior_rows: int,
 ) -> dict[str, Any]:
-    """The per-partition final merge of both exchanges: the increment's
+    """The per-partition final merge of the keyed exchange: the increment's
     rows for ``part``, then (selective resume, ``prior_rows > 0``) the
     partition's committed lake rows, read back here rather than shipped
     through the exchange; final LWW, key sort, one atomic zstd write.
@@ -526,7 +511,7 @@ def _merge_spilled_partition(
     key_cols: tuple[str, ...],
     prior_rows: int,
 ) -> dict[str, Any]:
-    """Merge half of the external exchange, one plain Ray task per
+    """Merge half of the keyed exchange, one plain Ray task per
     touched partition: read the partition's spill row groups, then
     :func:`_merge_write_partition`."""
     import pyarrow.parquet as pq
@@ -565,14 +550,14 @@ def _spill(parted: pa.Table, spill_dir: str) -> list[tuple[int, str, int]]:
 def _spill_task(
     src: Any, spill_dir: str, key_cols: tuple[str, ...], num_partitions: int, decoder_kwargs
 ) -> tuple[list[tuple[int, str, int]], dict[str, int]]:
-    """Stage A of the external exchange, one plain Ray task per input.
+    """Spill half of the keyed exchange, one plain Ray task per input.
     With ``decoder_kwargs``, ``src`` is an event shard ``(path, k)``: read
     ONCE (shards are written in row groups of up to 1Mi events, so a
     unit is not a row group of its own), then its ``k`` read units
     decoded, partially combined and spilled in turn.  Without, a
-    committed lake file path (the layout-change re-merge) or a Dataset
-    block, already flat.  Returns :func:`_spill`'s chunk index entries
-    and the decode counters."""
+    committed lake file path (the layout-change re-merge) or a snapshot
+    Dataset block, already flat.  Returns :func:`_spill`'s chunk index
+    entries and the decode counters."""
     import pyarrow.parquet as pq
 
     dec = None
@@ -596,21 +581,26 @@ def _spill_task(
     return entries, dict(zip(("events_decoded", "row_images", "checksum_failures"), n))
 
 
-def _external_shuffle_merge(
-    sources: Any, lake_dir: str, cfg: CdcConfig, prior_rows: dict[int, int]
+def _exchange(
+    sources: Iterable[tuple[Any, dict[str, Any] | None]],
+    lake_dir: str,
+    cfg: CdcConfig,
+    prior_rows: dict[int, int],
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """Filesystem-based keyed exchange (Spark-external-shuffle shape) in
-    plain Ray tasks.  Stage A: one :func:`_spill_task` per ``(src,
+    """The lake's one keyed exchange (Spark-external-shuffle shape) in
+    plain Ray tasks.  Spill half: one :func:`_spill_task` per ``(src,
     decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
     blocks stay under Ray Data's backpressure; their chunk indexes list
-    every touched partition.  Stage B: one :func:`_merge_spilled_partition`
-    task per touched partition.  The scratch dir is removed on failure
-    too, once every submitted task has ended (a running spill task would
-    re-create it).  Returns the merge stats and summed decode counters.
+    every touched partition.  Merge half: one
+    :func:`_merge_spilled_partition` task per touched partition.  The
+    scratch dir is removed on failure too, once every submitted task has
+    ended (a running spill task would re-create it).  Returns the merge
+    stats and summed decode counters.
 
-    On a multi-node cluster the scratch dir must be a shared filesystem
-    (lake storage itself qualifies); the object-store path
-    (``shuffle='object_store'``) has no such requirement.
+    The scratch dir lives under the lake, so a multi-node cluster needs
+    nothing the lake itself does not: every merge task writes and reads
+    back ``part=*/data.parquet`` under ``lake_dir`` on whichever worker
+    runs it, so the lake must be a shared filesystem anyway.
     """
     import shutil as _shutil
 
@@ -646,98 +636,6 @@ def _external_shuffle_merge(
         _shutil.rmtree(spill_dir, ignore_errors=True)
 
 
-def _groupby_merge_parts(
-    flat: rd.Dataset, lake_dir: str, cfg: CdcConfig, prior_rows: dict[int, int]
-) -> list[dict[str, Any]]:
-    """Object-store keyed exchange: ``groupby('_part').map_groups`` with
-    :func:`_merge_write_partition` per group (touched partitions only, so
-    the selective-resume read-back happens in the same task).  The
-    ``shuffle='object_store'`` counterpart of
-    :func:`_external_shuffle_merge`."""
-    key_cols = cfg.key_cols
-
-    def _merge_and_write(group: pa.Table) -> pa.Table:
-        part = int(group.column("_part")[0].as_py())
-        row = _merge_write_partition([group], part, lake_dir, key_cols, prior_rows.get(part, 0))
-        return pa.Table.from_pylist([row])
-
-    parted = flat.map_batches(
-        lambda b: add_partition_column(b, key_cols, cfg.num_partitions),
-        batch_format="pyarrow",
-    )
-    stats = parted.groupby("_part").map_groups(_merge_and_write, batch_format="pyarrow")
-    # tiny: one row per partition.  ``take_all()`` would build Python row
-    # dicts one at a time on the driver
-    return [row for b in ray.get(list(_block_refs(stats))) for row in _as_arrow(b).to_pylist()]
-
-
-def _exchange(
-    lake_dir: str, cfg: CdcConfig, prior_rows: dict[int, int], remerge: list[str], *,
-    flat: rd.Dataset | None = None, manifest: dict[str, Any] | None = None, start_after=None,
-) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """The keyed exchange + per-partition merge selected by
-    ``cfg.shuffle``, over ``flat`` rows or ``manifest``'s increment past
-    ``start_after``, plus the lake files ``remerge`` that a layout change
-    folds back in.  The external exchange decodes an unsalted increment
-    in its spill tasks (no Ray Data execution); any other increment goes
-    through :func:`_flat_stream`.  Returns the merge stats and the decode
-    counters (empty unless the spill tasks decoded)."""
-    external = cfg.shuffle == "external"
-    if manifest is not None and (not external or cfg.salt_hot_keys):
-        flat = _flat_stream(manifest, cfg, start_after)
-    if external:
-        if flat is None:
-            dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
-            units = event_read_units(manifest, start_after)
-            sources = (((path, k), dk) for path, i, k in units if i == 0)
-        else:
-            sources = ((ref, None) for ref in _block_refs(flat))
-        sources = itertools.chain(sources, ((path, None) for path in remerge))
-        return _external_shuffle_merge(sources, lake_dir, cfg, prior_rows)
-    if remerge:
-        lake = rd.read_parquet(remerge).map_batches(_lake_rows_as_inserts, batch_format="pyarrow")
-        flat = flat.union(lake)
-    return _groupby_merge_parts(flat, lake_dir, cfg, prior_rows), {}
-
-
-def _flat_stream(manifest: dict[str, Any], cfg: CdcConfig, start_after: int | None) -> rd.Dataset:
-    """The increment as a Ray Data plan of partially-combined flat rows:
-    read, flat decode, per-block LWW combine and, under
-    ``cfg.salt_hot_keys``, the hot-key pre-squeeze."""
-    key_cols = cfg.key_cols
-    events = read_event_stream(manifest, start_after)
-    cf = decode_changefeed(events, manifest["table_maps"], _with_flat_decode(cfg), start_after)
-
-    def _flatten_combine(batch: pa.Table) -> pa.Table:
-        return lww_partial(batch, key_cols)
-
-    if not cfg.salt_hot_keys:
-        return cf.map_batches(_flatten_combine, batch_format="pyarrow")
-
-    from ..stages.merge import (
-        _CountAccumulator,
-        collect_hot_keys,
-        make_counting_combine,
-        salted_presqueeze,
-    )
-
-    # the hot-key sketch PIGGYBACKS on the combine pass (per-batch
-    # count partials stream to a small accumulator-actor pool) — no
-    # separate detection scan; the one materialize is still needed
-    # because the cold/hot split consumes the stream twice.
-    # Shard count scales with the cluster; actors are NOT killed
-    # afterwards — the materialized dataset's lineage still closes
-    # over their handles, and a lineage reconstruction of a lost
-    # block must be able to re-run the counting combine (handles are
-    # dropped naturally with the dataset; the actors are num_cpus=0)
-    n_shards = min(64, max(4, int(ray.cluster_resources().get("CPU", 8)) // 8))
-    actors = [_CountAccumulator.remote() for _ in range(n_shards)]
-    counting = make_counting_combine(_flatten_combine, key_cols, actors)
-    flat = cf.map_batches(counting, batch_format="pyarrow").materialize()
-    hot = collect_hot_keys(actors, cfg.salt_threshold)
-    return salted_presqueeze(flat, key_cols, hot, cfg.n_salts) if len(hot) else flat
-
-
 def run_to_lake(
     manifest: dict[str, Any],
     lake_dir: str,
@@ -748,10 +646,12 @@ def run_to_lake(
     watermark manifest; rerun/resume reproduces the identical table.
 
     Returns the committed manifest.  Besides ``elapsed_sec`` it records
-    ``readback_rows`` (committed rows the merge tasks read back) and
-    ``partitions_rewritten``; the external exchange without
-    ``salt_hot_keys`` adds ``events_decoded``, ``row_images`` and
-    ``checksum_failures``.
+    ``readback_rows`` (committed rows the merge tasks read back),
+    ``partitions_rewritten`` and the spill tasks' decode counters
+    ``events_decoded``, ``row_images`` and ``checksum_failures``: every
+    commit made here does (fresh, selective or layout change).  The
+    other lake commits, a snapshot seed and ``compact_lake``, decode
+    nothing and record none.
     """
     import time as _time
 
@@ -779,16 +679,15 @@ def run_to_lake(
         and prior.get("num_partitions") == cfg.num_partitions
         and prior.get("hash_algo") == PARTITION_HASH_ALGO
     )
+    dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
+    units = event_read_units(manifest, start_after)
+    sources = [((path, k), dk) for path, i, k in units if i == 0]
     prior_rows: dict[int, int] = {}
-    remerge: list[str] = []
     if selective:
         prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]}
     elif prior:
-        remerge = _live_partition_paths(lake_dir, prior)
-
-    parts, decoded = _exchange(
-        lake_dir, cfg, prior_rows, remerge, manifest=manifest, start_after=start_after
-    )
+        sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
+    parts, decoded = _exchange(sources, lake_dir, cfg, prior_rows)
     readback_rows = sum(p.pop("prior_rows") for p in parts)
     partitions_rewritten = len(parts)
     if selective:
@@ -851,7 +750,7 @@ def seed_lake_from_snapshot(
         return pa.table(cols)
 
     flat = snapshot.map_batches(_as_flat, batch_format="pyarrow")
-    parts, _ = _exchange(lake_dir, cfg, {}, [], flat=flat)
+    parts, _ = _exchange(((ref, None) for ref in _block_refs(flat)), lake_dir, cfg, {})
     for p in parts:
         del p["prior_rows"]
     return _commit_lake(

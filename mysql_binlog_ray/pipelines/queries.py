@@ -1001,8 +1001,8 @@ def cdc_all_tables_changefeed(sf_dir: str):
 
 def cdc_hot_keys(sf_dir: str):
     """M8 skew surface: per-key change frequency sketch (top 20 hottest
-    primary keys by row-image count) — the input to hot-key salting
-    decisions at scale."""
+    primary keys by row-image count).  The lake's partial combine bounds
+    each of these keys to one row per read unit at the merge."""
     from .cdc import CdcConfig, _with_flat_decode, decode_changefeed, read_event_stream
 
     _, manifest = cdc_manifest(sf_dir)

@@ -46,14 +46,19 @@ class TailStats:
     watermark: int
     prev_watermark: int | None
     rows_total: int
+    # net change of the lake's live row count (0 on update-only traffic)
     rows_delta: int
     advanced: bool
     # the stream manifest's max last_event_seq when the tick read it
     source_head: int
+    # row images this tick's commit applied: 0 when the watermark did not
+    # advance (a no-op follow returns the prior manifest, whose counters
+    # belong to the previous commit) or the commit decoded nothing
+    row_images: int
 
     @property
-    def rows_per_sec(self) -> float:
-        return self.rows_delta / self.elapsed_sec if self.elapsed_sec > 0 else 0.0
+    def row_images_per_sec(self) -> float:
+        return self.row_images / self.elapsed_sec if self.elapsed_sec > 0 else 0.0
 
     @property
     def lag_events(self) -> int:
@@ -150,6 +155,7 @@ class FollowDaemon:
                     f"stream errors reading {self.manifest_path}"
                 )
             if m is not None:
+                advanced = prev_wm is None or m["watermark"] > prev_wm
                 stats = TailStats(
                     iteration=i,
                     wall_time=t0,
@@ -158,10 +164,11 @@ class FollowDaemon:
                     prev_watermark=prev_wm,
                     rows_total=m["totals"]["rows"],
                     rows_delta=m["totals"]["rows"] - prev_rows,
-                    advanced=prev_wm is None or m["watermark"] > prev_wm,
+                    advanced=advanced,
                     source_head=max(
                         (s["last_event_seq"] for s in stream["shards"]), default=-1
                     ),
+                    row_images=m.get("row_images", 0) if advanced else 0,
                 )
                 history.append(stats)
                 if self.on_stats is not None:

@@ -19,14 +19,14 @@ Scale design (the part the single-threaded reference never needed):
    resumable, idempotent sink).
 4. keyed exchange on ``_part``, then ``lww_final`` per partition — the
    same vectorized kernel picks winners and drops delete tombstones.
-   The lake sink's exchange is chosen by ``CdcConfig.shuffle``
-   (filesystem spill or ``groupby("_part")``); the Dataset-returning
-   paths go through ``cdc.merge_lww``'s ``groupby("_part").map_groups``.
+   The lake sink's exchange is plain Ray tasks over the filesystem
+   (``cdc._exchange``); the Dataset-returning paths go through
+   ``cdc.merge_lww``'s ``groupby("_part").map_groups``.
 
 Skew (M8): the partition hash spreads keys uniformly; a pathologically
-hot *single key* is already collapsed to ~one row per upstream batch by
-the partial combine, which is the salting effect — the per-key fan-in to
-the merge stage is bounded by the number of upstream batches, not by the
+hot *single key* is collapsed to one row per upstream batch (a read
+unit, on the lake path) by the partial combine, so its fan-in to the
+merge stage is bounded by the number of upstream batches, not by the
 number of updates.
 """
 
@@ -35,7 +35,6 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
-import ray
 
 SEQ_COLS = ("event_seq", "row_seq")
 
@@ -267,164 +266,3 @@ def partition_codes(table: pa.Table, key_cols: tuple[str, ...], num_partitions: 
 def add_partition_column(batch: pa.Table, key_cols: tuple[str, ...], num_partitions: int) -> pa.Table:
     return batch.append_column("_part", pa.array(partition_codes(batch, key_cols, num_partitions)))
 
-
-# -- M8: active hot-key salting (two-phase combine for skewed keys) --------
-#
-# The per-batch lww_partial already collapses a hot key to one row per
-# upstream batch, but at 100 TB "one row per batch" is still millions of
-# rows converging on a single final partition.  The salted pre-squeeze
-# bounds that fan-in to ``n_salts`` rows per hot key: hot rows are
-# re-keyed by (key, event_seq % n_salts), reduced per salted bucket with
-# the same LWW kernel (associative: newest-per-key commutes with any
-# grouping), then rejoin the normal single-exchange merge.
-
-
-def _key_hash53(batch: pa.Table, key_cols: tuple[str, ...]) -> np.ndarray:
-    """key_hash64 truncated to 53 bits: survives Ray groupby/aggregate's
-    float64 key round-trip exactly."""
-    return (key_hash64(batch, key_cols) >> np.uint64(11)).astype(np.int64)
-
-
-@ray.remote(num_cpus=0)
-class _CountAccumulator:
-    """Shard of the piggybacked hot-key sketch: receives (hash, count)
-    partials from combine tasks (keys pre-partitioned by hash so each
-    key's totals live on exactly one shard) and compacts periodically so
-    memory stays O(distinct keys / shards), not O(partials)."""
-
-    def __init__(self) -> None:
-        self._h: list[np.ndarray] = []
-        self._n: list[np.ndarray] = []
-        self._buf = 0
-
-    def add(self, hashes: np.ndarray, counts: np.ndarray) -> None:
-        self._h.append(hashes)
-        self._n.append(counts)
-        self._buf += len(hashes)
-        if self._buf > 2_000_000:
-            self._compact()
-
-    def _compact(self) -> None:
-        if not self._h:
-            return
-        h = np.concatenate(self._h)
-        n = np.concatenate(self._n)
-        uniq, inv = np.unique(h, return_inverse=True)
-        tot = np.bincount(inv, weights=n.astype(np.float64)).astype(np.int64)
-        self._h, self._n, self._buf = [uniq], [tot], len(uniq)
-
-    def hot(self, threshold: int) -> np.ndarray:
-        self._compact()
-        if not self._h:
-            return np.zeros(0, dtype=np.int64)
-        return self._h[0][self._n[0] > threshold]
-
-
-def make_counting_combine(
-    combine_fn, key_cols: tuple[str, ...], actors: list
-):
-    """Wrap the per-batch LWW combine so it ALSO emits its (key hash,
-    count) partial to the sketch shards — the hot-key detection rides the
-    combine pass instead of costing its own scan of the materialized
-    stream.  The ray.get ensures counts land before the pass finishes
-    (the hot set read after materialize() is then complete, which the
-    byte-equality tests rely on); the round-trip is to at most
-    len(actors) shards IN PARALLEL and the caller scales the shard count
-    with the cluster, so the sketch adds ~one actor RPC of latency per
-    batch, not a fixed-size funnel.  A re-executed task double-counts,
-    which can only over-salt (correctness is independent of WHICH keys
-    get salted)."""
-    n_shards = len(actors)
-
-    def counting(batch: pa.Table) -> pa.Table:
-        out = combine_fn(batch)
-        if out.num_rows:
-            uniq, cnt = np.unique(_key_hash53(out, key_cols), return_counts=True)
-            shard = uniq % n_shards
-            refs = []
-            for i, a in enumerate(actors):
-                m = shard == i
-                if m.any():
-                    refs.append(a.add.remote(uniq[m], cnt[m].astype(np.int64)))
-            if refs:
-                ray.get(refs)
-        return out
-
-    return counting
-
-
-def collect_hot_keys(actors: list, threshold: int) -> np.ndarray:
-    """Gather + sort the hot set from the sketch shards."""
-    parts = ray.get([a.hot.remote(threshold) for a in actors])
-    return np.sort(np.concatenate(parts)) if parts else np.zeros(0, np.int64)
-
-
-def salted_presqueeze(
-    flat,
-    key_cols: tuple[str, ...],
-    hot_hashes: np.ndarray,
-    n_salts: int = 16,
-):
-    """Phase-A reduce for hot keys: rows of hot keys are grouped by
-    (key hash, event_seq % n_salts) and LWW-combined, bounding each hot
-    key to <= n_salts surviving rows; cold rows pass through untouched.
-    Returns a dataset with the same schema as ``flat``."""
-    import ray
-
-    ref = ray.put(np.sort(np.asarray(hot_hashes, dtype=np.int64)))
-    cache: dict = {}
-
-    def tag(batch: pa.Table) -> pa.Table:
-        hot = cache.get("h")
-        if hot is None:
-            hot = cache["h"] = ray.get(ref)
-        h = _key_hash53(batch, key_cols)
-        is_hot = np.isin(h, hot)
-        salt = (
-            batch.column("event_seq").to_numpy(zero_copy_only=False) % n_salts
-        ).astype(np.int64)
-        # (h >> 4)*n_salts + salt stays under 53 bits for n_salts <= 16
-        # (groupby float64 key safety); a rare hash-prefix collision only
-        # co-groups two hot keys, which lww_partial handles per key
-        spart = np.where(is_hot, (h >> 4) * np.int64(n_salts) + salt, np.int64(-1))
-        return batch.append_column("_spart", pa.array(spart, pa.int64()))
-
-    # NO materialize here: ``flat`` is already materialized by the caller
-    # (it feeds both the sketch and the merge), so running the cheap
-    # vectorized tag twice — once per consumer below — costs two scans of
-    # object-store blocks instead of a third full copy of the stream
-    tagged = flat.map_batches(tag, batch_format="pyarrow")
-
-    def only_cold(batch: pa.Table) -> pa.Table:
-        keep = batch.filter(pc.equal(batch.column("_spart"), pa.scalar(-1)))
-        return keep.drop_columns(["_spart"])
-
-    def only_hot(batch: pa.Table) -> pa.Table:
-        return batch.filter(pc.not_equal(batch.column("_spart"), pa.scalar(-1)))
-
-    cold = tagged.map_batches(only_cold, batch_format="pyarrow")
-    hot_rows = tagged.map_batches(only_hot, batch_format="pyarrow")
-
-    # hash-partitioned vectorized squeeze (keyed_reduce shape, arrow-
-    # native): a hot key's n_salts groups scatter across partitions, each
-    # partition runs ONE lww_partial over its co-located (key, salt)
-    # groups — no Ray per-group call, no sort shuffle.  Fanout is small:
-    # the hot subset is bounded by hot_keys x n_salts x upstream blocks.
-    n_parts = 32
-
-    def tag_part(batch: pa.Table) -> pa.Table:
-        sp = batch.column("_spart").to_numpy(zero_copy_only=False)
-        rp = (sp.view(np.uint64) % np.uint64(n_parts)).astype(np.int64)
-        return batch.drop_columns(["_spart"]).append_column(
-            "_rp", pa.array(rp, pa.int64())
-        )
-
-    def squeeze_part(group: pa.Table) -> pa.Table:
-        return lww_partial(group.drop_columns(["_rp"]), key_cols)
-
-    squeezed = (
-        hot_rows.map_batches(tag_part, batch_format="pyarrow")
-        .groupby("_rp")
-        .map_groups(squeeze_part, batch_format="pyarrow")
-    )
-    return cold.union(squeezed)

@@ -145,8 +145,8 @@ class TestRegistryActor:
 @pytest.mark.usefixtures("ray_session")
 class TestSkew:
     def test_zipf_hot_key_correct_and_bounded(self, tmp_path):
-        """FIXTURES §F6 scenario 4: heavy key skew; the partial combine
-        bounds any key's merge fan-in by the number of upstream blocks."""
+        """FIXTURES §F6 scenario 4: heavy key skew merges to the replay
+        oracle (the fan-in bound: test_merge_fan_in_bounded_by_read_units)."""
         spec = StreamSpec(n_keys=100, n_ops=4000, n_shards=2, zipf_a=1.2, ddl_at=None)
         out = str(tmp_path)
         m = generate_stream(spec, out)
@@ -168,7 +168,7 @@ class TestSkew:
 
     def test_partial_bounds_hot_key_rows(self):
         """A key updated K times in one batch ships exactly ONE row to the
-        shuffle (the M8 salting effect, realized by the combiner)."""
+        shuffle (the M8 skew bound, realized by the combiner)."""
         from mysql_binlog_ray.stages.merge import lww_partial
 
         n = 5000
@@ -185,6 +185,39 @@ class TestSkew:
         out = lww_partial(t, ("repo", "path"))
         assert out.num_rows == 1
         assert out.column("content").to_pylist() == [f"v{n-1}"]
+
+    def test_merge_fan_in_bounded_by_read_units(self, tmp_path):
+        """On a zipf-2.0 stream whose hottest key carries over 40% of the
+        row images, no key reaches the merge tasks as more rows than
+        there are read units: every spill task partially combines each
+        unit it decodes before it spills."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines import cdc
+
+        spec = StreamSpec(seed=3, n_keys=320, n_ops=20_000, n_shards=8, zipf_a=2.0)
+        manifest = generate_stream(spec, str(tmp_path / "stream"))
+        counts = np.bincount(build_op_plan(spec).key, minlength=spec.n_keys)
+        assert counts.max() > spec.n_ops * 0.4, "fixture not skewed enough"
+
+        cfg = cdc.CdcConfig(num_partitions=8)
+        dk = cdc._decoder_kwargs(manifest["table_maps"], cdc._with_flat_decode(cfg), None)
+        units = cdc.event_read_units(manifest)
+        spill = str(tmp_path / "spill")
+        entries = []
+        for path, i, k in units:
+            if i == 0:
+                got, _ = cdc._spill_task._function(
+                    (path, k), spill, cfg.key_cols, cfg.num_partitions, dk
+                )
+                entries += got
+        keys = pa.concat_tables(
+            pq.ParquetFile(chunk).read_row_group(rg, columns=["repo", "path"])
+            for _part, chunk, rg in entries
+        ).to_pandas()
+        per_key = keys.value_counts()
+        assert len(per_key) == spec.n_keys
+        assert 1 < per_key.max() <= len(units)
 
 
 class TestPropertyRoundTrip:
@@ -655,99 +688,6 @@ class TestRotateTableMapDrop:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestHotKeySalting:
-    """M8 active salting: detection sketch + salted two-phase combine."""
-
-    def _flat(self, n_batches=20, rows_per_batch=50, hot_frac=0.5):
-        """Synthetic flat upsert stream: one hot key carries hot_frac of
-        all rows, spread over every batch (the combiner's worst case)."""
-        import ray.data as rd
-
-        tables = []
-        seq = 0
-        for b in range(n_batches):
-            repo, path, v, es, rs, op = [], [], [], [], [], []
-            for i in range(rows_per_batch):
-                hot = i < rows_per_batch * hot_frac
-                repo.append("hot/repo" if hot else f"org{i % 7}/r{i}")
-                path.append("hot.py" if hot else f"f{b}_{i}.py")
-                v.append(f"v{seq}")
-                es.append(seq)
-                rs.append(0)
-                op.append("insert")
-                seq += 1
-            tables.append(
-                pa.table(
-                    {
-                        "repo": pa.array(repo, pa.string()),
-                        "path": pa.array(path, pa.string()),
-                        "v": pa.array(v, pa.string()),
-                        "op": pa.array(op, pa.string()),
-                        "event_seq": pa.array(es, pa.int64()),
-                        "row_seq": pa.array(rs, pa.int32()),
-                        "commit_seq": pa.array([-1] * rows_per_batch, pa.int64()),
-                    }
-                )
-            )
-        return rd.from_arrow(tables), seq - 1
-
-    def test_detect_and_squeeze_bounds_hot_key(self):
-        from mysql_binlog_ray.stages.merge import (
-            _CountAccumulator,
-            collect_hot_keys,
-            lww_partial,
-            make_counting_combine,
-            salted_presqueeze,
-        )
-
-        keys = ("repo", "path")
-        flat, last_seq = self._flat()
-        # run_to_lake's detector: the per-batch combine also streams its
-        # (key hash, count) partials to the sketch shards
-        actors = [_CountAccumulator.remote() for _ in range(4)]
-        counting = make_counting_combine(lambda b: lww_partial(b, keys), keys, actors)
-        combined = flat.map_batches(counting, batch_format="pyarrow").materialize()
-        hot = collect_hot_keys(actors, threshold=10)
-        assert len(hot) == 1, "exactly the planted hot key must be detected"
-
-        squeezed = salted_presqueeze(combined, keys, hot, n_salts=4)
-        df = squeezed.to_pandas()
-        hot_rows = df[(df["repo"] == "hot/repo") & (df["path"] == "hot.py")]
-        # fan-in bounded by n_salts, not by the number of batches (20)
-        assert 1 <= len(hot_rows) <= 4
-        # and the newest hot image survived the two-phase combine
-        # (last batch's hot rows are seqs 950..974 -> newest is 974)
-        assert hot_rows["event_seq"].max() == 19 * 50 + 24
-
-    def test_salted_lake_equals_unsalted(self, tmp_path):
-        """run_to_lake with salting on: identical final lake, byte-for-row
-        equal to the unsalted run, on a 60%%-hot-key stream."""
-        from mysql_binlog_ray.pipelines.cdc import CdcConfig, read_lake, run_to_lake
-
-        # 8 shards -> 8 decode blocks; after the per-batch combine a
-        # key's detection count equals the number of blocks containing
-        # it, so threshold=4 flags keys present in most blocks (the
-        # planted hot key is in all 8)
-        spec = StreamSpec(n_keys=100, n_ops=4000, n_shards=8, zipf_a=2.0, ddl_at=None)
-        out = str(tmp_path / "stream")
-        m = generate_stream(spec, out)
-        plan = build_op_plan(spec)
-        counts = np.bincount(plan.key, minlength=spec.n_keys)
-        assert counts.max() > spec.n_ops * 0.4, "fixture not skewed enough"
-
-        lake_a = str(tmp_path / "salted")
-        lake_b = str(tmp_path / "plain")
-        run_to_lake(
-            m, lake_a,
-            CdcConfig(num_partitions=8, salt_hot_keys=True, salt_threshold=4, n_salts=8),
-        )
-        run_to_lake(m, lake_b, CdcConfig(num_partitions=8))
-        a = read_lake(lake_a).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        b = read_lake(lake_b).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        assert a.equals(b)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestMultiTableOplogAlignment:
     def test_oplog_event_seqs_exact_with_interleaved_issues(self, tmp_path):
         """Interleaved code.issues transactions emit ROWS events carrying
@@ -816,30 +756,3 @@ class TestDdlRenameIndexNoOp:
         base = repos_table_map(False)
         assert apply_ddl("ALTER TABLE repos RENAME INDEX idx_a TO idx_b", "code", base, 31) is None
         assert apply_ddl("ALTER TABLE repos RENAME KEY k_a TO k_b", "code", base, 32) is None
-
-
-@pytest.mark.usefixtures("ray_session")
-class TestSaltingWithResume:
-    def test_salted_incremental_resume_equals_plain_full(self, tmp_path):
-        """Salting composes with selective resume: a salted lake built
-        incrementally equals a plain single-pass lake."""
-        from mysql_binlog_ray.pipelines.cdc import CdcConfig, read_lake, run_to_lake
-
-        spec = StreamSpec(n_keys=100, n_ops=3000, n_shards=6, zipf_a=2.0, ddl_at=None)
-        out = str(tmp_path / "stream")
-        m = generate_stream(spec, out)
-        import json as _json
-
-        prefix = _json.loads(_json.dumps(m))
-        prefix["shards"] = m["shards"][:3]
-
-        lake_s = str(tmp_path / "salted")
-        cfg_s = CdcConfig(num_partitions=8, salt_hot_keys=True, salt_threshold=2, n_salts=8)
-        run_to_lake(prefix, lake_s, cfg_s)
-        run_to_lake(m, lake_s, cfg_s, resume=True)
-
-        lake_p = str(tmp_path / "plain")
-        run_to_lake(m, lake_p, CdcConfig(num_partitions=8))
-        a = read_lake(lake_s).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        b = read_lake(lake_p).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        assert a.equals(b)

@@ -341,14 +341,13 @@ def _guard_ray_data(monkeypatch, refuse_read):
 
 @pytest.mark.usefixtures("ray_session")
 class TestFollowMode:
-    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
-    def test_three_increments_equal_full(self, small_stream, tmp_path, shuffle):
+    def test_three_increments_equal_full(self, small_stream, tmp_path):
         """Tailing mode: growing the stream shard-by-shard and following
         writes the same partition files, byte for byte, as one full run."""
         from mysql_binlog_ray.pipelines.cdc import follow
 
         spec, out, manifest = small_stream
-        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        cfg = CdcConfig(num_partitions=8)
         lake_inc = str(tmp_path / "inc")
         for upto in (1, 2, 3):
             follow(_prefix(manifest, upto), lake_inc, cfg)
@@ -360,8 +359,7 @@ class TestFollowMode:
         b = read_lake(lake_inc).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
         assert a.equals(b)
 
-    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
-    def test_alter_inside_increment(self, small_stream, tmp_path, shuffle):
+    def test_alter_inside_increment(self, small_stream, tmp_path):
         """The ALTER adding `stars` lands inside the second increment, and
         the first step saw only the old table map (as a wire tail does), so
         the read-back files lack the new column: the merged partitions
@@ -371,7 +369,7 @@ class TestFollowMode:
         from mysql_binlog_ray.pipelines.cdc import follow
 
         spec, out, manifest = small_stream
-        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        cfg = CdcConfig(num_partitions=8)
         lake = str(tmp_path / "inc")
         follow(_prefix(manifest, 1, manifest["table_maps"][:1]), lake, cfg)
         first = glob.glob(f"{lake}/part=*/data.parquet")
@@ -463,42 +461,56 @@ class TestFollowMode:
             assert m2["readback_rows"] > 0
             m1 = m2
 
-    @pytest.mark.parametrize("shuffle,executions", [("external", 0), ("object_store", 1)])
-    def test_selective_step_reads_back_inside_merge(
-        self, small_stream, tmp_path, monkeypatch, shuffle, executions
-    ):
-        """Structural guard: a selective follow step reads no lake file
-        through Ray Data, materializes nothing, runs no `unique` pass,
-        builds no Dataset from driver items, and runs one Ray Data
-        execution on the object store (the groupby merge) and none on the
-        external exchange, whose spill and merge halves are plain tasks:
-        there `read_parquet` refuses every path."""
+    def test_selective_step_reads_back_inside_merge(self, small_stream, tmp_path, monkeypatch):
+        """Structural guard: a selective follow step reads nothing through
+        Ray Data (`read_parquet` refuses every path), materializes
+        nothing, runs no `unique` pass, builds no Dataset with
+        `from_items` and runs no Ray Data execution: the spill and merge
+        halves of the exchange are plain tasks, and the merge tasks read
+        back their own committed partitions."""
         from mysql_binlog_ray.pipelines.cdc import follow
 
         spec, out, manifest = small_stream
-        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        cfg = CdcConfig(num_partitions=8)
         lake = str(tmp_path / "inc")
         follow(_prefix(manifest, 1), lake, cfg)
 
-        refuse = (lambda p: True) if shuffle == "external" else (lambda p: p.startswith(lake))
-        runs = _guard_ray_data(monkeypatch, refuse)
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
         m = follow(_prefix(manifest, 2), lake, cfg)
         monkeypatch.undo()
         assert m["readback_rows"] > 0
-        assert len(runs) == executions
+        assert runs == []
 
     def test_fresh_external_commit_runs_no_ray_data(self, small_stream, tmp_path, monkeypatch):
-        """A fresh external commit is plain Ray tasks only: no Ray Data
-        execution and no `read_parquet`, yet the lake matches the
-        object-store exchange's byte for byte."""
+        """A fresh commit is plain Ray tasks only: no Ray Data execution
+        and no `read_parquet`, yet every partition file holds exactly the
+        rows that `run_to_dataset`, a second implementation of the merge
+        (a Ray Data groupby), assigns to its partition, sorted by key."""
+        import pyarrow as pa
+        import pyarrow.compute as pc
+        import pyarrow.parquet as pq
+        import ray
+
+        from mysql_binlog_ray.stages.merge import partition_codes
+
         spec, out, manifest = small_stream
-        lake, ref = str(tmp_path / "ext"), str(tmp_path / "obj")
+        cfg = CdcConfig(num_partitions=8)
+        lake = str(tmp_path / "lake")
         runs = _guard_ray_data(monkeypatch, lambda p: True)
-        m = run_to_lake(manifest, lake, CdcConfig(num_partitions=8), resume=False)
+        m = run_to_lake(manifest, lake, cfg, resume=False)
         monkeypatch.undo()
         assert runs == [] and m["partitions_rewritten"] > 0
-        run_to_lake(manifest, ref, CdcConfig(num_partitions=8, shuffle="object_store"))
-        assert _part_files(lake) == _part_files(ref)
+
+        ref = pa.concat_tables(ray.get(run_to_dataset(manifest, cfg).to_arrow_refs()))
+        ref = ref.sort_by([(k, "ascending") for k in cfg.key_cols])
+        codes = pa.array(partition_codes(ref, cfg.key_cols, cfg.num_partitions))
+        files = _part_files(lake)
+        assert sorted(files) == [f"part={p['part']:05d}" for p in m["partitions"]]
+        for p in m["partitions"]:
+            got = pq.ParquetFile(pa.BufferReader(files[f"part={p['part']:05d}"])).read()
+            want = ref.filter(pc.equal(codes, p["part"]))
+            assert got.num_rows == p["rows"] > 0
+            assert got.equals(want), p["part"]
 
     def test_failed_spill_keeps_commit_and_removes_spill(self, small_stream, tmp_path):
         """A spill task that cannot read its stream shard (the newest one,
@@ -528,15 +540,14 @@ class TestFollowMode:
             assert f.read() == committed
         assert not os.path.exists(f"{lake}/_shuffle")
 
-    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
-    def test_split_shard_files(self, small_stream, tmp_path, monkeypatch, shuffle):
+    def test_split_shard_files(self, small_stream, tmp_path, monkeypatch):
         """Blocks that split shard files (a smaller block-byte target, so
         ``k > 1``) write the same partition files, fresh and under a
         3-step follow, as whole-file blocks, and match the oracle."""
         from mysql_binlog_ray.pipelines import cdc
 
         spec, out, manifest = small_stream
-        cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+        cfg = CdcConfig(num_partitions=8)
         whole = str(tmp_path / "whole")
         run_to_lake(manifest, whole, cfg)
         assert all(k == 1 for _p, _i, k in cdc.event_read_units(manifest))
@@ -553,8 +564,7 @@ class TestFollowMode:
         exp = exp.sort_values(["repo", "path"]).reset_index(drop=True)
         assert _normalize(read_lake(inc).to_pandas()).equals(exp)
 
-    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
-    def test_more_shard_files_than_block_cap(self, small_stream, tmp_path, monkeypatch, shuffle):
+    def test_more_shard_files_than_block_cap(self, small_stream, tmp_path, monkeypatch):
         """More shard files than the block cap: every file still gets a
         read unit, so the commit, whose watermark passes every file,
         holds every file's row images and matches the oracle."""
@@ -567,16 +577,15 @@ class TestFollowMode:
         assert len(paths) > 2
         assert sorted(p for p, _i, _k in cdc.event_read_units(manifest)) == paths
         lake = str(tmp_path / "lake")
-        m = run_to_lake(manifest, lake, CdcConfig(num_partitions=8, shuffle=shuffle))
-        if shuffle == "external":
-            assert m["row_images"] == sum(s["num_ops"] for s in manifest["shards"])
+        m = run_to_lake(manifest, lake, CdcConfig(num_partitions=8))
+        assert m["row_images"] == sum(s["num_ops"] for s in manifest["shards"])
         exp = final_state_oracle(spec, out).to_pandas()
         exp["stars"] = exp["stars"].astype("float64")
         exp = exp.sort_values(["repo", "path"]).reset_index(drop=True)
         assert _normalize(read_lake(lake).to_pandas()).equals(exp)
 
     def test_spill_tasks_in_flight_are_bounded(self, tmp_path, monkeypatch):
-        """The external exchange keeps at most two spill tasks per CPU in
+        """The keyed exchange keeps at most two spill tasks per CPU in
         flight, so a streamed Dataset's blocks (here a snapshot seed's)
         stay under Ray Data's backpressure rather than all landing in
         the object store while slow spill tasks queue."""
@@ -725,27 +734,11 @@ class TestMultiTableStream:
 
 
 @pytest.mark.usefixtures("ray_session")
-class TestShuffleModes:
-    def test_object_store_sink_equals_external(self, small_stream, tmp_path):
-        spec, out, manifest = small_stream
-        lake_ext = str(tmp_path / "ext")
-        lake_obj = str(tmp_path / "obj")
-        run_to_lake(manifest, lake_ext, CdcConfig(num_partitions=8, shuffle="external"))
-        run_to_lake(manifest, lake_obj, CdcConfig(num_partitions=8, shuffle="object_store"))
-        a = read_lake(lake_ext).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        b = read_lake(lake_obj).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
-        assert a.equals(b)
-
-
-@pytest.mark.usefixtures("ray_session")
 class TestDecodeCounters:
-    COUNTERS = {"events_decoded", "row_images", "checksum_failures"}
-
     def test_counters_count_every_row_image(self, small_stream, tmp_path):
-        """The external exchange commits its spill tasks' decode counters:
-        a fresh run counts every row image the generator wrote, a follow
-        counts each increment's once, and the object store, whose decode
-        runs inside Ray Data, commits none."""
+        """A commit records its spill tasks' decode counters: a fresh run
+        counts every row image the generator wrote, and a follow counts
+        each increment's once."""
         from mysql_binlog_ray.pipelines.cdc import follow
 
         spec, out, manifest = small_stream
@@ -758,10 +751,6 @@ class TestDecodeCounters:
         steps = [follow(_prefix(manifest, upto), str(tmp_path / "inc"), cfg) for upto in (1, 2, 3)]
         assert sum(m["row_images"] for m in steps) == n_ops
         assert sum(m["events_decoded"] for m in steps) == fresh["events_decoded"]
-        obj = run_to_lake(
-            manifest, str(tmp_path / "obj"), CdcConfig(num_partitions=8, shuffle="object_store")
-        )
-        assert not self.COUNTERS & set(obj)
 
     def test_checksum_failure_is_counted(self, small_stream, tmp_path):
         """One flipped byte in one WRITE_ROWS event (on a copy of the
@@ -827,21 +816,26 @@ class TestCrashRecovery:
 
 @pytest.mark.usefixtures("ray_session")
 class TestResumeRepartition:
-    @pytest.mark.parametrize("shuffle", ["external", "object_store"])
     def test_resume_with_shrunk_num_partitions_no_duplicates(
-        self, small_stream, tmp_path, shuffle
+        self, small_stream, tmp_path, monkeypatch
     ):
         """Resume under a smaller num_partitions re-merges the whole lake
         into the new layout; prior partition files/manifest rows must NOT
-        survive (they would duplicate every key on read_lake)."""
+        survive (they would duplicate every key on read_lake).  The
+        re-merge runs no Ray Data execution and counts the increment's
+        row images only."""
         import glob
 
         spec, out, manifest = small_stream
-        lake = str(tmp_path / f"lake_{shuffle}")
+        lake = str(tmp_path / "lake")
         prefix = json.loads(json.dumps(manifest))
         prefix["shards"] = manifest["shards"][:2]
-        run_to_lake(prefix, lake, CdcConfig(num_partitions=16, shuffle=shuffle))
-        run_to_lake(manifest, lake, CdcConfig(num_partitions=8, shuffle=shuffle), resume=True)
+        run_to_lake(prefix, lake, CdcConfig(num_partitions=16))
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
+        step = run_to_lake(manifest, lake, CdcConfig(num_partitions=8), resume=True)
+        monkeypatch.undo()
+        assert runs == []
+        assert step["row_images"] == sum(s["num_ops"] for s in manifest["shards"][2:])
 
         m = json.load(open(f"{lake}/_manifest.json"))
         assert m["num_partitions"] == 8
@@ -854,16 +848,17 @@ class TestResumeRepartition:
         got = read_lake(lake).to_pandas()
         assert not got.duplicated(["repo", "path"]).any(), "duplicate keys after repartitioned resume"
         # and content matches a clean single run
-        lake_clean = str(tmp_path / f"clean_{shuffle}")
-        run_to_lake(manifest, lake_clean, CdcConfig(num_partitions=8, shuffle=shuffle))
+        lake_clean = str(tmp_path / "clean")
+        run_to_lake(manifest, lake_clean, CdcConfig(num_partitions=8))
         a = got.sort_values(["repo", "path"]).reset_index(drop=True)
         b = read_lake(lake_clean).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
         assert a.equals(b)
 
-    def test_resume_with_legacy_hash_algo_falls_back(self, small_stream, tmp_path):
+    def test_resume_with_legacy_hash_algo_falls_back(self, small_stream, tmp_path, monkeypatch):
         """A lake written under a different partition-hash algorithm must
         not be selectively resumed (keys would be looked up in the wrong
-        partitions); the fallback full re-merge still converges."""
+        partitions); the fallback full re-merge still converges, runs no
+        Ray Data execution and counts the increment's row images only."""
         spec, out, manifest = small_stream
         lake = str(tmp_path / "lake")
         prefix = json.loads(json.dumps(manifest))
@@ -875,7 +870,11 @@ class TestResumeRepartition:
         m["hash_algo"] = "pandas-siphash-v1"
         json.dump(m, open(mpath, "w"))
 
-        run_to_lake(manifest, lake, CdcConfig(num_partitions=8), resume=True)
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
+        step = run_to_lake(manifest, lake, CdcConfig(num_partitions=8), resume=True)
+        monkeypatch.undo()
+        assert runs == []
+        assert step["row_images"] == sum(s["num_ops"] for s in manifest["shards"][2:])
         got = read_lake(lake).to_pandas()
         assert not got.duplicated(["repo", "path"]).any()
         lake_clean = str(tmp_path / "clean")
@@ -1012,8 +1011,7 @@ class TestSnapshotBootstrap:
     value column (lineage differs by construction: snapshot rows carry
     (snapshot_seq, 0))."""
 
-    @pytest.mark.parametrize("shuffle", ["object_store", "external"])
-    def test_bootstrap_equals_full_replay(self, small_stream, tmp_path, shuffle):
+    def test_bootstrap_equals_full_replay(self, small_stream, tmp_path):
         from mysql_binlog_ray.pipelines.cdc import bootstrap_lake
 
         spec, out, manifest = small_stream
@@ -1034,16 +1032,15 @@ class TestSnapshotBootstrap:
             "plain": merged.drop_columns(["event_seq", "row_seq"]),
         }
         for name, snapshot in snapshots.items():
-            lake_boot = str(tmp_path / f"boot_{shuffle}_{name}")
-            cfg = CdcConfig(num_partitions=8, shuffle=shuffle)
+            lake_boot = str(tmp_path / f"boot_{name}")
+            cfg = CdcConfig(num_partitions=8)
             m = bootstrap_lake(snapshot, snapshot_seq, manifest, lake_boot, cfg)
             assert m["watermark"] == max(s["last_event_seq"] for s in manifest["shards"])
 
             got = _normalize(read_lake(lake_boot).to_pandas())
             assert got.equals(exp), f"{name} snapshot: bootstrapped lake differs from oracle"
 
-    @pytest.mark.parametrize("shuffle", ["object_store", "external"])
-    def test_empty_snapshot_lake_reads_compacts_follows(self, small_stream, tmp_path, shuffle):
+    def test_empty_snapshot_lake_reads_compacts_follows(self, small_stream, tmp_path):
         """A lake with zero live rows is a valid lake: read_lake returns
         an empty Dataset, compact_lake commits, and follow (under a
         partition count that differs from the compacted one, so the full
@@ -1055,7 +1052,7 @@ class TestSnapshotBootstrap:
         from mysql_binlog_ray.state.checkpoint import read_manifest
 
         spec, out, manifest = small_stream
-        lake = str(tmp_path / f"empty_{shuffle}")
+        lake = str(tmp_path / "empty")
         # an empty table snapshotted before the stream's first event
         snapshot_seq = manifest["shards"][0]["first_event_seq"] - 1
         m = seed_lake_from_snapshot(rd.from_items([]), snapshot_seq, lake, CdcConfig())
@@ -1066,7 +1063,7 @@ class TestSnapshotBootstrap:
         assert m["num_partitions"] == 4 and m["partitions"] == []
         assert read_manifest(lake)["watermark"] == snapshot_seq
 
-        follow(manifest, lake, CdcConfig(num_partitions=8, shuffle=shuffle))
+        follow(manifest, lake, CdcConfig(num_partitions=8))
         got = _normalize(read_lake(lake).to_pandas())
         exp = final_state_oracle(spec, out).to_pandas()
         exp["stars"] = exp["stars"].astype("float64")

@@ -317,7 +317,10 @@ class TestFollowDaemonBounds:
         """Each tick records the stream head; ``lag_events`` is the head
         minus the lake's prior watermark (-1 before the first commit), so
         a tick that applies only updates (``rows_delta`` 0) still shows
-        the progress it made."""
+        the progress it made, and so does ``row_images``, the commit's
+        row images.  A tick that does not advance the watermark gets back
+        the prior manifest, whose counters belong to the previous commit:
+        it applied 0 row images."""
         from mysql_binlog_ray.pipelines import tailer
 
         mpath = tmp_path / "manifest.json"
@@ -326,23 +329,30 @@ class TestFollowDaemonBounds:
             shards = [{"last_event_seq": 4}, {"last_event_seq": head}]
             mpath.write_text(json.dumps({"shards": shards, "table_maps": []}))
 
+        lake = {}
+
         def follow(stream, *a):
             head = max(s["last_event_seq"] for s in stream["shards"])
-            return {"watermark": head, "totals": {"rows": 5}}
+            if lake and lake["watermark"] >= head:
+                return dict(lake)  # a no-op step returns the prior manifest
+            lake.update(watermark=head, totals={"rows": 5}, row_images=3 * head)
+            return dict(lake)
 
         publish(9)
-        lakes = iter([None, {"watermark": 9, "totals": {"rows": 5}}])
         monkeypatch.setattr(tailer, "follow", follow)
-        monkeypatch.setattr(tailer, "read_manifest", lambda d: next(lakes))
+        monkeypatch.setattr(tailer, "read_manifest", lambda d: dict(lake) if lake else None)
 
         def on_stats(stats):
             publish(25)
 
         daemon = tailer.FollowDaemon(str(mpath), str(tmp_path), interval_sec=0, on_stats=on_stats)
-        first, second = daemon.run(max_iterations=2)
+        first, second, third = daemon.run(max_iterations=3)
         assert (first.source_head, first.prev_watermark, first.lag_events) == (9, None, 10)
+        assert first.row_images == 27
         assert (second.source_head, second.prev_watermark, second.lag_events) == (25, 9, 16)
-        assert second.rows_delta == 0 and second.advanced
+        assert second.rows_delta == 0 and second.advanced and second.row_images == 75
+        assert not third.advanced and third.lag_events == 0
+        assert third.rows_delta == 0 and third.row_images == 0 == third.row_images_per_sec
 
 
 class TestConfigEnvArgsLayering:
