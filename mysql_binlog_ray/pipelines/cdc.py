@@ -16,7 +16,10 @@ Nothing materializes the full stream; the only all-to-all exchange
 carries partially-combined rows, so a hot key reaches its merge task as
 at most one row per read unit.  Resume reads back only touched
 partitions, inside the merge task that rewrites them, so a
-``run_to_lake`` commit runs no Ray Data execution.  The Dataset-returning paths
+``run_to_lake`` commit runs no Ray Data execution.  The snapshot seed
+and ``compact_lake`` feed the same exchange (snapshot blocks, committed
+partition files) and write through the same merge task; the lake has
+one writer, :func:`_merge_write_partition`.  The Dataset-returning paths
 (``run_to_dataset``, ``state_as_of``) run the same kernels through
 :func:`merge_lww`.
 """
@@ -41,6 +44,7 @@ from ..stages.merge import (
     lww_partial,
 )
 from ..state.checkpoint import (
+    _fsync_dir,
     atomic_write_parquet,
     commit_manifest,
     read_manifest,
@@ -471,27 +475,37 @@ def _merge_write_partition(
     lake_dir: str,
     key_cols: tuple[str, ...],
     prior_rows: int,
+    zorder: tuple[list[str], int] | None,
 ) -> dict[str, Any]:
-    """The per-partition final merge of the keyed exchange: the increment's
-    rows for ``part``, then (selective resume, ``prior_rows > 0``) the
-    partition's committed lake rows, read back here rather than shipped
-    through the exchange; final LWW, key sort, one atomic zstd write.
+    """The lake's one writer, the per-partition final merge of the keyed
+    exchange: the increment's rows for ``part``, then (selective resume,
+    ``prior_rows > 0``) the partition's committed lake rows, read back
+    here rather than shipped through the exchange; final LWW, row order,
+    one atomic zstd write.
 
     The read-back goes AFTER the new rows so that a column added by DDL
     inside the increment keeps the position the decoder gives it.  Rows
-    are sorted by key, so a rerun produces byte-identical files
-    (exactly-once via idempotence, SURVEY §7.3).  Returns the manifest
-    entry plus ``prior_rows``, the committed rows read back for it.
+    are sorted by key, or with ``zorder = (cols, bits)`` (compaction
+    only) along the Morton curve over ``cols`` with ties in key order;
+    either way a rerun produces byte-identical files (exactly-once via
+    idempotence, SURVEY §7.3).  Returns the manifest entry plus
+    ``prior_rows``, the committed rows read back for it.
     """
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
+
+    from ..stages.layout import zorder_sort_indices
 
     path = _lake_partition_path(lake_dir, part)
     if prior_rows:
         # ParquetFile, not read_table: no hive `part` column is inferred
         new = [*new, _lake_rows_as_inserts(pq.ParquetFile(path).read())]
     final = lww_final(pa.concat_tables(new, promote_options="default"), key_cols)
-    final = final.take(pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols]))
+    if zorder:
+        order = zorder_sort_indices(final, *zorder, key_cols)
+    else:
+        order = pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols])
+    final = final.take(order)
     size = atomic_write_parquet(final, path, compression="zstd")
     mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
     return {
@@ -510,6 +524,7 @@ def _merge_spilled_partition(
     lake_dir: str,
     key_cols: tuple[str, ...],
     prior_rows: int,
+    zorder: tuple[list[str], int] | None,
 ) -> dict[str, Any]:
     """Merge half of the keyed exchange, one plain Ray task per
     touched partition: read the partition's spill row groups, then
@@ -517,7 +532,7 @@ def _merge_spilled_partition(
     import pyarrow.parquet as pq
 
     new = [pq.ParquetFile(path).read_row_groups(rgs) for path, rgs in chunks]
-    return _merge_write_partition(new, part, lake_dir, key_cols, prior_rows)
+    return _merge_write_partition(new, part, lake_dir, key_cols, prior_rows, zorder)
 
 
 def _spill(parted: pa.Table, spill_dir: str) -> list[tuple[int, str, int]]:
@@ -555,9 +570,10 @@ def _spill_task(
     ONCE (shards are written in row groups of up to 1Mi events, so a
     unit is not a row group of its own), then its ``k`` read units
     decoded, partially combined and spilled in turn.  Without, a
-    committed lake file path (the layout-change re-merge) or a snapshot
-    Dataset block, already flat.  Returns :func:`_spill`'s chunk index
-    entries and the decode counters."""
+    committed lake file path (the layout-change re-merge and
+    ``compact_lake``) or a snapshot Dataset block, already flat.
+    Returns :func:`_spill`'s chunk index entries and the decode
+    counters."""
     import pyarrow.parquet as pq
 
     dec = None
@@ -586,9 +602,14 @@ def _exchange(
     lake_dir: str,
     cfg: CdcConfig,
     prior_rows: dict[int, int],
+    zorder: tuple[list[str], int] | None = None,
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """The lake's one keyed exchange (Spark-external-shuffle shape) in
-    plain Ray tasks.  Spill half: one :func:`_spill_task` per ``(src,
+    plain Ray tasks, for every lake write: ``run_to_lake`` (event read
+    units, plus the committed partition files on a layout change),
+    ``seed_lake_from_snapshot`` (snapshot blocks) and ``compact_lake``
+    (committed partition files, ``zorder`` row order, written to its
+    staging dir).  Spill half: one :func:`_spill_task` per ``(src,
     decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
     blocks stay under Ray Data's backpressure; their chunk indexes list
     every touched partition.  Merge half: one
@@ -624,7 +645,7 @@ def _exchange(
         # an increment with no row events touches no partition
         merges = [
             _merge_spilled_partition.remote(
-                _group_rgs(by_part[p]), p, lake_dir, cfg.key_cols, prior_rows.get(p, 0)
+                _group_rgs(by_part[p]), p, lake_dir, cfg.key_cols, prior_rows.get(p, 0), zorder
             )
             for p in sorted(by_part)
         ]
@@ -801,7 +822,7 @@ def run_tables_to_lakes(
     into ``base_dir/<schema>.<table>``; every lake keeps its own
     watermark manifest, so each table resumes independently.  With
     ``concurrency > 1``, that many tables run AT ONCE from driver
-    threads — each thread drives its own Ray Data streaming executor, so
+    threads — each thread submits its own spill and merge tasks, so
     their stages interleave on the cluster (per-table state is fully
     disjoint: lake dir, spill dir, watermark manifest; the pipelines
     only share the immutable input shards).  Useful when tables are
@@ -825,44 +846,12 @@ def run_tables_to_lakes(
 
     from concurrent.futures import ThreadPoolExecutor
 
-    undo = _pin_fsspec_http_module()
-    try:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            futs = {
-                f"{schema}.{table}": pool.submit(one, schema, table, cfg)
-                for (schema, table), cfg in table_cfgs.items()
-            }
-            return {name: f.result() for name, f in futs.items()}
-    finally:
-        undo()
-
-
-def _pin_fsspec_http_module():
-    """Ray's read path lazily imports ``fsspec.implementations.http`` and
-    treats ModuleNotFoundError (no aiohttp) as "not an http filesystem".
-    A FAILED import is removed from ``sys.modules``, so two driver
-    threads racing that import can observe each other's half-initialized
-    module and get a bare ImportError Ray does NOT catch.  When the real
-    import fails, pin an inert placeholder for the duration of the
-    threaded section (isinstance against the placeholder class is False
-    — identical semantics to the ModuleNotFoundError path).  Returns an
-    undo callable."""
-    import sys
-    import types
-
-    try:
-        import fsspec.implementations.http  # noqa: F401
-
-        return lambda: None
-    except ModuleNotFoundError:
-        # the documented no-aiohttp case; anything else (broken fsspec,
-        # SyntaxError) must propagate, not be masked by an inert stub
-        pass
-    name = "fsspec.implementations.http"
-    mod = types.ModuleType(name)
-    mod.HTTPFileSystem = type("HTTPFileSystem", (), {})
-    sys.modules[name] = mod
-    return lambda: sys.modules.pop(name, None)
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        futs = {
+            f"{schema}.{table}": pool.submit(one, schema, table, cfg)
+            for (schema, table), cfg in table_cfgs.items()
+        }
+        return {name: f.result() for name, f in futs.items()}
 
 
 def read_lake(lake_dir: str) -> rd.Dataset:
@@ -969,101 +958,46 @@ def compact_lake(
     and the switch is atomic via the manifest commit.  Old partition
     dirs beyond the new count are removed after the commit.
 
+    The committed partition files go through the keyed exchange and
+    its one writer into ``lake_dir/_compact``, as ``run_to_lake``'s
+    layout-change re-merge does, so the files equal a one-shot run at
+    ``new_num_partitions`` byte for byte.  Only then are they moved into
+    place, each ``part=`` dir fsync'd, and the manifest committed: a
+    crash while the files are written leaves the committed lake
+    untouched (the moves are not atomic as a group).
+
     ``zorder_cols`` (integer columns) switches the intra-partition row
     order from the key sort to the Morton curve over those columns (the
-    OPTIMIZE ZORDER analog): parquet row-group min/max stats then prune
-    on EVERY listed column for range scans over the lake.  Partition
-    membership, content, watermark, and resume metadata are untouched —
-    only row order inside each partition file changes.
+    OPTIMIZE ZORDER analog), with ties in key order: parquet row-group
+    min/max stats then prune on EVERY listed column for range scans
+    over the lake.  Partition membership, content, watermark, and
+    resume metadata are untouched — only row order inside each
+    partition file changes.  The order lasts until the next
+    ``follow`` step that touches the partition, which rewrites it in
+    key order.
     """
     import shutil as _shutil
-
-    import pyarrow.compute as pc
+    from dataclasses import replace
 
     cfg = cfg or CdcConfig()
     m = read_manifest(lake_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest in {lake_dir}")
     key_cols = tuple(m.get("key_cols") or cfg.key_cols)
-    ds = read_lake(lake_dir)
-    parted = ds.map_batches(
-        lambda b: add_partition_column(b, key_cols, new_num_partitions),
-        batch_format="pyarrow",
-    )
-
+    cfg = replace(cfg, key_cols=key_cols, num_partitions=new_num_partitions)
     staging = os.path.join(lake_dir, "_compact")
     _shutil.rmtree(staging, ignore_errors=True)
-
-    def write_part(group: pa.Table) -> pa.Table:
-        part = int(group.column("_part")[0].as_py())
-        final = group.drop_columns(["_part"])
-        if zorder_cols:
-            import numpy as np
-
-            from ..stages.layout import zorder_values
-
-            # Each column is MIN-MAX NORMALIZED into the bits budget per
-            # file before interleaving — without this, any column whose
-            # range exceeds 2^bits aliases (x & 0xFFFF) and the curve
-            # degenerates to ordering by the low bits, destroying the
-            # promised min/max pruning.  NULL/NaN map to the column min
-            # (sort first, deterministic).  All of this is a PHYSICAL
-            # row-order choice only; values are untouched, so no
-            # oracle/SQL parity is at stake (unlike add_zorder_key,
-            # which refuses NULLs and keeps mask semantics for its SQL
-            # twin).
-            top = float((1 << zorder_bits) - 1)
-            quantized = []
-            for c in zorder_cols:
-                x = final[c].to_numpy(zero_copy_only=False).astype(np.float64)
-                finite = np.isfinite(x)
-                lo = float(x[finite].min()) if finite.any() else 0.0
-                hi = float(x[finite].max()) if finite.any() else 0.0
-                x = np.where(finite, x, lo)
-                span = hi - lo
-                q = (
-                    ((x - lo) * (top / span)).astype(np.int64)
-                    if span > 0
-                    else np.zeros(len(x), np.int64)
-                )
-                quantized.append(q)
-            z = zorder_values(quantized, zorder_bits)
-            final = final.take(pa.array(np.argsort(z, kind="stable")))
-        else:
-            final = final.take(
-                pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols])
-            )
-        size = atomic_write_parquet(
-            final, _lake_partition_path(staging, part), compression="zstd"
-        )
-        mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
-        return pa.table(
-            {
-                "part": pa.array([part], pa.int32()),
-                "rows": pa.array([final.num_rows], pa.int64()),
-                "bytes": pa.array([size], pa.int64()),
-                "max_event_seq": pa.array([mx], pa.int64()),
-            }
-        )
-
-    stats = parted.groupby("_part").map_groups(write_part, batch_format="pyarrow").take_all()
-    # move staged partitions into place, then commit the new layout
-    for r in stats:
-        part = int(r["part"])
-        src = _lake_partition_path(staging, part)
-        dst = _lake_partition_path(lake_dir, part)
+    sources = [(path, None) for path in _live_partition_paths(lake_dir, m)]
+    zorder = (zorder_cols, zorder_bits) if zorder_cols else None
+    parts, _ = _exchange(sources, staging, cfg, {}, zorder)
+    # move staged partitions into place, durably, then commit the layout
+    for p in parts:
+        del p["prior_rows"]
+        dst = _lake_partition_path(lake_dir, p["part"])
         os.makedirs(os.path.dirname(dst), exist_ok=True)
-        os.replace(src, dst)
+        os.replace(_lake_partition_path(staging, p["part"]), dst)
+        _fsync_dir(os.path.dirname(dst))
     _shutil.rmtree(staging, ignore_errors=True)
-    parts = [
-        {
-            "part": int(r["part"]),
-            "rows": int(r["rows"]),
-            "bytes": int(r["bytes"]),
-            "max_event_seq": int(r["max_event_seq"]),
-        }
-        for r in stats
-    ]
     return _commit_lake(lake_dir, m["watermark"], parts, key_cols, new_num_partitions)
 
 

@@ -56,7 +56,20 @@ def _rp(path, *, columns=None, **kw):
     and a hard block-count cap would grow block SIZE past worker heaps
     at TB scale.  The arithmetic is `adaptive_num_parts`' (one copy of
     the size-partitions-to-data rule); only the 1 GiB passthrough is
-    read-specific.  A directory counts as the parquet files under it."""
+    read-specific.  A directory counts as the parquet files under it.
+
+    Why 4 MiB and not the 16 MiB of compressed payload per block of
+    ``cdc.event_read_units``: no measurement says.  The record
+    (BASELINE.md, "Round 5: data-scaled read blocks" and its correction
+    paragraph) measures only the switch from Ray's CPU-proportional
+    split to a data-scaled one (the 163 s -> 55 s above), and that run
+    cannot tell the two targets apart: every sf0.01 table is under
+    32 MiB, where both leave the floor of 8 blocks.  (The entry first
+    named ~16 MiB; its correction records the shipped 4 MiB.)  The
+    fan-out reason above is a design reason, not a measured one; the
+    two rules also size different bytes, decoded query columns here
+    and binlog payload still to be decoded there.  Fold them only
+    after an A/B on tables over 32 MiB."""
     if "override_num_blocks" not in kw:
         try:
             paths = _parquet_files(path)

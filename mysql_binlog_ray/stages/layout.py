@@ -14,13 +14,17 @@ the same expression generated term-by-term — exact by construction.
 Scale shape: the z-value is a vectorized map stage; the clustering
 itself is ONE ``Dataset.sort`` (a range-partitioning all-to-all — the
 same cost class as any layout rewrite, run once per compaction, not
-per query).
+per query).  ``compact_lake`` instead orders each partition file on its
+own (:func:`zorder_sort_indices`) inside the lake's per-partition merge.
 """
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import ray.data as rd
 
 
@@ -50,6 +54,42 @@ def zorder_values(cols: list[np.ndarray], bits: int = 16) -> np.ndarray:
         for k in range(bits):
             z |= ((xm >> np.uint64(k)) & one) << np.uint64(k * n + c)
     return z.view(np.int64)
+
+
+def zorder_sort_indices(
+    tab: pa.Table, cols: list[str], bits: int, tie_cols: Sequence[str]
+) -> pa.Array:
+    """Row order of ``tab`` along the Morton curve over ``cols``, equal
+    z-values in ``tie_cols`` order (the lake key: unique per file, so
+    the order is total and a rerun writes identical bytes)."""
+    # Each column is MIN-MAX NORMALIZED into the bits budget per file
+    # before interleaving — without this, any column whose range
+    # exceeds 2^bits aliases (x & 0xFFFF) and the curve degenerates to
+    # ordering by the low bits, destroying the promised min/max
+    # pruning.  NULL/NaN map to the column min (sort first,
+    # deterministic).  All of this is a PHYSICAL row-order choice only;
+    # values are untouched, so no oracle/SQL parity is at stake (unlike
+    # add_zorder_key, which refuses NULLs and keeps mask semantics for
+    # its SQL twin).
+    top = float((1 << bits) - 1)
+    quantized = []
+    for c in cols:
+        x = tab[c].to_numpy(zero_copy_only=False).astype(np.float64)
+        finite = np.isfinite(x)
+        lo = float(x[finite].min()) if finite.any() else 0.0
+        hi = float(x[finite].max()) if finite.any() else 0.0
+        x = np.where(finite, x, lo)
+        span = hi - lo
+        q = (
+            ((x - lo) * (top / span)).astype(np.int64)
+            if span > 0
+            else np.zeros(len(x), np.int64)
+        )
+        quantized.append(q)
+    z = zorder_values(quantized, bits)
+    names = ["z", *(f"k{i}" for i in range(len(tie_cols)))]
+    keyed = pa.Table.from_arrays([pa.array(z), *(tab[k] for k in tie_cols)], names=names)
+    return pc.sort_indices(keyed, sort_keys=[(n, "ascending") for n in names])
 
 
 def zorder_sql_expr(col_exprs: list[str], bits: int = 16) -> str:

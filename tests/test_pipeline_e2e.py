@@ -925,10 +925,12 @@ class TestMultiTableLakes:
         # typed columns survived decode + merge + parquet round-trip
         assert issues["n_comments"].dtype.kind == "i"
 
-    def test_concurrent_tables_equal_sequential(self, tmp_path):
+    def test_concurrent_tables_equal_sequential(self, tmp_path, monkeypatch):
         """concurrency=2 runs both tables' pipelines from driver threads;
         lakes are identical to the sequential run (disjoint lake/spill
-        state; only the immutable input shards are shared)."""
+        state; only the immutable input shards are shared).  The threads
+        drive plain Ray tasks only, no Ray Data executor, so nothing needs
+        to guard Ray Data's lazy imports against thread races."""
         from mysql_binlog_ray.pipelines.cdc import (
             CdcConfig,
             read_lake,
@@ -945,12 +947,88 @@ class TestMultiTableLakes:
         seq = str(tmp_path / "seq")
         conc = str(tmp_path / "conc")
         run_tables_to_lakes(manifest, seq, cfgs)
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
         res = run_tables_to_lakes(manifest, conc, cfgs, concurrency=2)
+        assert runs == []
+        monkeypatch.undo()
         assert set(res) == {"code.repos", "code.issues"}
         for name, keys in [("code.repos", ["repo", "path"]), ("code.issues", ["issue_id"])]:
             a = read_lake(f"{seq}/{name}").to_pandas().sort_values(keys).reset_index(drop=True)
             b = read_lake(f"{conc}/{name}").to_pandas().sort_values(keys).reset_index(drop=True)
             assert a.equals(b), name
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCompactionOneWriter:
+    """``compact_lake`` re-layouts through the keyed exchange and the
+    lake's one writer, ``_merge_write_partition``."""
+
+    @pytest.mark.parametrize("new_parts", [4, 5])
+    def test_compact_equals_one_shot_without_ray_data(
+        self, small_stream, tmp_path, monkeypatch, new_parts
+    ):
+        """16 -> ``new_parts`` runs no Ray Data execution and leaves every
+        partition file and manifest entry equal to a one-shot run at the
+        new count."""
+        from mysql_binlog_ray.pipelines.cdc import compact_lake
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / "lake")
+        run_to_lake(manifest, lake, CdcConfig(num_partitions=16))
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
+        m = compact_lake(lake, new_parts)
+        assert runs == []
+        monkeypatch.undo()
+        lake_full = str(tmp_path / "full")
+        full = run_to_lake(manifest, lake_full, CdcConfig(num_partitions=new_parts))
+        files = _part_files(lake)
+        assert len(files) == new_parts and files == _part_files(lake_full)
+        assert m["num_partitions"] == new_parts
+        assert m["partitions"] == full["partitions"]
+        assert not os.path.exists(os.path.join(lake, "_compact"))
+
+    def test_zorder_compact_is_deterministic_with_key_ties(self, small_stream, tmp_path):
+        """Two z-order compactions of copies of one lake write identical
+        bytes, and each file's rows ascend by (Morton value, key).  Two
+        bits per column make equal Morton values common, so the key must
+        break the ties (spill chunks reach a merge task in the order of
+        their random names)."""
+        import numpy as np
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import compact_lake
+        from mysql_binlog_ray.stages.layout import zorder_values
+
+        spec, out, manifest = small_stream
+        src = str(tmp_path / "src")
+        run_to_lake(manifest, src, CdcConfig(num_partitions=8))
+        written = []
+        for i in range(2):
+            lake = str(tmp_path / f"z{i}")
+            shutil.copytree(src, lake)
+            compact_lake(lake, 4, zorder_cols=["stars", "event_seq"], zorder_bits=2)
+            written.append(_part_files(lake))
+        assert len(written[0]) == 4 and written[0] == written[1]
+
+        def quantize(col):
+            x = col.to_numpy(zero_copy_only=False).astype(np.float64)
+            finite = np.isfinite(x)
+            lo = x[finite].min() if finite.any() else 0.0
+            hi = x[finite].max() if finite.any() else 0.0
+            x = np.where(finite, x, lo)
+            span = hi - lo
+            if span <= 0:
+                return np.zeros(len(x), np.int64)
+            return ((x - lo) * (3.0 / span)).astype(np.int64)
+
+        ties = 0
+        for f in glob.glob(f"{tmp_path}/z0/part=*/data.parquet"):
+            t = pq.ParquetFile(f).read()
+            z = zorder_values([quantize(t["stars"]), quantize(t["event_seq"])], 2)
+            rows = list(zip(z.tolist(), t["repo"].to_pylist(), t["path"].to_pylist()))
+            assert rows == sorted(rows), f
+            ties += int((np.diff(z) == 0).sum())
+        assert ties > 0
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -1233,3 +1311,9 @@ class TestOneLakeWriter:
             for fn in self._calls(path, "lww_final"):
                 callers.setdefault(os.path.basename(path), []).append(fn)
         assert callers == {"cdc.py": ["merge_lww", "_merge_write_partition"]}
+
+    def test_atomic_write_parquet_called_from_lake_writer_only(self):
+        """Every lake file write (run_to_lake, snapshot seed, compaction)
+        goes through the per-partition merge of the keyed exchange."""
+        calls = self._calls(os.path.join(self.PIPELINES, "cdc.py"), "atomic_write_parquet")
+        assert calls == {"_merge_write_partition": 1}

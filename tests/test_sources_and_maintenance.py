@@ -162,6 +162,37 @@ class TestCompaction:
         follow(manifest, lake, CdcConfig(num_partitions=8))
         assert _normalize(read_lake(lake).to_pandas()).equals(before)
 
+    def test_moved_files_fsynced_before_commit(self, small_stream, tmp_path, monkeypatch):
+        """After a power loss, the committed manifest must not name a
+        layout whose ``part=`` dir still holds the old file: every
+        destination dir is fsync'd after its rename, before the manifest
+        commit."""
+        import os
+
+        from mysql_binlog_ray.pipelines import cdc
+        from mysql_binlog_ray.state import checkpoint
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / "lake")
+        run_to_lake(manifest, lake, CdcConfig(num_partitions=8))
+        calls = []
+
+        def fsync_dir(path):
+            calls.append(("fsync", os.path.normpath(path)))
+            checkpoint._fsync_dir(path)
+
+        def commit(lake_dir, *a, **k):
+            calls.append(("commit", lake_dir))
+            return checkpoint.commit_manifest(lake_dir, *a, **k)
+
+        monkeypatch.setattr(cdc, "_fsync_dir", fsync_dir, raising=False)
+        monkeypatch.setattr(cdc, "commit_manifest", commit)
+        m = compact_lake(lake, 5)
+        dirs = {os.path.normpath(f"{lake}/part={p['part']:05d}") for p in m["partitions"]}
+        assert len(dirs) == 5
+        assert calls[-1] == ("commit", lake)
+        assert {path for kind, path in calls[:-1] if kind == "fsync"} == dirs
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestSelectiveResume:
