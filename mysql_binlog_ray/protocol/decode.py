@@ -12,7 +12,7 @@ Performance design: for every TableMapDef we compile a *decode plan* — a
 flat list of per-column reader closures — once, and cache it keyed by
 ``table_id``.  The per-row hot loop then only walks the null bitmap and
 calls pre-bound readers; there is no type dispatch per cell.  This is the
-"setup once per actor, work per batch" discipline the Ray stage wraps.
+"setup once per decoder, work per batch" discipline the decode stage wraps.
 
 Known deliberate divergence from the reference: negative NEWDECIMAL
 groups of 1 byte are read unsigned by the reference
@@ -701,27 +701,6 @@ def parse_table_map(payload: bytes, header: EventHeader) -> TableMapDef:
     )
 
 
-def _read_row(
-    payload: bytes, off: int, plan: DecodePlan, present_count: int
-) -> tuple[dict[str, Any], int]:
-    """One row image: null bitmap walk + pre-bound cell readers
-    (`RowFactory.php:56-169`).  FULL row image assumed (all columns
-    present), which the reference enforces server-side
-    (`Connection.php:102-115`)."""
-    nbl = (present_count + 7) >> 3
-    null_bm = payload[off : off + nbl]
-    off += nbl
-    row: dict[str, Any] = {}
-    names = plan.names
-    readers = plan.readers
-    for i in range(present_count):
-        if null_bm[i >> 3] & (1 << (i & 7)):
-            row[names[i]] = None
-        else:
-            row[names[i]], off = readers[i](payload, off)
-    return row, off
-
-
 _ROWS_OP = {
     EventType.WRITE_ROWS_V1: ("insert", False, False),
     EventType.WRITE_ROWS_V2: ("insert", True, False),
@@ -732,45 +711,83 @@ _ROWS_OP = {
 }
 
 
+def rows_body_offset(payload, etype: int, plan: DecodePlan) -> tuple[int, bool]:
+    """The ONE ROWS-event prologue (`EventsIterator.php:370-420`): skip
+    table id, flags and the v2 extra data, check the column count and
+    the columns-present bitmap(s) against ``plan``.  Returns the offset
+    of the first row image and whether each row carries an after-image.
+
+    A column count that is NULL or differs from the plan's width means
+    the event was resolved against the wrong table map (e.g. a table id
+    reused across files); the row images would decode misaligned, so
+    refuse loudly instead."""
+    _op, v2, has_after = _ROWS_OP[etype]
+    off = 1 + 19 + 6 + 2  # OK byte + header + table id + row-event flags
+    if v2:
+        # extra_row_info length INCLUDES its own two bytes (spec); the
+        # reference divides by 8 instead (`EventsIterator.php:408`) —
+        # DOCUMENTED DIVERGENCE, identical when extra == 2 (no info)
+        off += max(2, _u16.unpack_from(payload, off)[0])
+    n, off = read_coded_binary(payload, off)
+    width = len(plan.names)
+    if n != width:
+        tm = plan.table_map
+        got = "a NULL column count" if n is None else f"{n} columns"
+        raise ValueError(
+            f"ROWS event for table {tm.schema_name}.{tm.table_name} carries "
+            f"{got} but its table map has {width}"
+        )
+    bml = len(plan.full_bitmap)
+    check_full_row_image(payload, off, plan)
+    off += bml  # columns-present bitmap (verified: all set)
+    if has_after:
+        check_full_row_image(payload, off, plan)
+        off += bml  # after-image bitmap
+    return off, has_after
+
+
+def _read_row(payload: bytes, off: int, plan: DecodePlan) -> tuple[dict[str, Any], int]:
+    """One row image: null bitmap walk + pre-bound cell readers
+    (`RowFactory.php:56-169`).  FULL row image assumed (all columns
+    present), which the reference enforces server-side
+    (`Connection.php:102-115`)."""
+    nbl = len(plan.full_bitmap)
+    null_bm = payload[off : off + nbl]
+    off += nbl
+    row: dict[str, Any] = {}
+    names = plan.names
+    readers = plan.readers
+    for i in range(len(readers)):
+        if null_bm[i >> 3] & (1 << (i & 7)):
+            row[names[i]] = None
+        else:
+            row[names[i]], off = readers[i](payload, off)
+    return row, off
+
+
 def parse_rows_event(
     payload: bytes,
     header: EventHeader,
     plans: dict[int, DecodePlan],
 ) -> RowsEvent:
     """WRITE/UPDATE/DELETE_ROWS v1/v2 (`EventsIterator.php:370-506`)."""
-    op, v2, has_after = _ROWS_OP[EventType(header.type)]
-    off = 1 + 19
-    table_id = int.from_bytes(payload[off : off + 6], "little")
-    off += 6
-    off += 2  # row-event flags
-    if v2:
-        extra = _u16.unpack_from(payload, off)[0]
-        off += 2
-        # extra_row_info length INCLUDES its own two bytes (spec); the
-        # reference divides by 8 instead (`EventsIterator.php:408`) —
-        # DOCUMENTED DIVERGENCE, identical when extra == 2 (no info)
-        off += max(0, extra - 2)
-    n, off = read_coded_binary(payload, off)
-    assert n is not None
-    bml = (n + 7) >> 3
+    table_id = int.from_bytes(payload[20:26], "little")
     plan = plans[table_id]
-    check_full_row_image(payload, off, plan)
-    off += bml  # columns-present bitmap (verified: all set)
-    if has_after:
-        check_full_row_image(payload, off, plan)
-        off += bml  # after-image bitmap
+    off, has_after = rows_body_offset(payload, header.type, plan)
     rows: list[dict[str, Any]] = []
     end = header.payload_size
     if has_after:
         while off < end:
-            before, off = _read_row(payload, off, plan, n)
-            after, off = _read_row(payload, off, plan, n)
+            before, off = _read_row(payload, off, plan)
+            after, off = _read_row(payload, off, plan)
             rows.append({"before": before, "after": after})
     else:
         while off < end:
-            row, off = _read_row(payload, off, plan, n)
+            row, off = _read_row(payload, off, plan)
             rows.append(row)
-    return RowsEvent(op=op, table_id=table_id, table_map=plan.table_map, rows=rows)
+    return RowsEvent(
+        op=_ROWS_OP[header.type][0], table_id=table_id, table_map=plan.table_map, rows=rows
+    )
 
 
 def parse_rotate(payload: bytes, header: EventHeader) -> tuple[str, int]:
@@ -840,5 +857,6 @@ __all__ = [
     "parse_table_map",
     "parse_xid",
     "read_coded_binary",
+    "rows_body_offset",
     "verify_checksum",
 ]

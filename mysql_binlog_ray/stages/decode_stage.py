@@ -1,11 +1,18 @@
-"""Ray Data decode stage: serialized binlog events -> Arrow changefeed.
+"""Decode stage: serialized binlog events -> Arrow changefeed.
 
-SURVEY.md §2.7 M2/M3/M4: a stateful callable class for
-``Dataset.map_batches(BinlogDecoder, batch_format="pyarrow",
-concurrency=N)``.  All expensive setup — compiling per-table decode
-plans, resolving the target schema, building the column remap for
-late-binding casts — happens once per actor in ``__init__``; ``__call__``
-only walks payload bytes.
+SURVEY.md §2.7 M2/M3/M4: ``BinlogDecoder`` is a stateful callable over
+pyarrow batches ``(shard_id, event_seq, payload)``.  All expensive setup
+— compiling per-table decode plans, resolving the target schema,
+building the column remap for late-binding casts — happens once per
+decoder in ``__init__``; the lake exchange's ``_spill_task`` builds one
+decoder per task and ``_map_decoder`` (the Dataset-returning paths)
+caches one per worker, so ``__call__`` only walks payload bytes.
+
+The three output modes (changefeed, flat, json) share ONE event walk,
+``_row_events`` — the reference's single ``EventsIterator`` loop
+(`EventsIterator.php:73-88`) — and ONE ROWS-event prologue,
+``protocol.decode.rows_body_offset``; a mode only chooses how it emits
+the rows of each accepted ROWS event.
 
 Semantics reproduced from the reference (citations in protocol/decode.py):
 
@@ -37,12 +44,12 @@ import pyarrow as pa
 from ..protocol.constants import ColumnType, EventType
 from ..protocol.decode import (
     DecodePlan,
-    check_full_row_image,
     parse_format_description,
     parse_header,
+    parse_rows_event,
     parse_table_map,
     parse_xid,
-    read_coded_binary,
+    rows_body_offset,
     verify_checksum,
 )
 from ..protocol.model import ColumnDef, TableMapDef
@@ -56,7 +63,6 @@ _OP_BY_TYPE = {
     0x19: "delete",
     0x20: "delete",
 }
-_V2_TYPES = {0x1E, 0x1F, 0x20}
 # run-length op encoding for the flat path (expanded via np.repeat)
 _OP_NAMES_ARROW = pa.array(["insert", "update", "delete"], pa.string())
 _OP_CODE_BY_TYPE = {0x17: 0, 0x1E: 0, 0x18: 1, 0x1F: 1, 0x19: 2, 0x20: 2}
@@ -345,8 +351,9 @@ class BinlogDecoder:
         self.registry_actor_name = registry_actor_name
         self._registry_handle = None
 
-        # metrics (M9): per-actor counters, surfaced via ds.stats() timing +
-        # pulled by the pipeline when run through an actor pool
+        # metrics (M9): per-decoder counters, kept by the one event walk;
+        # _spill_task returns them with its chunk index and the exchange
+        # sums them into the commit's stats
         self.n_events = 0
         self.n_rows = 0
         self.n_bytes = 0
@@ -530,15 +537,54 @@ class BinlogDecoder:
             out.extend(mv[offs[i] : offs[i + 1]] for i in range(len(chunk)))
         return out
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def _row_events(self, batch: pa.Table, commit_seqs: list):
+        """The ONE event walk shared by the three output modes (the
+        reference's single `EventsIterator` loop, `EventsIterator.php:73-88`).
+        Yields each accepted ROWS event as ``(shard_id, event_seq, etype,
+        table_id, state, header, payload, ctx)``; every other event goes
+        through ``_handle_marker``, which stamps ``commit_seqs`` (the
+        caller's per-row list) in place — so a caller reads
+        ``ctx.cur_commit`` after each yield, never before.  Json mode has
+        no target table, so it skips the target check."""
         shard_ids = batch.column("shard_id").to_numpy(zero_copy_only=False)
         event_seqs = batch.column("event_seq").to_numpy(zero_copy_only=False)
         payloads = self._payload_views(batch)
         self._begin_block()
+        start_after = self.start_after_seq
+        target = self.target_table
+        ctx = _BlockCtx(self.checksum_size)
+        for shard_id, event_seq, payload in zip(shard_ids, event_seqs, payloads):
+            if start_after is not None and event_seq <= start_after:
+                continue  # F2 replay-skip (`EventsIterator.php:207-215`)
+            etype = payload[5]
+            self.n_events += 1
+            self.n_bytes += len(payload)
+            if etype not in _ROWS_TYPES:
+                self._handle_marker(etype, payload, ctx, commit_seqs)
+                continue
+            table_id = int.from_bytes(payload[20:26], "little")
+            if self.filtered.get(table_id):
+                continue  # F1: filtered tables never deserialized
+            st = self._resolve(table_id)
+            if target is not None:
+                tm = st.plan.table_map
+                if (tm.schema_name, tm.table_name) != target:
+                    if self.filtered.get(table_id) is None:
+                        self.filtered[table_id] = True
+                    continue
+            if self._row_filtered(table_id, st):
+                continue  # F1 applies even without an in-band map
+            if self.verify and not verify_checksum(payload, ctx.checksum_size):
+                self.n_checksum_failures += 1
+                continue
+            h = parse_header(payload, ctx.checksum_size)
+            yield shard_id, event_seq, etype, table_id, st, h, payload, ctx
+
+    def __call__(self, batch: pa.Table) -> pa.Table:
         if self.output == "flat":
-            return self._call_flat(shard_ids, event_seqs, payloads)
+            return self._call_flat(batch)
         if self.output == "json":
-            return self._call_json(shard_ids, event_seqs, payloads)
+            return self._call_json(batch)
 
         n_target = len(self.target_names)
         # accumulators (columnar; struct children + null masks)
@@ -555,38 +601,9 @@ class BinlogDecoder:
         after_null: list[bool] = []
         commit_seqs: list[int] = []
 
-        start_after = self.start_after_seq
-        # commit stamping (M4) + marker semantics live in ONE place:
-        # _handle_marker (shared by all three decode modes)
-        ctx = _BlockCtx(self.checksum_size)
-
-        for shard_id, event_seq, payload in zip(shard_ids, event_seqs, payloads):
-            if start_after is not None and event_seq <= start_after:
-                continue  # F2 replay-skip (`EventsIterator.php:207-215`)
-            etype = payload[5]
-            self.n_events += 1
-            self.n_bytes += len(payload)
-
-            if etype not in _ROWS_TYPES:
-                self._handle_marker(etype, payload, ctx, commit_seqs)
-                continue
-            # cheap pre-checks before any row decode
-            off = 20
-            table_id = int.from_bytes(payload[off : off + 6], "little")
-            if self.filtered.get(table_id):
-                continue  # F1: filtered tables never deserialized
-            st = self._resolve(table_id)
-            tm = st.plan.table_map
-            if (tm.schema_name, tm.table_name) != self.target_table:
-                if self.filtered.get(table_id) is None:
-                    self.filtered[table_id] = True
-                continue
-            if self._row_filtered(table_id, st):
-                continue  # F1 applies even without an in-band map
-            if self.verify and not verify_checksum(payload, ctx.checksum_size):
-                self.n_checksum_failures += 1
-                continue
-            h = parse_header(payload, ctx.checksum_size)
+        for shard_id, event_seq, etype, table_id, st, h, payload, ctx in self._row_events(
+            batch, commit_seqs
+        ):
             n_rows = self._decode_rows_into(
                 payload,
                 h,
@@ -656,27 +673,13 @@ class BinlogDecoder:
         """Decode a ROWS event straight into columnar accumulators
         (`EventsIterator.php:370-506` + `RowFactory.php:28-182`)."""
         op = _OP_BY_TYPE[etype]
-        off = 20 + 6 + 2  # OK byte + header + table id + row-event flags
-        if etype in _V2_TYPES:
-            extra = int.from_bytes(payload[off : off + 2], "little")
-            # extra length includes its own 2 bytes (spec; diverges from
-            # the reference's /8 bug — identical when extra == 2)
-            off += max(2, extra)
-        n, off = read_coded_binary(payload, off)
-        bml = (n + 7) >> 3
-        check_full_row_image(payload, off, st.plan)
-        off += bml
-        has_after = op == "update"
-        if has_after:
-            check_full_row_image(payload, off, st.plan)
-            off += bml
-
         plan = st.plan
+        off, has_after = rows_body_offset(payload, etype, plan)
         readers = plan.readers
         remap = st.remap
         n_src = len(readers)
         end = header.payload_size
-        nbl = (n + 7) >> 3
+        nbl = len(plan.full_bitmap)
 
         # decode into source-order scratch columns, then remap to target
         scratch: list[list] = [[] for _ in range(n_src)]
@@ -723,14 +726,17 @@ class BinlogDecoder:
             after_null.extend([False] * n_rows)
         return n_rows
 
-
-    def _call_json(self, shard_ids, event_seqs, payloads) -> pa.Table:
+    def _call_json(self, batch: pa.Table) -> pa.Table:
         """Multi-table single-pass decode: EVERY non-filtered table's row
         events in one walk, rendered as JSON row images — the Ray batch
         analog of the reference's all-tables event iteration
         (`examples/print-row-events.php:37-43`, JSON shape per
-        `WriteRows.php:26-32` and friends)."""
+        `WriteRows.php:26-32` and friends).  Rows decode through
+        ``parse_rows_event`` in source column order (no target remap)."""
         import json as _json
+
+        def dump(row: dict | None) -> str | None:
+            return None if row is None else _json.dumps(row, ensure_ascii=False)
 
         schemas: list[str] = []
         tables: list[str] = []
@@ -743,42 +749,23 @@ class BinlogDecoder:
         befores: list[str | None] = []
         afters: list[str | None] = []
 
-        start_after = self.start_after_seq
-        ctx = _BlockCtx(self.checksum_size)  # marker semantics: _handle_marker
-
-        for shard_id, event_seq, payload in zip(shard_ids, event_seqs, payloads):
-            if start_after is not None and event_seq <= start_after:
-                continue
-            etype = payload[5]
-            self.n_events += 1
-            self.n_bytes += len(payload)
-
-            if etype not in _ROWS_TYPES:
-                self._handle_marker(etype, payload, ctx, commit_seqs)
-                continue
-            off = 20
-            table_id = int.from_bytes(payload[off : off + 6], "little")
-            if self.filtered.get(table_id):
-                continue
-            st = self._resolve(table_id)
+        for _shard_id, event_seq, _etype, table_id, st, h, payload, ctx in self._row_events(
+            batch, commit_seqs
+        ):
+            ev = parse_rows_event(payload, h, {table_id: st.plan})
+            n_rows = len(ev.rows)
+            if ev.op == "update":
+                befores.extend(dump(r["before"]) for r in ev.rows)
+                afters.extend(dump(r["after"]) for r in ev.rows)
+            else:
+                images = [dump(r) for r in ev.rows]
+                nones = [None] * n_rows
+                befores.extend(images if ev.op == "delete" else nones)
+                afters.extend(nones if ev.op == "delete" else images)
             tm = st.plan.table_map
-            if self._row_filtered(table_id, st):
-                continue  # F1 applies even without an in-band map
-            if self.verify and not verify_checksum(payload, ctx.checksum_size):
-                self.n_checksum_failures += 1
-                continue
-            h = parse_header(payload, ctx.checksum_size)
-            b_rows, a_rows = self._decode_rows_dicts(payload, h, etype, st)
-            op = _OP_BY_TYPE[etype]
-            n_rows = max(len(b_rows), len(a_rows))
-            for i in range(n_rows):
-                b = b_rows[i] if i < len(b_rows) else None
-                a = a_rows[i] if i < len(a_rows) else None
-                befores.append(None if b is None else _json.dumps(b, ensure_ascii=False))
-                afters.append(None if a is None else _json.dumps(a, ensure_ascii=False))
             schemas.extend([tm.schema_name] * n_rows)
             tables.extend([tm.table_name] * n_rows)
-            ops.extend([op] * n_rows)
+            ops.extend([ev.op] * n_rows)
             tm_ids.extend([table_id] * n_rows)
             ev_seqs.extend([int(event_seq)] * n_rows)
             row_seqs.extend(range(n_rows))
@@ -804,55 +791,7 @@ class BinlogDecoder:
             schema=self.out_schema,
         )
 
-    def _decode_rows_dicts(
-        self, payload, header, etype: int, st: _TableState
-    ) -> tuple[list, list]:
-        """Decode a ROWS event to per-row dicts in source column order
-        (no target remap — json mode serves every table)."""
-        op = _OP_BY_TYPE[etype]
-        off = 20 + 6 + 2
-        if etype in _V2_TYPES:
-            extra = int.from_bytes(payload[off : off + 2], "little")
-            # extra length includes its own 2 bytes (spec; diverges from
-            # the reference's /8 bug — identical when extra == 2)
-            off += max(2, extra)
-        n, off = read_coded_binary(payload, off)
-        bml = (n + 7) >> 3
-        check_full_row_image(payload, off, st.plan)
-        off += bml
-        has_after = op == "update"
-        if has_after:
-            check_full_row_image(payload, off, st.plan)
-            off += bml
-
-        plan = st.plan
-        readers = plan.readers
-        names = plan.names
-        n_src = len(readers)
-        end = header.payload_size
-        nbl = (n + 7) >> 3
-
-        images: list[dict] = []
-        while off < end:
-            null_bm = payload[off : off + nbl]
-            off += nbl
-            row: dict = {}
-            for i in range(n_src):
-                if null_bm[i >> 3] & (1 << (i & 7)):
-                    row[names[i]] = None
-                else:
-                    v, off = readers[i](payload, off)
-                    row[names[i]] = v
-            images.append(row)
-
-        if op == "insert":
-            return [None] * len(images), images
-        if op == "delete":
-            return images, [None] * len(images)
-        # update: images alternate before/after
-        return images[0::2], images[1::2]
-
-    def _call_flat(self, shard_ids, event_seqs, payloads) -> pa.Table:
+    def _call_flat(self, batch: pa.Table) -> pa.Table:
         """Flat decode path for the merge pipeline: one pass, no struct
         images.  Update before-images decode ONLY the merge-key columns
         (so key-changing updates tombstone the old key) and byte-skip the
@@ -872,35 +811,9 @@ class BinlogDecoder:
         # plain per-row list
         commit_seqs: list[int] = []
 
-        start_after = self.start_after_seq
-        ctx = _BlockCtx(self.checksum_size)  # marker semantics: _handle_marker
-
-        for shard_id, event_seq, payload in zip(shard_ids, event_seqs, payloads):
-            if start_after is not None and event_seq <= start_after:
-                continue
-            etype = payload[5]
-            self.n_events += 1
-            self.n_bytes += len(payload)
-
-            if etype not in _ROWS_TYPES:
-                self._handle_marker(etype, payload, ctx, commit_seqs)
-                continue
-            off = 20
-            table_id = int.from_bytes(payload[off : off + 6], "little")
-            if self.filtered.get(table_id):
-                continue
-            st = self._resolve(table_id)
-            tm = st.plan.table_map
-            if (tm.schema_name, tm.table_name) != self.target_table:
-                if self.filtered.get(table_id) is None:
-                    self.filtered[table_id] = True
-                continue
-            if self._row_filtered(table_id, st):
-                continue  # F1 applies even without an in-band map
-            if self.verify and not verify_checksum(payload, ctx.checksum_size):
-                self.n_checksum_failures += 1
-                continue
-            h = parse_header(payload, ctx.checksum_size)
+        for _shard_id, event_seq, etype, _table_id, st, h, payload, ctx in self._row_events(
+            batch, commit_seqs
+        ):
             n_rows, tomb_rows = self._decode_rows_flat(payload, h, etype, st, cols)
             if n_rows:
                 op_codes.append(_OP_CODE_BY_TYPE[etype])
@@ -952,22 +865,8 @@ class BinlogDecoder:
         cols: list[list],
     ) -> tuple[int, list[int]]:
         op = _OP_BY_TYPE[etype]
-        off = 20 + 6 + 2
-        if etype in _V2_TYPES:
-            extra = int.from_bytes(payload[off : off + 2], "little")
-            # extra length includes its own 2 bytes (spec; diverges from
-            # the reference's /8 bug — identical when extra == 2)
-            off += max(2, extra)
-        n, off = read_coded_binary(payload, off)
-        bml = (n + 7) >> 3
-        check_full_row_image(payload, off, st.plan)
-        off += bml
-        is_update = op == "update"
-        if is_update:
-            check_full_row_image(payload, off, st.plan)
-            off += bml
-
         plan = st.plan
+        off, is_update = rows_body_offset(payload, etype, plan)
         end = header.payload_size
 
         # DIRECT WRITE: codegen appends straight into the batch output

@@ -8,9 +8,11 @@ BinlogPosition (`src/BinlogPosition.php:9-19`), made explicit per row.
 
 Scale design (the part the single-threaded reference never needed):
 
-1. ``flatten_changefeed``  — changefeed -> flat upsert rows (vectorized,
-   pyarrow; key columns come from ``after``, falling back to ``before``
-   for deletes).
+1. flat upsert rows       — every merge path decodes straight to them
+   (``BinlogDecoder(output="flat")`` via ``cdc._with_flat_decode``): key
+   columns from the after-image, from the before-image for deletes and
+   key-change tombstones.  ``flatten_changefeed`` derives the same rows
+   from a struct changefeed for callers that hold one.
 2. ``lww_partial``         — per-batch combiner: keep only the newest
    image per key within the batch *before* the shuffle, so repeatedly
    updated (hot) keys ship one row per batch, not one per update.

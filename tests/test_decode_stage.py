@@ -1,6 +1,8 @@
 """BinlogDecoder stage tests (no Ray needed: the callable is exercised
 directly on pyarrow batches, as `map_batches` would)."""
 
+import os
+
 import pyarrow as pa
 import pytest
 import pyarrow.compute as pc
@@ -27,17 +29,22 @@ def _batch(payloads, shard=0, seq0=1):
     )
 
 
+def _rows_events(tm, rows_events, w=None):
+    """Packets for ``[(op, rows), ...]`` of ``tm`` (no TABLE_MAP)."""
+    w = w or E.BinlogWriter()
+    etype = {
+        "insert": EventType.WRITE_ROWS_V2,
+        "update": EventType.UPDATE_ROWS_V2,
+        "delete": EventType.DELETE_ROWS_V2,
+    }
+    return [w.packet(etype[op], E.encode_rows_body(tm, rows, op)) for op, rows in rows_events]
+
+
 def _simple_stream(tm, rows_events):
     w = E.BinlogWriter()
     out = [w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())]
     out.append(w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm)))
-    for op, rows in rows_events:
-        etype = {
-            "insert": EventType.WRITE_ROWS_V2,
-            "update": EventType.UPDATE_ROWS_V2,
-            "delete": EventType.DELETE_ROWS_V2,
-        }[op]
-        out.append(w.packet(etype, E.encode_rows_body(tm, rows, op)))
+    out += _rows_events(tm, rows_events, w)
     out.append(w.packet(EventType.XID, E.encode_xid_body(99)))
     return out
 
@@ -734,3 +741,262 @@ class TestXidFence:
         dec = BinlogDecoder(registry_snapshot=[tm.to_dict()], target_table=("code", "repos"))
         out = dec(t)
         assert out.column("commit_seq").to_pylist() == [-1, 777]
+
+
+
+class TestRowsColumnCountMismatch:
+    """A ROWS event whose column count disagrees with the resolved table
+    map must fail closed in every decode mode and in ``parse_rows_event``
+    — never decode cells from past the row image or drop a column."""
+
+    def _null_count_case(self):
+        body = bytearray(E.encode_rows_body(TM, [_mk_row(1)], "insert"))
+        body[6 + 2 + 2] = 0xFB  # table id + flags + extra-len, then the count
+        w = E.BinlogWriter()
+        evs = [
+            w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body()),
+            w.packet(EventType.WRITE_ROWS_V2, bytes(body)),
+        ]
+        return TM, evs, r"code\.repos carries a NULL column count but its table map has 5"
+
+    def _width_case(self):
+        # a 5-column WRITE_ROWS resolved from the snapshot against a
+        # 6-column map registered under the same table id
+        import dataclasses
+
+        wide = dataclasses.replace(repos_table_map(True), table_id=TM.table_id)
+        w = E.BinlogWriter()
+        evs = [w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())]
+        evs += _rows_events(TM, [("insert", [_mk_row(1)])], w)
+        return wide, evs, r"code\.repos carries 5 columns but its table map has 6"
+
+    @pytest.mark.parametrize("case", ["_null_count_case", "_width_case"])
+    @pytest.mark.parametrize("output", ["changefeed", "flat", "json"])
+    def test_decoder_modes_raise(self, case, output):
+        tm, evs, msg = getattr(self, case)()
+        kw = {} if output == "json" else {"target_table": ("code", "repos")}
+        dec = BinlogDecoder(registry_snapshot=[tm.to_dict()], output=output, **kw)
+        with pytest.raises(ValueError, match=msg):
+            dec(_batch(evs))
+
+    @pytest.mark.parametrize("case", ["_null_count_case", "_width_case"])
+    def test_parse_rows_event_raises(self, case):
+        from mysql_binlog_ray.protocol import decode as D
+
+        tm, evs, msg = getattr(self, case)()
+        wr = evs[-1]
+        with pytest.raises(ValueError, match=msg):
+            D.parse_rows_event(wr, D.parse_header(wr, 4), {tm.table_id: D.DecodePlan.compile(tm)})
+
+
+class TestCrossModeParity:
+    """The three output modes walk one event loop, so one block must give
+    the same counters and the same target-table rows in each."""
+
+    SECRET = TableMapDef(
+        table_id=77,
+        schema_name="code",
+        table_name="secret",
+        columns=(ColumnDef("x", ColumnType.LONG, signed=True),),
+    )
+    OTHER = TableMapDef(
+        table_id=55,
+        schema_name="otherdb",
+        table_name="t",
+        columns=(ColumnDef("x", ColumnType.LONG, signed=True),),
+    )
+
+    def _block(self):
+        """One block (event_seq 101..) whose repos TABLE_MAP fell in an
+        earlier block, so repos rows resolve from the snapshot."""
+        w = E.BinlogWriter()
+        moved = {"before": _mk_row(3), "after": dict(_mk_row(3), path="moved.py")}
+        kept = {"before": _mk_row(4), "after": dict(_mk_row(4), lang="rs")}
+        evs = [
+            w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body()),
+            w.packet(EventType.MARIA_GTID, E.encode_gtid_body(40)),
+            *_rows_events(TM, [("insert", [_mk_row(1), _mk_row(2)])], w),
+            w.packet(EventType.XID, E.encode_xid_body(40)),
+            w.packet(EventType.MARIA_GTID, E.encode_gtid_body(41)),  # 105: the cut
+            *_rows_events(TM, [("insert", [_mk_row(5)])], w),
+            *_rows_events(TM, [("insert", [_mk_row(6)])], w),  # corrupted below
+            w.packet(EventType.TABLE_MAP, E.encode_table_map_body(self.SECRET)),
+            *_rows_events(self.SECRET, [("insert", [{"x": 1}])], w),
+            w.packet(EventType.TABLE_MAP, E.encode_table_map_body(self.OTHER)),
+            *_rows_events(self.OTHER, [("insert", [{"x": 2}, {"x": 3}])], w),
+            *_rows_events(TM, [("update", [moved, kept]), ("delete", [_mk_row(1)])], w),
+            w.packet(EventType.XID, E.encode_xid_body(41)),
+            *_rows_events(TM, [("insert", [_mk_row(7)])], w),  # txn open at block end
+        ]
+        bad = bytearray(evs[6])
+        bad[40] ^= 0xFF
+        evs[6] = bytes(bad)
+        return _batch(evs, seq0=101)
+
+    def test_counters_and_rows_equal_across_modes(self):
+        block = self._block()
+        out, decs = {}, {}
+        for output in ("changefeed", "flat", "json"):
+            kw = {} if output == "json" else {"target_table": ("code", "repos")}
+            dec = decs[output] = BinlogDecoder(
+                registry_snapshot=[TM.to_dict(), self.SECRET.to_dict(), self.OTHER.to_dict()],
+                exclude_tables=["code.secret"],
+                start_after_seq=105,
+                output=output,
+                **kw,
+            )
+            out[output] = dec(block)
+
+        counters = {
+            o: (d.n_events, d.n_rows, d.n_checksum_failures) for o, d in decs.items()
+        }
+        # json has no target table: it also decodes otherdb.t's two rows
+        n_events, n_rows, n_bad = counters["changefeed"]
+        assert (n_events, n_rows, n_bad) == (10, 5, 1)
+        assert counters["flat"] == counters["changefeed"]
+        assert counters["json"] == (n_events, n_rows + 2, n_bad)
+
+        def stamped(t, keep):
+            cols = t.select(["event_seq", "row_seq", "commit_seq"]).to_pylist()
+            return sorted(
+                (r["event_seq"], r["row_seq"], r["commit_seq"])
+                for r, k in zip(cols, keep)
+                if k
+            )
+
+        cf = out["changefeed"]
+        js = out["json"]
+        flat = out["flat"]
+        ops = flat.column("op").to_pylist()
+        seqs = flat.column("event_seq").to_pylist()
+        update_seqs = {s for s, op in zip(seqs, ops) if op == "update"}
+        not_tomb = [not (op == "delete" and s in update_seqs) for s, op in zip(seqs, ops)]
+        assert not_tomb.count(False) == 1  # the key-changing update's tombstone
+        want = stamped(cf, [True] * cf.num_rows)
+        # the cut skips txn 41's GTID; its XID still stamps every row before it
+        assert want == [(106, 0, 41), (112, 0, 41), (112, 1, 41), (113, 0, 41), (115, 0, -1)]
+        assert stamped(flat, not_tomb) == want
+        is_repos = [t == "repos" for t in js.column("table_name").to_pylist()]
+        assert stamped(js, is_repos) == want
+
+
+class TestOneDecodeWalk:
+    """Structural guard: the three decode modes share one event walk
+    (``BinlogDecoder._row_events``) and the package has one ROWS-event
+    prologue (``protocol.decode.rows_body_offset``), so skip, filter,
+    checksum and column-count semantics cannot diverge between modes."""
+
+    PKG = os.path.join(os.path.dirname(__file__), os.pardir, "mysql_binlog_ray")
+
+    @staticmethod
+    def _calls(path, name):
+        """``{function: [call nodes]}`` for calls to ``name`` in ``path``,
+        keyed by the innermost enclosing function."""
+        import ast
+
+        found: dict[str, list] = {}
+
+        class V(ast.NodeVisitor):
+            fn = None
+
+            def visit_FunctionDef(self, node):
+                outer, self.fn = self.fn, node.name
+                self.generic_visit(node)
+                self.fn = outer
+
+            def visit_Call(self, node):
+                if name in (getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                    found.setdefault(self.fn, []).append(node)
+                self.generic_visit(node)
+
+        V().visit(ast.parse(open(path).read()))
+        return found
+
+    def _stage(self):
+        return os.path.join(self.PKG, "stages", "decode_stage.py")
+
+    def test_one_loop_over_the_batch(self):
+        import ast
+
+        loops = []
+        for fn in ast.walk(ast.parse(open(self._stage()).read())):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            for node in ast.walk(fn):
+                if (
+                    isinstance(node, ast.For)
+                    and isinstance(node.iter, ast.Call)
+                    and getattr(node.iter.func, "id", None) == "zip"
+                    and [getattr(a, "id", None) for a in node.iter.args]
+                    == ["shard_ids", "event_seqs", "payloads"]
+                ):
+                    loops.append(fn.name)
+        assert loops == ["_row_events"]
+
+    def test_walk_resolves_filters_and_parses_rows_headers(self):
+        for name in ("_resolve", "_row_filtered"):
+            assert list(self._calls(self._stage(), name)) == ["_row_events"], name
+        # _handle_marker parses the headers of FORMAT_DESCRIPTION and
+        # TABLE_MAP; every ROWS event header is parsed by the walk
+        calls = self._calls(self._stage(), "parse_header")
+        assert sorted(calls) == ["_handle_marker", "_row_events"]
+        assert len(calls["_row_events"]) == 1
+
+    def test_checksum_only_in_walk_and_table_map_branch(self):
+        import ast
+
+        calls = self._calls(self._stage(), "verify_checksum")
+        assert sorted(calls) == ["_handle_marker", "_row_events"]
+        assert len(calls["_row_events"]) == 1
+        tree = ast.parse(open(self._stage()).read())
+        branch = next(
+            n
+            for n in ast.walk(tree)
+            if isinstance(n, ast.If)
+            and isinstance(n.test, ast.Compare)
+            and getattr(n.test.comparators[0], "attr", None) == "TABLE_MAP"
+        )
+        inside = {
+            (getattr(n, "lineno", None), getattr(n, "col_offset", None))
+            for stmt in branch.body
+            for n in ast.walk(stmt)
+        }
+        assert all((c.lineno, c.col_offset) in inside for c in calls["_handle_marker"])
+
+    def test_one_rows_prologue_in_package(self):
+        import glob as _glob
+
+        def callers(name):
+            out = set()
+            for path in _glob.glob(os.path.join(self.PKG, "**", "*.py"), recursive=True):
+                rel = os.path.relpath(path, self.PKG)
+                out |= {(rel, fn) for fn in self._calls(path, name)}
+            return out
+
+        decode = os.path.join("protocol", "decode.py")
+        wire = os.path.join("sources", "wire.py")
+        assert callers("check_full_row_image") == {(decode, "rows_body_offset")}
+        # the other length-encoded-int readers parse TABLE_MAP bodies and
+        # wire-protocol packets, never a ROWS body
+        assert callers("read_coded_binary") == {
+            (decode, "rows_body_offset"),
+            (decode, "parse_table_map"),
+            (wire, "read_lenc_str"),
+            (wire, "execute"),
+        }
+        assert callers("rows_body_offset") == {
+            (decode, "parse_rows_event"),
+            (os.path.join("stages", "decode_stage.py"), "_decode_rows_into"),
+            (os.path.join("stages", "decode_stage.py"), "_decode_rows_flat"),
+        }
+
+    def test_json_rows_decode_through_parse_rows_event(self):
+        import ast
+
+        names = {
+            n.name
+            for n in ast.walk(ast.parse(open(self._stage()).read()))
+            if isinstance(n, ast.FunctionDef)
+        }
+        assert "_decode_rows_dicts" not in names
+        assert list(self._calls(self._stage(), "parse_rows_event")) == ["_call_json"]
