@@ -7,7 +7,8 @@ filesystem exchange:
     event_read_units(event shards)                   # S3/S6: resumable source
       -> per shard, a spill task: flat decode+stamp  # M2/M3/M4
            -> partial LWW combine -> `_part` hash    # M6 combiner half, M5, M8
-           -> one row group per partition, per unit  # keyed exchange
+           -> one Arrow IPC file per unit, one       # keyed exchange
+              record batch per partition
       -> per touched partition, a merge task:
            final LWW + atomic parquet                # M6/M7 exactly-once sink
       -> watermark manifest commit                   # M7 atomicity point
@@ -446,15 +447,6 @@ def _lake_rows_as_inserts(tab: pa.Table) -> pa.Table:
     return pa.table(cols)
 
 
-def _group_rgs(entries: list[tuple[str, int]]) -> list[tuple[str, list[int]]]:
-    """Group (path, row_group) pairs by path so each segment file is
-    opened once per reader."""
-    by_path: dict[str, list[int]] = {}
-    for path, rg in entries:
-        by_path.setdefault(path, []).append(rg)
-    return [(p, sorted(rgs)) for p, rgs in sorted(by_path.items())]
-
-
 def _block_refs(ds: rd.Dataset):
     """``ds``'s output block refs as its ONE execution streams them
     (``to_arrow_refs()`` would re-execute the plan for ``schema()``)."""
@@ -519,7 +511,7 @@ def _merge_write_partition(
 
 @ray.remote
 def _merge_spilled_partition(
-    chunks: list[tuple[str, list[int]]],
+    chunks: list[tuple[str, int]],
     part: int,
     lake_dir: str,
     key_cols: tuple[str, ...],
@@ -527,38 +519,43 @@ def _merge_spilled_partition(
     zorder: tuple[list[str], int] | None,
 ) -> dict[str, Any]:
     """Merge half of the keyed exchange, one plain Ray task per
-    touched partition: read the partition's spill row groups, then
-    :func:`_merge_write_partition`."""
-    import pyarrow.parquet as pq
-
-    new = [pq.ParquetFile(path).read_row_groups(rgs) for path, rgs in chunks]
+    touched partition: read the partition's spill record batches, one
+    ``(path, batch)`` per spill file that holds its rows, in spill
+    order, then :func:`_merge_write_partition`."""
+    new = []
+    for path, i in chunks:
+        with pa.OSFile(path) as f:
+            new.append(pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)]))
     return _merge_write_partition(new, part, lake_dir, key_cols, prior_rows, zorder)
 
 
-def _spill(parted: pa.Table, spill_dir: str) -> list[tuple[int, str, int]]:
-    """ONE segment file per block, ONE row group per touched partition;
-    returns its chunk index, ``(part, path, row_group)`` per partition.
-    A block touching 64 partitions costs 1 file + 64 row groups instead
-    of 64 small files, which is the difference between ~N_blocks and
-    ~N_blocks x N_parts filesystem ops on the shared scratch dir."""
+def _spill(parted: pa.Table, spill_dir: str) -> tuple[list[tuple[int, str, int]], int]:
+    """ONE uncompressed Arrow IPC file per block, ONE record batch per
+    touched partition in ascending partition order; returns its chunk
+    index, ``(part, path, batch)`` per partition, and the file's size.
+    A block touching 64 partitions costs 1 file + 64 batches instead of
+    64 small files, which is the difference between ~N_blocks and
+    ~N_blocks x N_parts filesystem ops on the shared scratch dir.  The
+    file is read back once and deleted in the same commit, so it is
+    written for a cheap hand-over, not for size: no compression, no
+    encoding (Exoshuffle's point, Luan et al., SIGCOMM 2023)."""
     import uuid
 
     import numpy as np
-    import pyarrow.parquet as pq
 
     pn = parted.column("_part").to_numpy(zero_copy_only=False)
     order = np.argsort(pn, kind="stable")
-    sorted_tab = parted.take(pa.array(order)).drop_columns(["_part"])
+    sorted_tab = parted.take(pa.array(order)).drop_columns(["_part"]).combine_chunks()
     uniq, bounds = np.unique(pn[order], return_index=True)
     bounds = np.append(bounds, len(pn))
-    path = os.path.join(spill_dir, f"chunk-{uuid.uuid4().hex}.parquet")
+    path = os.path.join(spill_dir, f"chunk-{uuid.uuid4().hex}.arrow")
     os.makedirs(spill_dir, exist_ok=True)
-    with pq.ParquetWriter(path, sorted_tab.schema, compression="lz4") as w:
-        for i in range(len(uniq)):
-            n = int(bounds[i + 1] - bounds[i])
-            # row_group_size >= n guarantees exactly one row group
-            w.write_table(sorted_tab.slice(int(bounds[i]), n), row_group_size=n)
-    return [(int(part), path, i) for i, part in enumerate(uniq)]
+    # combine_chunks leaves one chunk per column, so one batch
+    (batch,) = sorted_tab.to_batches()
+    with pa.OSFile(path, "wb") as f, pa.ipc.new_file(f, sorted_tab.schema) as w:
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            w.write_batch(batch.slice(int(lo), int(hi - lo)))
+    return [(int(part), path, i) for i, part in enumerate(uniq)], os.path.getsize(path)
 
 
 @ray.remote
@@ -567,13 +564,13 @@ def _spill_task(
 ) -> tuple[list[tuple[int, str, int]], dict[str, int]]:
     """Spill half of the keyed exchange, one plain Ray task per input.
     With ``decoder_kwargs``, ``src`` is an event shard ``(path, k)``: read
-    ONCE (shards are written in row groups of up to 1Mi events, so a
-    unit is not a row group of its own), then its ``k`` read units
-    decoded, partially combined and spilled in turn.  Without, a
-    committed lake file path (the layout-change re-merge and
-    ``compact_lake``) or a snapshot Dataset block, already flat.
-    Returns :func:`_spill`'s chunk index entries and the decode
-    counters."""
+    ONCE (a unit is a row slice of the shard, not a row group of its
+    own), then its ``k`` read units decoded, partially combined and
+    spilled in turn, one IPC file each.  Without, a committed lake file
+    path (the layout-change re-merge and ``compact_lake``) or a snapshot
+    Dataset block, already flat.  Returns :func:`_spill`'s chunk index
+    entries and the counters: ``spill_bytes`` (the files' summed size)
+    and, with a decoder, its decode counters."""
     import pyarrow.parquet as pq
 
     dec = None
@@ -587,14 +584,17 @@ def _spill_task(
         blocks = (
             lww_partial(dec(tab.slice(lo, hi - lo)), key_cols) for lo, hi in zip(bounds, bounds[1:])
         )
-    entries = []
+    entries, spill_bytes = [], 0
     for flat in blocks:
         if flat.num_rows:
-            entries += _spill(add_partition_column(flat, key_cols, num_partitions), spill_dir)
-    if dec is None:
-        return entries, {}
-    n = dec.n_events, dec.n_rows, dec.n_checksum_failures
-    return entries, dict(zip(("events_decoded", "row_images", "checksum_failures"), n))
+            got, size = _spill(add_partition_column(flat, key_cols, num_partitions), spill_dir)
+            entries += got
+            spill_bytes += size
+    counts = {"spill_bytes": spill_bytes}
+    if dec is not None:
+        n = dec.n_events, dec.n_rows, dec.n_checksum_failures
+        counts.update(zip(("events_decoded", "row_images", "checksum_failures"), n))
+    return entries, counts
 
 
 def _exchange(
@@ -611,12 +611,14 @@ def _exchange(
     (committed partition files, ``zorder`` row order, written to its
     staging dir).  Spill half: one :func:`_spill_task` per ``(src,
     decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
-    blocks stay under Ray Data's backpressure; their chunk indexes list
-    every touched partition.  Merge half: one
+    blocks stay under Ray Data's backpressure; each writes one Arrow IPC
+    file per block, one record batch per touched partition, and their
+    chunk indexes list every touched partition.  Merge half: one
     :func:`_merge_spilled_partition` task per touched partition.  The
     scratch dir is removed on failure too, once every submitted task has
     ended (a running spill task would re-create it).  Returns the merge
-    stats and summed decode counters.
+    stats and the summed counters: ``spill_bytes`` always, the decode
+    counters when events were decoded.
 
     The scratch dir lives under the lake, so a multi-node cluster needs
     nothing the lake itself does not: every merge task writes and reads
@@ -639,13 +641,17 @@ def _exchange(
         by_part: dict[int, list[tuple[str, int]]] = {}
         counters: Counter[str] = Counter()
         for entries, counts in ray.get(spills):
-            for part, chunk, rg in entries:
-                by_part.setdefault(part, []).append((chunk, rg))
+            for part, chunk, i in entries:
+                by_part.setdefault(part, []).append((chunk, i))
             counters.update(counts)
-        # an increment with no row events touches no partition
+        # chunks stay in spill order, sources first to last: decoded
+        # rows come before the committed rows a layout change re-merges,
+        # so the merged columns keep the decoder's order whatever the
+        # spill files are named.  An increment with no row events
+        # touches no partition
         merges = [
             _merge_spilled_partition.remote(
-                _group_rgs(by_part[p]), p, lake_dir, cfg.key_cols, prior_rows.get(p, 0), zorder
+                by_part[p], p, lake_dir, cfg.key_cols, prior_rows.get(p, 0), zorder
             )
             for p in sorted(by_part)
         ]
@@ -668,8 +674,9 @@ def run_to_lake(
 
     Returns the committed manifest.  Besides ``elapsed_sec`` it records
     ``readback_rows`` (committed rows the merge tasks read back),
-    ``partitions_rewritten`` and the spill tasks' decode counters
-    ``events_decoded``, ``row_images`` and ``checksum_failures``: every
+    ``partitions_rewritten``, the spill tasks' decode counters
+    ``events_decoded``, ``row_images`` and ``checksum_failures``, and
+    ``spill_bytes``, the size of the exchange's spill files: every
     commit made here does (fresh, selective or layout change).  The
     other lake commits, a snapshot seed and ``compact_lake``, decode
     nothing and record none.

@@ -8,9 +8,10 @@ each task sorts its block by ``hash(key) % num_buckets`` (the same
 manifest) and writes ONE segment file with one row group per touched
 bucket, returning a ``(bucket, path, row_group)`` index as its task
 output.  The manifest stores that index; readers fetch ONLY indexed row
-groups.  This is the same layout as the CDC external shuffle spill
-(`pipelines/cdc.py` segment files): O(tasks) filesystem objects instead
-of O(tasks x buckets), and a RETRIED task can never duplicate rows —
+groups.  The CDC keyed exchange spills with the same one-file-per-block
+index, but as Arrow IPC record batches read back once (`pipelines/cdc.py`);
+buckets are durable, so they stay Parquet.  O(tasks) filesystem objects
+instead of O(tasks x buckets), and a RETRIED task can never duplicate rows —
 its dead attempt's segment is simply absent from the consumed index
 (and swept as an orphan at commit).
 

@@ -2,11 +2,13 @@
 
 SURVEY.md §2.7 M2/M3/M4: ``BinlogDecoder`` is a stateful callable over
 pyarrow batches ``(shard_id, event_seq, payload)``.  All expensive setup
-— compiling per-table decode plans, resolving the target schema,
-building the column remap for late-binding casts — happens once per
-decoder in ``__init__``; the lake exchange's ``_spill_task`` builds one
-decoder per task and ``_map_decoder`` (the Dataset-returning paths)
-caches one per worker, so ``__call__`` only walks payload bytes.
+happens before ``__call__``, so it only walks payload bytes: per-table
+decode plans, their code-generated row decoders and the column remap
+for late-binding casts are compiled once per table layout per process
+(``_table_state``), and the target schema is resolved once per decoder
+in ``__init__``.  The lake exchange's ``_spill_task`` builds one decoder
+per task and ``_map_decoder`` (the Dataset-returning paths) caches one
+per worker.
 
 The three output modes (changefeed, flat, json) share ONE event walk,
 ``_row_events`` — the reference's single ``EventsIterator`` loop
@@ -36,6 +38,7 @@ changefeed batch schema covers all in-flight schema versions.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Any, Iterable
 
 import numpy as np
@@ -155,7 +158,9 @@ def _build_child(values: list, typ: pa.DataType) -> pa.Array:
 
 class _TableState:
     """Per-table-map decode state: compiled plan + remap into the target
-    column order (late-binding cast, null-fill for added columns)."""
+    column order (late-binding cast, null-fill for added columns).
+    Never mutated after construction, so every decoder in a process
+    shares one instance per layout and target (:func:`_table_state`)."""
 
     __slots__ = (
         "plan",
@@ -206,6 +211,18 @@ class _TableState:
         from ..protocol.codegen import compile_flat_decoders
 
         self.codegen = compile_flat_decoders(self.plan, self.key_src)
+
+
+@lru_cache(maxsize=1024)
+def _table_state(
+    tm: TableMapDef, target_names: tuple[str, ...], key_names: tuple[str, ...]
+) -> _TableState:
+    """The one constructor of :class:`_TableState`: each layout's plan
+    and code-generated row decoders are compiled once per process, not
+    once per decoder (``_spill_task`` builds a decoder per task).  All
+    three keys are frozen; the bound keeps a long-lived worker's cache
+    small when table ids keep changing."""
+    return _TableState(tm, target_names, key_names)
 
 
 class _BlockCtx:
@@ -323,17 +340,12 @@ class BinlogDecoder:
         self._empty = self.out_schema.empty_table()
 
         self.states: dict[int, _TableState] = {
-            m.table_id: _TableState(m, self.target_names, self.key_names) for m in maps
+            m.table_id: _table_state(m, self.target_names, self.key_names) for m in maps
         }
         # ROTATE must drop in-band bindings (schema binding never crosses
         # a binlog file, `EventsIterator.php:163-173`); the broadcast
         # snapshot is the cross-file registry we fall back to
         self._snapshot_states: dict[int, _TableState] = dict(self.states)
-        # compiled-state cache keyed by the (frozen) TableMapDef so
-        # re-binding an identical layout never recompiles the plan
-        self._state_cache: dict[TableMapDef, _TableState] = {
-            m: s for m, s in zip(maps, self.states.values())
-        }
         self.filtered: dict[int, bool] = {}
         self._states_dirty = False
         assert commit_source in ("hybrid", "xid", "gtid")
@@ -399,7 +411,7 @@ class BinlogDecoder:
         the current file (a real server reuses table ids across files
         with different layouts; the in-band map is the authoritative one,
         `EventsIterator.php:198-205`).  Identical layouts reuse the
-        compiled state from the cache — no recompilation."""
+        compiled state from :func:`_table_state` — no recompilation."""
         cur = self.states.get(tm.table_id)
         if cur is not None:
             ctm = cur.plan.table_map
@@ -411,11 +423,7 @@ class BinlogDecoder:
                 # entry carries schema_ver lineage the wire map lacks
                 self.filtered[tm.table_id] = self._filtered(tm)
                 return cur
-        st = self._state_cache.get(tm)
-        if st is None:
-            st = self._state_cache[tm] = _TableState(
-                tm, self.target_names, self.key_names
-            )
+        st = _table_state(tm, self.target_names, self.key_names)
         self.states[tm.table_id] = st
         self.filtered[tm.table_id] = self._filtered(tm)
         self._states_dirty = True
@@ -451,7 +459,7 @@ class BinlogDecoder:
             d = ray.get(self._registry_handle.get.remote(table_id))
             if d is not None:
                 tm = TableMapDef.from_dict(d)
-                st = _TableState(tm, self.target_names, self.key_names)
+                st = _table_state(tm, self.target_names, self.key_names)
                 self.states[table_id] = st
                 self._states_dirty = True
                 return st

@@ -1000,3 +1000,57 @@ class TestOneDecodeWalk:
         }
         assert "_decode_rows_dicts" not in names
         assert list(self._calls(self._stage(), "parse_rows_event")) == ["_call_json"]
+
+
+class TestTableStateCache:
+    """Each table layout's plan and code-generated row decoders are
+    compiled once per process (``decode_stage._table_state``) and shared
+    by every decoder built for the same target and merge keys."""
+
+    @staticmethod
+    def _flat(maps, **kw):
+        return BinlogDecoder(registry_snapshot=maps, output="flat", **kw)
+
+    def test_decoders_share_states(self, tmp_path):
+        m = generate_stream(StreamSpec(n_keys=100, n_ops=400, n_shards=2), str(tmp_path))
+        a, b = self._flat(m["table_maps"]), self._flat(m["table_maps"])
+        assert len(a.states) == 2 and a.states.keys() == b.states.keys()
+        assert all(a.states[t] is b.states[t] for t in a.states)
+        # the post-DDL layout is a state of its own
+        v1, v2 = (a.states[t] for t in sorted(a.states))
+        assert v1 is not v2 and v1.codegen is not v2.codegen
+        assert "stars" not in v1.plan.names and "stars" in v2.plan.names
+        # another merge key is another state
+        c = self._flat(m["table_maps"], key_cols=("repo",))
+        assert all(c.states[t] is not a.states[t] for t in a.states)
+
+    def test_flat_output_equals_uncached_decoder(self, tmp_path):
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.stages import decode_stage
+
+        m = generate_stream(StreamSpec(n_keys=100, n_ops=400, n_shards=2), str(tmp_path))
+        shards = [pq.read_table(s["path"]) for s in m["shards"]]
+        shared = self._flat(m["table_maps"])
+        got = [shared(t) for t in shards]
+        decode_stage._table_state.cache_clear()
+        fresh = self._flat(m["table_maps"])
+        assert all(fresh.states[t] is not shared.states[t] for t in shared.states)
+        want = [fresh(t) for t in shards]
+        assert sum(t.num_rows for t in got) == 400
+        assert all(g.equals(w, check_metadata=True) for g, w in zip(got, want))
+
+    def test_table_state_built_in_one_place(self):
+        import ast
+
+        src = open(os.path.join(TestOneDecodeWalk.PKG, "stages", "decode_stage.py")).read()
+        tree = ast.parse(src)
+        callers = [
+            fn.name
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_TableState"
+        ]
+        assert callers == ["_table_state"]
+        assert "_state_cache" not in src

@@ -435,6 +435,7 @@ class TestFollowMode:
         assert m2["watermark"] == shard["last_event_seq"] > m1["watermark"]
         assert m2["partitions"] == m1["partitions"]
         assert m2["readback_rows"] == 0 and m2["partitions_rewritten"] == 0
+        assert m2["spill_bytes"] == 0
         assert _file_ids(lake) == before
 
     def test_resume_stats_in_manifest(self, small_stream, tmp_path):
@@ -748,9 +749,11 @@ class TestDecodeCounters:
         assert fresh["row_images"] == n_ops
         assert fresh["events_decoded"] > n_ops // 10
         assert fresh["checksum_failures"] == 0
+        assert fresh["spill_bytes"] > 0
         steps = [follow(_prefix(manifest, upto), str(tmp_path / "inc"), cfg) for upto in (1, 2, 3)]
         assert sum(m["row_images"] for m in steps) == n_ops
         assert sum(m["events_decoded"] for m in steps) == fresh["events_decoded"]
+        assert all(m["spill_bytes"] > 0 for m in steps)
 
     def test_checksum_failure_is_counted(self, small_stream, tmp_path):
         """One flipped byte in one WRITE_ROWS event (on a copy of the
@@ -853,6 +856,25 @@ class TestResumeRepartition:
         a = got.sort_values(["repo", "path"]).reset_index(drop=True)
         b = read_lake(lake_clean).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
         assert a.equals(b)
+
+    def test_relayout_over_pre_alter_lake_keeps_decoder_column_order(self, small_stream, tmp_path):
+        """A layout change re-merges a lake committed before the ALTER
+        (no `stars`) with decoded rows that carry it.  Each new partition
+        holds rows from all 16 old files and from the 2 decoded shards;
+        the merge reads the decoded rows first, so every file has the
+        decoder's column order, not one that depends on which spill file
+        name sorts first, and equals a one-shot run byte for byte."""
+        import pyarrow.parquet as pq
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / "lake")
+        run_to_lake(_prefix(manifest, 1, manifest["table_maps"][:1]), lake, CdcConfig(num_partitions=16))
+        run_to_lake(manifest, lake, CdcConfig(num_partitions=5))
+        lake_clean = str(tmp_path / "clean")
+        run_to_lake(manifest, lake_clean, CdcConfig(num_partitions=5))
+        names = {tuple(pq.read_schema(f).names) for f in glob.glob(f"{lake}/part=*/data.parquet")}
+        assert names == {("repo", "path", "commit", "lang", "content", "stars", "event_seq", "row_seq")}
+        assert _part_files(lake) == _part_files(lake_clean)
 
     def test_resume_with_legacy_hash_algo_falls_back(self, small_stream, tmp_path, monkeypatch):
         """A lake written under a different partition-hash algorithm must
@@ -1317,3 +1339,70 @@ class TestOneLakeWriter:
         goes through the per-partition merge of the keyed exchange."""
         calls = self._calls(os.path.join(self.PIPELINES, "cdc.py"), "atomic_write_parquet")
         assert calls == {"_merge_write_partition": 1}
+
+
+class TestSpillFormat:
+    """The keyed exchange spills each block as one uncompressed Arrow IPC
+    file with one record batch per touched partition (Ray-free: the
+    spill and merge functions are called directly)."""
+
+    def _block(self, manifest, shard, table_maps):
+        """A decoded, partially combined, partitioned block of ``shard``,
+        decoded against ``table_maps`` as a spill task would."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines import cdc
+        from mysql_binlog_ray.stages.decode_stage import BinlogDecoder
+        from mysql_binlog_ray.stages.merge import add_partition_column, lww_partial
+
+        cfg = CdcConfig(num_partitions=8)
+        dec = BinlogDecoder(**cdc._decoder_kwargs(table_maps, cdc._with_flat_decode(cfg), None))
+        flat = lww_partial(dec(pq.read_table(manifest["shards"][shard]["path"])), cfg.key_cols)
+        return add_partition_column(flat, cfg.key_cols, cfg.num_partitions), dec.out_schema
+
+    def test_spill_round_trip_across_alter(self, small_stream, tmp_path):
+        import numpy as np
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines import cdc
+
+        spec, out, manifest = small_stream
+        pre, _ = self._block(manifest, 0, manifest["table_maps"][:1])
+        post, dec_schema = self._block(manifest, 2, manifest["table_maps"])
+        assert "stars" not in pre.column_names and "stars" in post.column_names
+        spill = str(tmp_path / "spill")
+        index = {}
+        for name, parted in (("post", post), ("pre", pre)):
+            entries, size = cdc._spill(parted, spill)
+            (path,) = {p for _part, p, _i in entries}
+            assert path.endswith(".arrow") and size == os.path.getsize(path)
+            with pa.OSFile(path) as f:
+                assert f.read(6) == b"ARROW1"  # the IPC file magic, not Parquet's PAR1
+            r = pa.ipc.open_file(path)
+            parts = [part for part, _p, _i in entries]
+            assert parts == sorted(set(parts)) == sorted(set(parted.column("_part").to_pylist()))
+            assert [i for _part, _p, i in entries] == list(range(r.num_record_batches))
+            batches = [r.get_batch(i) for i in range(r.num_record_batches)]
+            assert all(b.num_rows for b in batches)
+            pn = parted.column("_part").to_numpy()
+            want = parted.take(pa.array(np.argsort(pn, kind="stable"))).drop_columns(["_part"])
+            assert r.schema.equals(want.schema, check_metadata=True)
+            assert r.schema.field("row_seq").type == pa.int32()
+            assert r.schema.field("commit_seq").type == pa.int64()
+            got = pa.Table.from_batches(batches)
+            assert got.equals(want)
+            for part, b in zip(parts, batches):
+                assert b.num_rows == int((pn == part).sum())
+            index[name] = {part: (path, i) for part, path, i in entries}
+
+        # one partition both blocks touch, merged in spill order: the
+        # decoder's columns, `op` and `commit_seq` dropped
+        part = min(set(index["post"]) & set(index["pre"]))
+        lake = str(tmp_path / "lake")
+        stats = cdc._merge_spilled_partition._function(
+            [index["post"][part], index["pre"][part]], part, lake, ("repo", "path"), 0, None
+        )
+        written = pq.read_schema(cdc._lake_partition_path(lake, part))
+        assert written.names == [n for n in dec_schema.names if n not in ("op", "commit_seq")]
+        assert stats["rows"] > 0
