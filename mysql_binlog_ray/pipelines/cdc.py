@@ -110,9 +110,9 @@ def read_event_stream(manifest: dict[str, Any], start_after_seq: int | None = No
 
 def _map_decoder(events: rd.Dataset, decoder_kwargs: dict[str, Any]) -> rd.Dataset:
     """Shared decode-stage dispatch: stateless tasks over whole blocks
-    with a per-worker cached decoder.  Decoder setup is ~3 ms, so an
-    actor pool buys nothing and its ramp-up adds seconds of variance
-    (measured); registry-actor mode reaches its actor from the cached
+    with a per-worker cached decoder.  Decoder setup is ~0.5 ms once a
+    worker compiled the layouts, so an actor pool buys nothing and its
+    ramp-up adds seconds of variance (measured); registry-actor mode reaches its actor from the cached
     decoder via ``decoder_kwargs["registry_actor_name"]``."""
     cache: dict[str, BinlogDecoder] = {}
 
@@ -429,20 +429,21 @@ def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
     return rd.read_parquet(paths) if paths else rd.from_items([])
 
 
-def _lake_rows_as_inserts(tab: pa.Table) -> pa.Table:
-    """Committed lake rows as flat merge input: op='insert', original
-    (event_seq, row_seq) lineage kept so newer events win, commit_seq
-    unknown (-1).  Column order matches flatten_changefeed's output,
-    [value cols..., op, event_seq, row_seq, commit_seq].  A hive-inferred
-    ``part`` directory column is layout metadata, not table data, and is
-    dropped."""
-    if "part" in tab.column_names:
-        tab = tab.drop_columns(["part"])
+def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table:
+    """Rows as flat merge input, [values..., op='insert', event_seq,
+    row_seq, commit_seq=-1] (flatten_changefeed's order).  Lake rows keep
+    their lineage so newer events win; snapshot rows get
+    ``(snapshot_seq, 0)``.  A hive ``part`` column is dropped."""
     n = tab.num_rows
-    cols = {c: tab.column(c) for c in tab.column_names if c not in SEQ_COLS}
+    drop = ("op", *SEQ_COLS, "commit_seq", "part")
+    cols = {c: tab.column(c) for c in tab.column_names if c not in drop}
     cols["op"] = pa.array(["insert"] * n, pa.string())
-    cols["event_seq"] = tab.column("event_seq")
-    cols["row_seq"] = tab.column("row_seq")
+    if snapshot_seq is None:
+        cols["event_seq"] = tab.column("event_seq")
+        cols["row_seq"] = tab.column("row_seq")
+    else:
+        cols["event_seq"] = pa.array([snapshot_seq] * n, pa.int64())
+        cols["row_seq"] = pa.array([0] * n, pa.int32())
     cols["commit_seq"] = pa.array([-1] * n, pa.int64())
     return pa.table(cols)
 
@@ -491,7 +492,7 @@ def _merge_write_partition(
     path = _lake_partition_path(lake_dir, part)
     if prior_rows:
         # ParquetFile, not read_table: no hive `part` column is inferred
-        new = [*new, _lake_rows_as_inserts(pq.ParquetFile(path).read())]
+        new = [*new, _rows_as_inserts(pq.ParquetFile(path).read())]
     final = lww_final(pa.concat_tables(new, promote_options="default"), key_cols)
     if zorder:
         order = zorder_sort_indices(final, *zorder, key_cols)
@@ -576,7 +577,7 @@ def _spill_task(
     dec = None
     if decoder_kwargs is None:
         tab = pq.ParquetFile(src).read() if isinstance(src, str) else _as_arrow(src)
-        blocks = [_lake_rows_as_inserts(tab) if isinstance(src, str) else tab]
+        blocks = [_rows_as_inserts(tab) if isinstance(src, str) else tab]
     else:
         (path, k), dec = src, BinlogDecoder(**decoder_kwargs)
         tab = pq.ParquetFile(path).read()
@@ -608,9 +609,9 @@ def _exchange(
     plain Ray tasks, for every lake write: ``run_to_lake`` (event read
     units, plus the committed partition files on a layout change),
     ``seed_lake_from_snapshot`` (snapshot blocks) and ``compact_lake``
-    (committed partition files, ``zorder`` row order, written to its
-    staging dir).  Spill half: one :func:`_spill_task` per ``(src,
-    decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
+    (committed partition files, ``zorder`` row order); a re-layout
+    writes through :func:`_staged_exchange`.  Spill half: one
+    :func:`_spill_task` per ``(src, decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
     blocks stay under Ray Data's backpressure; each writes one Arrow IPC
     file per block, one record batch per touched partition, and their
     chunk indexes list every touched partition.  Merge half: one
@@ -663,6 +664,33 @@ def _exchange(
         _shutil.rmtree(spill_dir, ignore_errors=True)
 
 
+def _staged_exchange(
+    sources: Iterable[tuple[Any, dict[str, Any] | None]],
+    lake_dir: str,
+    cfg: CdcConfig,
+    zorder: tuple[list[str], int] | None = None,
+) -> tuple[list[dict[str, Any]], dict[str, int]]:
+    """:func:`_exchange` for a re-layout (``compact_lake``, a
+    non-selective ``run_to_lake``) into ``lake_dir/_compact``; the files
+    move into place, dirs fsync'd, only once every merge task succeeded,
+    so a failed one leaves the committed files (still listed by the old
+    manifest) untouched.  The moves are not atomic as a group."""
+    import shutil as _shutil
+
+    staging = os.path.join(lake_dir, "_compact")
+    _shutil.rmtree(staging, ignore_errors=True)
+    try:
+        parts, counters = _exchange(sources, staging, cfg, {}, zorder)
+        for p in parts:
+            dst = _lake_partition_path(lake_dir, p["part"])
+            os.makedirs(os.path.dirname(dst), exist_ok=True)
+            os.replace(_lake_partition_path(staging, p["part"]), dst)
+            _fsync_dir(os.path.dirname(dst))
+    finally:
+        _shutil.rmtree(staging, ignore_errors=True)
+    return parts, counters
+
+
 def run_to_lake(
     manifest: dict[str, Any],
     lake_dir: str,
@@ -679,7 +707,9 @@ def run_to_lake(
     ``spill_bytes``, the size of the exchange's spill files: every
     commit made here does (fresh, selective or layout change).  The
     other lake commits, a snapshot seed and ``compact_lake``, decode
-    nothing and record none.
+    nothing and record none.  A selective step rewrites its partitions
+    in place (a rerun repairs a failed one); every other commit is
+    staged (:func:`_staged_exchange`).
     """
     import time as _time
 
@@ -710,12 +740,13 @@ def run_to_lake(
     dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
     units = event_read_units(manifest, start_after)
     sources = [((path, k), dk) for path, i, k in units if i == 0]
-    prior_rows: dict[int, int] = {}
     if selective:
         prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]}
-    elif prior:
-        sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
-    parts, decoded = _exchange(sources, lake_dir, cfg, prior_rows)
+        parts, decoded = _exchange(sources, lake_dir, cfg, prior_rows)
+    else:
+        if prior:
+            sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
+        parts, decoded = _staged_exchange(sources, lake_dir, cfg)
     readback_rows = sum(p.pop("prior_rows") for p in parts)
     partitions_rewritten = len(parts)
     if selective:
@@ -764,20 +795,9 @@ def seed_lake_from_snapshot(
             "seed_lake_from_snapshot only initializes empty lakes"
         )
 
-    def _as_flat(batch: pa.Table) -> pa.Table:
-        n = batch.num_rows
-        value_cols = [
-            c for c in batch.column_names
-            if c not in ("op", "event_seq", "row_seq", "commit_seq", "part")
-        ]
-        cols = {c: batch.column(c) for c in value_cols}
-        cols["op"] = pa.array(["insert"] * n, pa.string())
-        cols["event_seq"] = pa.array([snapshot_seq] * n, pa.int64())
-        cols["row_seq"] = pa.array([0] * n, pa.int32())
-        cols["commit_seq"] = pa.array([-1] * n, pa.int64())
-        return pa.table(cols)
-
-    flat = snapshot.map_batches(_as_flat, batch_format="pyarrow")
+    flat = snapshot.map_batches(
+        _rows_as_inserts, batch_format="pyarrow", fn_kwargs={"snapshot_seq": snapshot_seq}
+    )
     parts, _ = _exchange(((ref, None) for ref in _block_refs(flat)), lake_dir, cfg, {})
     for p in parts:
         del p["prior_rows"]
@@ -966,12 +986,9 @@ def compact_lake(
     dirs beyond the new count are removed after the commit.
 
     The committed partition files go through the keyed exchange and
-    its one writer into ``lake_dir/_compact``, as ``run_to_lake``'s
-    layout-change re-merge does, so the files equal a one-shot run at
-    ``new_num_partitions`` byte for byte.  Only then are they moved into
-    place, each ``part=`` dir fsync'd, and the manifest committed: a
-    crash while the files are written leaves the committed lake
-    untouched (the moves are not atomic as a group).
+    its one writer, staged (:func:`_staged_exchange`), so the files
+    equal a one-shot run at ``new_num_partitions`` byte for byte, and
+    a failure while they are written leaves the committed lake as is.
 
     ``zorder_cols`` (integer columns) switches the intra-partition row
     order from the key sort to the Morton curve over those columns (the
@@ -983,7 +1000,6 @@ def compact_lake(
     ``follow`` step that touches the partition, which rewrites it in
     key order.
     """
-    import shutil as _shutil
     from dataclasses import replace
 
     cfg = cfg or CdcConfig()
@@ -992,19 +1008,11 @@ def compact_lake(
         raise FileNotFoundError(f"no manifest in {lake_dir}")
     key_cols = tuple(m.get("key_cols") or cfg.key_cols)
     cfg = replace(cfg, key_cols=key_cols, num_partitions=new_num_partitions)
-    staging = os.path.join(lake_dir, "_compact")
-    _shutil.rmtree(staging, ignore_errors=True)
     sources = [(path, None) for path in _live_partition_paths(lake_dir, m)]
     zorder = (zorder_cols, zorder_bits) if zorder_cols else None
-    parts, _ = _exchange(sources, staging, cfg, {}, zorder)
-    # move staged partitions into place, durably, then commit the layout
+    parts, _ = _staged_exchange(sources, lake_dir, cfg, zorder)
     for p in parts:
         del p["prior_rows"]
-        dst = _lake_partition_path(lake_dir, p["part"])
-        os.makedirs(os.path.dirname(dst), exist_ok=True)
-        os.replace(_lake_partition_path(staging, p["part"]), dst)
-        _fsync_dir(os.path.dirname(dst))
-    _shutil.rmtree(staging, ignore_errors=True)
     return _commit_lake(lake_dir, m["watermark"], parts, key_cols, new_num_partitions)
 
 

@@ -1,23 +1,25 @@
 """Per-table code-generated row decoders (M2 hot path).
 
-The generic decode walks a per-cell closure list; at millions of rows
-the Python call/loop overhead dominates actual byte work (~2.7 us/cell
+A generic decode walks a per-cell closure list; at millions of rows the
+Python call/loop overhead dominates actual byte work (~2.7 us/cell
 measured).  This module emits a specialized Python function per
-(TableMapDef, mode) with the column loop fully unrolled and the common
-column types (ints, utf-8 varchar/blob, float/double) inlined; rare
-types fall back to the compiled closure for that column, so semantics
-are identical by construction — and verified by running the conformance
-suite over both paths.
+(TableMapDef, op) with the column loop fully unrolled and the common
+column types inlined; rare types call their compiled closure from the
+generated code, so semantics are identical by construction.  It is the
+one row kernel of ``BinlogDecoder``'s typed modes, and
+``tests/test_protocol.py`` checks it against ``parse_rows_event``.
 
-Generated function shape (mode="read"):
+Generated function shape (op="update"):
 
-    def decode_rows(data, off, end, out_0, ..., out_{n-1}):
+    def decode_rows(data, off, end, cols, bcols, readers, skippers):
+        out_0, ..., out_{n-1} = cols        # one list per source column
+        bout_k, ... = (bcols[k], ...)       # before-image key columns
         n_rows = 0
         while off < end:
-            b0 = data[off]; ...      # null bitmap bytes
+            nb0 = data[off+0]; ...          # null bitmap bytes
             off += nbl
-            # per column: null test + inline read or closure call
-            ...
+            # key column: inline read or readers[i] call; else skip
+            ...                             # after image: read all
             n_rows += 1
         return n_rows, off
 """
@@ -100,14 +102,16 @@ def compile_flat_decoder(
     op: str,
     key_src: frozenset[int],
 ) -> Callable:
-    """Build decode_rows(data, off, end, cols, bcols) -> (n_rows, off)
-    for one (table, op) pair, matching `_decode_rows_flat` semantics:
+    """Build decode_rows(data, off, end, cols, bcols, readers, skippers)
+    -> (n_rows, off) for one (table, op) pair (one list per source
+    column in ``cols``/``bcols``), serving both typed decode modes:
+    ``key_src`` is flat mode's merge key, changefeed mode's every column.
 
-    - insert: decode the full after image
-    - update: decode merge-KEY columns of the before image into
-      ``bcols`` (so key-changing updates can tombstone the old key),
-      byte-skip the rest, then decode the after image
-    - delete: decode merge-key columns of the before image, skip the rest
+    - insert: decode the full after image into ``cols``
+    - update: decode ``key_src`` columns of the before image into
+      ``bcols``, byte-skip the rest, then the after image into ``cols``
+    - delete: decode ``key_src`` columns of the before image into
+      ``cols``, skip the rest (appending None)
     """
     cols = plan.table_map.columns
     n = len(cols)

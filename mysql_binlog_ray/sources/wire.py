@@ -904,40 +904,41 @@ class BinlogWireClient:
             pass
 
 
+def _scan_map_event(payload, checksum_size: int, latest: dict[int, dict]) -> int:
+    """One event of a TABLE_MAP scan: FORMAT_DESCRIPTION sets the
+    checksum gate exactly like the decoder (any nonzero algorithm byte
+    means a 4-byte trailer), TABLE_MAP records its table's layout in
+    ``latest``.  Byte-5 peek per event, full parse only for those two.
+    Returns the checksum size for the next event."""
+    from ..protocol.constants import EventType
+    from ..protocol.decode import parse_format_description, parse_header, parse_table_map
+
+    etype = payload[5]
+    if etype == EventType.FORMAT_DESCRIPTION:
+        _fmt, _ver, alg = parse_format_description(payload, parse_header(payload, 0))
+        return 4 if alg > 0 else 0
+    if etype == EventType.TABLE_MAP:
+        tm = parse_table_map(payload, parse_header(payload, checksum_size))
+        latest[tm.table_id] = tm.to_dict()
+    return checksum_size
+
+
 def scan_table_maps(shard_paths: list[str]) -> list[dict]:
     """Latest TABLE_MAP layout per table_id from spooled shards — the
     registry snapshot a PARALLEL decode needs when the stream's maps
     exist only in-band (a real-server tail; the fixture generator
     publishes its own snapshot).  A block that starts mid-transaction
     may otherwise see ROWS events whose TABLE_MAP landed in an earlier
-    block.  One sequential pass, byte-5 peek per event, full parse only
-    for TABLE_MAP / FORMAT_DESCRIPTION (the latter tracks the checksum
-    gate exactly like the sequential decoder)."""
+    block.  One sequential pass of :func:`_scan_map_event`, the scan
+    ``tail_to_shards`` runs as it spools."""
     import pyarrow.parquet as pq
-
-    from ..protocol.constants import EventType
-    from ..protocol.decode import (
-        parse_format_description,
-        parse_header,
-        parse_table_map,
-    )
 
     latest: dict[int, dict] = {}
     checksum_size = 4  # CRC32 until an FDE says otherwise (modern default)
     for path in shard_paths:
         tab = pq.read_table(path, columns=["payload"])
         for payload in tab.column("payload").to_pylist():
-            etype = payload[5]
-            if etype == EventType.FORMAT_DESCRIPTION:
-                h = parse_header(payload, 0)
-                _fmt, _ver, alg = parse_format_description(payload, h)
-                # alg > 0, not == 1: the sequential decoder treats any
-                # nonzero algorithm byte as a 4-byte trailer (decode_stage)
-                checksum_size = 4 if alg > 0 else 0
-            elif etype == EventType.TABLE_MAP:
-                h = parse_header(payload, checksum_size)
-                tm = parse_table_map(payload, h)
-                latest[tm.table_id] = tm.to_dict()
+            checksum_size = _scan_map_event(payload, checksum_size, latest)
     return [latest[k] for k in sorted(latest)]
 
 
@@ -1129,32 +1130,13 @@ def tail_to_shards(
     # the latest layout per table_id, seeded from any maps the caller
     # (or a resumed prior manifest) already provided.  Cost: one byte
     # peek per event (already in hand) + a full parse only for
-    # TABLE_MAP / FORMAT_DESCRIPTION events.
+    # TABLE_MAP / FORMAT_DESCRIPTION events (:func:`_scan_map_event`).
     scan_maps = manifest_extra is not None
     latest_maps: dict[int, dict] = {}
     scan_checksum = 4  # CRC32 until an FDE says otherwise
     if scan_maps:
         for d in manifest_extra.get("table_maps", []):
             latest_maps[int(d["table_id"])] = d
-
-    def scan_event(payload: bytes) -> None:
-        from ..protocol.constants import EventType
-        from ..protocol.decode import (
-            parse_format_description,
-            parse_header,
-            parse_table_map,
-        )
-
-        nonlocal scan_checksum
-        etype = payload[5]
-        if etype == EventType.FORMAT_DESCRIPTION:
-            h = parse_header(payload, 0)
-            _fmt, _ver, alg = parse_format_description(payload, h)
-            scan_checksum = 4 if alg > 0 else 0
-        elif etype == EventType.TABLE_MAP:
-            h = parse_header(payload, scan_checksum)
-            tm = parse_table_map(payload, h)
-            latest_maps[tm.table_id] = tm.to_dict()
 
     def publish() -> None:
         # stream-manifest convention (generator parity): manifest.json,
@@ -1229,7 +1211,7 @@ def tail_to_shards(
             # scan even the skipped replay prefix: its FORMAT_DESCRIPTION
             # sets the checksum gate and its TABLE_MAPs may govern later
             # row events
-            scan_event(pkt)
+            scan_checksum = _scan_map_event(pkt, scan_checksum, latest_maps)
         if to_skip > 0:
             # a dump session that replays from the start (reference
             # semantics: position resets to 4) re-sends the prefix this

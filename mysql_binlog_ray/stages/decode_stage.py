@@ -14,7 +14,9 @@ The three output modes (changefeed, flat, json) share ONE event walk,
 ``_row_events`` — the reference's single ``EventsIterator`` loop
 (`EventsIterator.php:73-88`) — and ONE ROWS-event prologue,
 ``protocol.decode.rows_body_offset``; a mode only chooses how it emits
-the rows of each accepted ROWS event.
+the rows of each accepted ROWS event.  The typed modes (changefeed,
+flat) decode rows through ONE kernel, the layout's code-generated row
+decoder (``_TableState.codegen``); json mode uses ``parse_rows_event``.
 
 Semantics reproduced from the reference (citations in protocol/decode.py):
 
@@ -133,7 +135,7 @@ def _build_child(values: list, typ: pa.DataType) -> pa.Array:
     - u64 parity: the decoder emits values >= 2^63 as decimal strings
       (reference GMP fallback, `UIntLeReadTrait.php:133-138`); a
       uint64-typed Arrow column takes them back as integers.
-    - utf-8 text fast path: the codegen flat decoder appends RAW BYTES
+    - utf-8 text fast path: the codegen row kernel appends RAW BYTES
       for utf-8-charset text cells; build as binary and cast, so utf-8
       validation happens once in C (never a per-cell Python decode).
     """
@@ -206,8 +208,8 @@ class _TableState:
             s for s in self.key_list if self.src_to_tgt[s] is None
         )
         self.schema_ver = tm.schema_ver
-        # per-(table, op) code-generated row decoders (hot path; falls
-        # back to the closure readers for exotic column types)
+        # per-(table, op) code-generated row decoders: the typed modes'
+        # one row kernel
         from ..protocol.codegen import compile_flat_decoders
 
         self.codegen = compile_flat_decoders(self.plan, self.key_src)
@@ -304,8 +306,11 @@ class BinlogDecoder:
             self.target_names = tuple(c.name for c in self.target_map.columns)
             self.struct_type = target_struct_type(self.target_map)
         # merge-key columns: default = the table's SIMPLE_PRIMARY_KEY from
-        # the TABLE_MAP metadata (ColumnMetadataFactory.php:290-296)
-        if key_cols:
+        # the TABLE_MAP metadata (ColumnMetadataFactory.php:290-296); the
+        # changefeed keys on every column, so both images decode in full
+        if output == "changefeed":
+            self.key_names = self.target_names
+        elif key_cols:
             self.key_names = tuple(key_cols)
         else:
             self.key_names = self.target_map.pk_names if self.target_map else ()
@@ -370,8 +375,8 @@ class BinlogDecoder:
         self.n_rows = 0
         self.n_bytes = 0
         self.n_checksum_failures = 0
-        # flat-path reusable buffers: dropped-column sink (cleared per
-        # event) and before-image key lists (cleared per update event)
+        # kernel buffers: dropped-column sink (cleared per event) and
+        # flat mode's before-image key lists (cleared per update event)
         self._trash: list = []
         self._bkey_lists: list[list] = []
         self._akey_lists: list[list] = []  # dropped-key after-images
@@ -669,7 +674,7 @@ class BinlogDecoder:
 
     def _decode_rows_into(
         self,
-        payload: bytes,
+        payload,
         header,
         etype: int,
         st: _TableState,
@@ -678,60 +683,33 @@ class BinlogDecoder:
         before_null: list[bool],
         after_null: list[bool],
     ) -> int:
-        """Decode a ROWS event straight into columnar accumulators
-        (`EventsIterator.php:370-506` + `RowFactory.php:28-182`)."""
+        """Decode a ROWS event with the layout's kernel, ``st.codegen``,
+        straight into the target-order struct children; dropped columns
+        go to the trash (`EventsIterator.php:370-506` + `RowFactory.php:28-182`)."""
         op = _OP_BY_TYPE[etype]
         plan = st.plan
-        off, has_after = rows_body_offset(payload, etype, plan)
-        readers = plan.readers
-        remap = st.remap
-        n_src = len(readers)
-        end = header.payload_size
-        nbl = len(plan.full_bitmap)
-
-        # decode into source-order scratch columns, then remap to target
-        scratch: list[list] = [[] for _ in range(n_src)]
-        scratch_after: list[list] = [[] for _ in range(n_src)] if has_after else scratch
-        n_rows = 0
-        while off < end:
-            null_bm = payload[off : off + nbl]
-            off += nbl
-            for i in range(n_src):
-                if null_bm[i >> 3] & (1 << (i & 7)):
-                    scratch[i].append(None)
-                else:
-                    v, off = readers[i](payload, off)
-                    scratch[i].append(v)
-            if has_after:
-                null_bm = payload[off : off + nbl]
-                off += nbl
-                for i in range(n_src):
-                    if null_bm[i >> 3] & (1 << (i & 7)):
-                        scratch_after[i].append(None)
-                    else:
-                        v, off = readers[i](payload, off)
-                        scratch_after[i].append(v)
-            n_rows += 1
-
+        off, is_update = rows_body_offset(payload, etype, plan)
+        trash = self._trash
+        if trash:
+            trash.clear()
+        src_to_tgt = st.src_to_tgt
+        image = before_cols if op == "delete" else after_cols
+        out_lists = [image[t] if t is not None else trash for t in src_to_tgt]
+        bcols = (
+            [before_cols[t] if t is not None else trash for t in src_to_tgt]
+            if is_update
+            else ()
+        )
+        n_rows, _ = st.codegen[op](
+            payload, off, header.payload_size, out_lists, bcols, plan.readers, plan.skippers
+        )
         nones = [None] * n_rows
-        if op == "insert":
-            for t_i, s_i in enumerate(remap):
-                after_cols[t_i].extend(scratch[s_i] if s_i is not None else nones)
-                before_cols[t_i].extend(nones)
-            after_null.extend([False] * n_rows)
-            before_null.extend([True] * n_rows)
-        elif op == "delete":
-            for t_i, s_i in enumerate(remap):
-                before_cols[t_i].extend(scratch[s_i] if s_i is not None else nones)
-                after_cols[t_i].extend(nones)
-            before_null.extend([False] * n_rows)
-            after_null.extend([True] * n_rows)
-        else:  # update
-            for t_i, s_i in enumerate(remap):
-                before_cols[t_i].extend(scratch[s_i] if s_i is not None else nones)
-                after_cols[t_i].extend(scratch_after[s_i] if s_i is not None else nones)
-            before_null.extend([False] * n_rows)
-            after_null.extend([False] * n_rows)
+        # null-fill an absent image, and a present one's added columns
+        for cols, absent in ((before_cols, op == "insert"), (after_cols, op == "delete")):
+            for t_i in range(len(cols)) if absent else st.null_fill_tgts:
+                cols[t_i].extend(nones)
+        before_null.extend([op == "insert"] * n_rows)
+        after_null.extend([op == "delete"] * n_rows)
         return n_rows
 
     def _call_json(self, batch: pa.Table) -> pa.Table:

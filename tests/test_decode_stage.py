@@ -1001,6 +1001,37 @@ class TestOneDecodeWalk:
         assert "_decode_rows_dicts" not in names
         assert list(self._calls(self._stage(), "parse_rows_event")) == ["_call_json"]
 
+    def test_typed_modes_decode_through_one_kernel(self):
+        """The changefeed and flat modes decode rows only through the
+        layout's code-generated kernel (``st.codegen[op]``); no per-cell
+        closure walk (``readers[i](...)``) is left in the stage."""
+        import ast
+
+        kernel_calls, reader_calls = [], []
+
+        class V(ast.NodeVisitor):
+            fn = None
+
+            def visit_FunctionDef(self, node):
+                outer, self.fn = self.fn, node.name
+                self.generic_visit(node)
+                self.fn = outer
+
+            def visit_Call(self, node):
+                f = node.func
+                if isinstance(f, ast.Subscript):
+                    base = f.value
+                    name = getattr(base, "attr", None) or getattr(base, "id", None)
+                    if name == "codegen":
+                        kernel_calls.append(self.fn)
+                    elif name == "readers":
+                        reader_calls.append(self.fn)
+                self.generic_visit(node)
+
+        V().visit(ast.parse(open(self._stage()).read()))
+        assert reader_calls == []
+        assert sorted(kernel_calls) == ["_decode_rows_flat", "_decode_rows_into"]
+
 
 class TestTableStateCache:
     """Each table layout's plan and code-generated row decoders are

@@ -876,6 +876,52 @@ class TestResumeRepartition:
         assert names == {("repo", "path", "commit", "lang", "content", "stars", "event_seq", "row_seq")}
         assert _part_files(lake) == _part_files(lake_clean)
 
+    def test_failed_relayout_keeps_committed_lake(self, small_stream, tmp_path):
+        """A layout change whose merge task fails must leave the committed
+        lake as it was: the manifest and every partition file byte for
+        byte, no staging or spill dir, no duplicate key on read.  The
+        fault: committed part 3 holds only rows that hash to new
+        partition 0, with ``lang`` as large_string, so that partition's
+        merge cannot concatenate its inputs while the other four
+        succeed.  With the fault repaired, a rerun equals a one-shot
+        run."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.stages.merge import partition_codes
+        from mysql_binlog_ray.state.checkpoint import manifest_path
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / "lake")
+        run_to_lake(_prefix(manifest, 1), lake, CdcConfig(num_partitions=16))
+        victim = f"{lake}/part=00003/data.parquet"
+        good = open(victim, "rb").read()
+        tab = pq.read_table(victim)
+        tab = tab.filter(pa.array(partition_codes(tab, ("repo", "path"), 5) == 0))
+        assert tab.num_rows > 0
+        i = tab.schema.get_field_index("lang")
+        pq.write_table(tab.set_column(i, "lang", tab.column(i).cast(pa.large_string())), victim)
+        committed = _part_files(lake)
+        with open(manifest_path(lake), "rb") as f:
+            committed_manifest = f.read()
+
+        with pytest.raises(Exception):
+            run_to_lake(manifest, lake, CdcConfig(num_partitions=5))
+        with open(manifest_path(lake), "rb") as f:
+            assert f.read() == committed_manifest
+        assert _part_files(lake) == committed
+        assert not os.path.exists(f"{lake}/_compact")
+        assert not os.path.exists(f"{lake}/_shuffle")
+        got = read_lake(lake).to_pandas()
+        assert len(got) and not got.duplicated(["repo", "path"]).any()
+
+        with open(victim, "wb") as f:
+            f.write(good)
+        run_to_lake(manifest, lake, CdcConfig(num_partitions=5))
+        clean = str(tmp_path / "clean")
+        run_to_lake(manifest, clean, CdcConfig(num_partitions=5))
+        assert _part_files(lake) == _part_files(clean)
+
     def test_resume_with_legacy_hash_algo_falls_back(self, small_stream, tmp_path, monkeypatch):
         """A lake written under a different partition-hash algorithm must
         not be selectively resumed (keys would be looked up in the wrong

@@ -9,6 +9,7 @@ import base64
 import struct
 import zlib
 
+import pyarrow as pa
 import pytest
 
 from mysql_binlog_ray.protocol import decode as D
@@ -22,6 +23,37 @@ from mysql_binlog_ray.protocol.constants import (
     EventType,
 )
 from mysql_binlog_ray.protocol.model import ColumnDef, TableMapDef
+from mysql_binlog_ray.stages.decode_stage import BinlogDecoder
+
+
+def kernel_rows(tm, packets, mode):
+    """Decode ``packets`` with ``BinlogDecoder`` in a typed mode, i.e.
+    through the table's code-generated row kernel, as Python rows."""
+    batch = pa.table(
+        {
+            "shard_id": pa.array([0] * len(packets), pa.int32()),
+            "event_seq": pa.array(range(1, len(packets) + 1), pa.int64()),
+            "payload": pa.array(packets, pa.binary()),
+        }
+    )
+    dec = BinlogDecoder(
+        registry_snapshot=[tm.to_dict()],
+        target_table=(tm.schema_name, tm.table_name),
+        output=mode,
+    )
+    return dec(batch).to_pylist()
+
+
+def assert_same_image(got, want):
+    """Kernel row image vs ``parse_rows_event``'s: u64 values >= 2^63
+    come back as integers from the uint64 Arrow column, not as the
+    decimal strings of the GMP fallback."""
+    assert set(got) == set(want)
+    for k, v in want.items():
+        g = got[k]
+        if isinstance(v, str) and isinstance(g, int):
+            v = int(v)
+        assert g == v, (k, g, v)
 
 
 def one_row_roundtrip(cols, row, expect=None):
@@ -41,6 +73,14 @@ def one_row_roundtrip(cols, row, expect=None):
     got = ev.rows[0]
     for k, v in (expect or row).items():
         assert got[k] == v, (k, got[k], v)
+    # the typed modes decode through the code-generated kernel: every
+    # column must match the conformance decoder's row
+    (cf,) = kernel_rows(tm2, [fd, tmev, wr], "changefeed")
+    assert cf["op"] == "insert" and cf["before"] is None
+    assert_same_image(cf["after"], got)
+    (flat,) = kernel_rows(tm2, [fd, tmev, wr], "flat")
+    assert flat["op"] == "insert"
+    assert_same_image({c.name: flat[c.name] for c in tm2.columns}, got)
     return got, tm2
 
 
@@ -232,7 +272,7 @@ class TestUpdateEvent:
         )
         tm = TableMapDef(table_id=5, schema_name="s", table_name="t", columns=cols, primary_key=(0,))
         w = E.BinlogWriter()
-        w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())
+        fd = w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())
         tmev = w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm))
         pairs = [
             {"before": {"k": 1, "v": "old1"}, "after": {"k": 1, "v": "new1"}},
@@ -244,17 +284,23 @@ class TestUpdateEvent:
         ev = D.parse_rows_event(up, D.parse_header(up, 4), plans)
         assert ev.op == "update"
         assert ev.rows == pairs
+        cf = kernel_rows(tm2, [fd, tmev, up], "changefeed")
+        assert [r["op"] for r in cf] == ["update", "update"]
+        assert [{"before": r["before"], "after": r["after"]} for r in cf] == pairs
 
     def test_delete_before_image(self):
         cols = (ColumnDef("k", ColumnType.LONG), ColumnDef("v", ColumnType.VARCHAR, max_length=20))
         tm = TableMapDef(table_id=6, schema_name="s", table_name="t", columns=cols)
         w = E.BinlogWriter()
-        w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())
+        fd = w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())
         tmev = w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm))
         de = w.packet(EventType.DELETE_ROWS_V2, E.encode_rows_body(tm, [{"k": 7, "v": "gone"}], "delete"))
         tm2 = D.parse_table_map(tmev, D.parse_header(tmev, 4))
         ev = D.parse_rows_event(de, D.parse_header(de, 4), {tm2.table_id: D.DecodePlan.compile(tm2)})
         assert ev.op == "delete" and ev.rows == [{"k": 7, "v": "gone"}]
+        (cf,) = kernel_rows(tm2, [fd, tmev, de], "changefeed")
+        assert cf["op"] == "delete" and cf["after"] is None
+        assert cf["before"] == {"k": 7, "v": "gone"}
 
 
 class TestEventFraming:

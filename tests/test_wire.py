@@ -1018,13 +1018,15 @@ class TestInStreamMapScan:
     with every manifest flush (a concurrent follower needs it — real
     streams carry maps only in-band)."""
 
-    def test_manifest_gains_table_maps_in_stream(self, small_stream, tmp_path):
+    @staticmethod
+    def _tail_manifest(manifest, tmp_path):
+        """Serve the stream over the wire into a spool that publishes
+        its scanned maps; returns the published manifest."""
         import json
         import os
 
         import pyarrow.parquet as pq
 
-        spec, out, manifest = small_stream
         payloads = []
         for s in manifest["shards"]:
             payloads.extend(
@@ -1042,11 +1044,29 @@ class TestInStreamMapScan:
         t.join(timeout=30)
         assert "exception" not in seen, seen
         with open(os.path.join(spool, "manifest.json")) as f:
-            man = json.load(f)
+            return json.load(f)
+
+    def test_manifest_gains_table_maps_in_stream(self, small_stream, tmp_path):
+        spec, out, manifest = small_stream
+        man = self._tail_manifest(manifest, tmp_path)
         gen_by_id = {d["table_id"]: d for d in manifest["table_maps"]}
         assert man["table_maps"], "in-stream scan must publish maps"
         for d in man["table_maps"]:
             assert d["columns"] == gen_by_id[d["table_id"]]["columns"]
+
+    def test_scan_table_maps_equals_tail_scan(self, small_stream, tmp_path):
+        """The spool-side scan (``scan_table_maps``, the daemon's
+        fallback for a manifest without maps) over the spooled shards
+        finds exactly the maps the tail published while spooling."""
+        import json
+
+        from mysql_binlog_ray.sources.wire import scan_table_maps
+
+        spec, out, manifest = small_stream
+        man = self._tail_manifest(manifest, tmp_path)
+        scanned = scan_table_maps([s["path"] for s in man["shards"]])
+        assert len(scanned) >= 2  # the stream's ALTER re-maps the table
+        assert json.loads(json.dumps(scanned)) == man["table_maps"]
 
     def test_follow_daemon_skips_snapshotless_manifest(self, tmp_path, ray_session):
         """A manifest without table_maps (tail hasn't seen a TABLE_MAP
