@@ -21,8 +21,9 @@ partitions, inside the merge task that rewrites them, so a
 and ``compact_lake`` feed the same exchange (snapshot blocks, committed
 partition files) and write through the same merge task; the lake has
 one writer, :func:`_merge_write_partition`.  The Dataset-returning paths
-(``run_to_dataset``, ``state_as_of``) run the same kernels through
-:func:`merge_lww`.
+(``run_to_dataset``, ``state_as_of``, ``audit_lake``'s replay side) run
+the same exchange into a scratch dir through :func:`merge_lww` and read
+the partition files back.
 """
 
 from __future__ import annotations
@@ -172,8 +173,8 @@ def build_xid_index(events: rd.Dataset) -> tuple[Any, Any, Any]:
     # shards, so take the min across the per-block partials): a row must
     # never be stamped by an XID from a different file (a truncated-tail
     # transaction stays -1 rather than stealing the next file's commit)
-    lows = idx[idx["shard_id"] >= 0].groupby("shard_id")["shard_lo"].min()
-    bounds = lows.sort_values().to_numpy()
+    lows = idx[idx["shard_id"] >= 0].sort_values("shard_lo").drop_duplicates("shard_id")
+    bounds = lows["shard_lo"].to_numpy()
     return xids["xid_seq"].to_numpy(), xids["xid"].to_numpy(), bounds
 
 
@@ -298,20 +299,27 @@ def decode_all_tables(
 
 def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
     """Dataset-returning LWW merge of flat rows (``[value cols..., op,
-    event_seq, row_seq[, commit_seq]]``): per-batch partial combine ->
-    hash partition on ``cfg.key_cols`` into ``cfg.num_partitions`` ->
-    ``groupby("_part").map_groups`` final LWW.  The lake sink runs the
-    same kernels through its own exchange (``_exchange``)."""
-    key_cols = cfg.key_cols
+    event_seq, row_seq[, commit_seq]]``) through the lake's keyed
+    exchange: a per-batch partial combine (a hot key ships one row per
+    block), then :func:`_exchange` of the combined blocks into a
+    ``tempfile.mkdtemp()`` scratch dir, hash partitioned on
+    ``cfg.key_cols`` into ``cfg.num_partitions``, final LWW in the merge
+    tasks.  The partition files are read back without the hive ``part``
+    column and materialized before the scratch dir is removed.
 
-    def _combine_and_partition(batch: pa.Table) -> pa.Table:
-        return add_partition_column(lww_partial(batch, key_cols), key_cols, cfg.num_partitions)
+    Merge tasks write the scratch dir on whichever worker runs them, so
+    on a multi-node cluster ``TMPDIR`` has to be a shared filesystem,
+    like the lake."""
+    import shutil as _shutil
+    import tempfile
 
-    def _final(group: pa.Table) -> pa.Table:
-        return lww_final(group, key_cols)
-
-    parted = flat.map_batches(_combine_and_partition, batch_format="pyarrow")
-    return parted.groupby("_part").map_groups(_final, batch_format="pyarrow")
+    combined = flat.map_batches(lww_partial, batch_format="pyarrow", fn_args=(cfg.key_cols,))
+    scratch = tempfile.mkdtemp()
+    try:
+        parts, _ = _exchange(((ref, None) for ref in _block_refs(combined)), scratch, cfg, {})
+        return _read_lake_rows(scratch, {"partitions": parts}).materialize()
+    finally:
+        _shutil.rmtree(scratch, ignore_errors=True)
 
 
 def _with_flat_decode(cfg: CdcConfig) -> CdcConfig:
@@ -427,6 +435,15 @@ def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
     included); ``read_parquet`` refuses an empty path list."""
     paths = _live_partition_paths(lake_dir, m)
     return rd.read_parquet(paths) if paths else rd.from_items([])
+
+
+def _read_lake_rows(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
+    """:func:`_read_live_partitions` without the hive ``part`` column."""
+
+    def _strip_hive(batch: pa.Table) -> pa.Table:
+        return batch.drop_columns(["part"]) if "part" in batch.column_names else batch
+
+    return _read_live_partitions(lake_dir, m).map_batches(_strip_hive, batch_format="pyarrow")
 
 
 def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table:
@@ -605,12 +622,14 @@ def _exchange(
     prior_rows: dict[int, int],
     zorder: tuple[list[str], int] | None = None,
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """The lake's one keyed exchange (Spark-external-shuffle shape) in
+    """The engine's one keyed exchange (Spark-external-shuffle shape) in
     plain Ray tasks, for every lake write: ``run_to_lake`` (event read
     units, plus the committed partition files on a layout change),
     ``seed_lake_from_snapshot`` (snapshot blocks) and ``compact_lake``
     (committed partition files, ``zorder`` row order); a re-layout
-    writes through :func:`_staged_exchange`.  Spill half: one
+    writes through :func:`_staged_exchange`.  :func:`merge_lww` runs it
+    into a scratch dir for the Dataset-returning paths (partially
+    combined flat blocks).  Spill half: one
     :func:`_spill_task` per ``(src, decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
     blocks stay under Ray Data's backpressure; each writes one Arrow IPC
     file per block, one record batch per touched partition, and their
@@ -885,12 +904,7 @@ def read_lake(lake_dir: str) -> rd.Dataset:
     m = read_manifest(lake_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest in {lake_dir}")
-    ds = _read_live_partitions(lake_dir, m)
-
-    def _strip_hive(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["part"]) if "part" in batch.column_names else batch
-
-    return ds.map_batches(_strip_hive, batch_format="pyarrow")
+    return _read_lake_rows(lake_dir, m)
 
 
 def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
@@ -1037,10 +1051,10 @@ def audit_lake(
     Scale shape: both sides reduce inside ``map_batches`` to per-
     (batch, partition) partial rows of (part, rows, digest); the driver
     folds O(batches x touched-partitions) slim rows with a numpy
-    groupby.  The replay output is materialized ONCE (its schema is
-    needed for the column intersection and ``Dataset.schema()`` on a
-    lazy plan would execute the shuffle a second time) — the audit holds
-    one copy of the final table in the object store while it runs.
+    groupby.  The replay rows come back from the keyed exchange
+    materialized (:func:`merge_lww`), so the column intersection reads
+    their schema without a second run — the audit holds one copy of the
+    final table in the object store while it runs.
 
     Returns a pandas frame (part, expected_rows, actual_rows, match)
     sorted by part, one row per partition holding data on either side.
@@ -1057,7 +1071,7 @@ def audit_lake(
     key_cols = tuple(m.get("key_cols") or cfg.key_cols)
     nparts = int(m["num_partitions"])
 
-    expected = run_to_dataset(manifest, cfg).materialize()
+    expected = run_to_dataset(manifest, cfg)
     # hive-partitioned read keeps the physical `part` column
     actual = _read_live_partitions(lake_dir, m)
     # a side with no rows may have no schema (a lake with no live row
@@ -1096,21 +1110,20 @@ def audit_lake(
             }
         )
 
-    def wrap_sum(s: pd.Series):
-        # digest fold wraps mod 2^64, order-independent by construction
-        tot = s.to_numpy().view(np.uint64).sum(dtype=np.uint64)
-        return np.array(tot, np.uint64).view(np.int64).item()
-
     def fold(ds: rd.Dataset) -> pd.DataFrame:
         pdf = ds.map_batches(digest_partials, batch_format="pyarrow").to_pandas()
         if pdf.empty:
             return pd.DataFrame({"part": [], "rows": [], "digest": []})
-        g = pdf.groupby("part", sort=True)
+        part = pdf["part"].to_numpy()
+        order = np.argsort(part, kind="stable")
+        parts, starts = np.unique(part[order], return_index=True)
+        # digest fold wraps mod 2^64, order-independent by construction
+        digests = pdf["digest"].to_numpy().view(np.uint64)[order]
         return pd.DataFrame(
             {
-                "part": list(g.groups),
-                "rows": g["rows"].sum().to_numpy(),
-                "digest": g["digest"].apply(wrap_sum).to_numpy(),
+                "part": parts,
+                "rows": np.add.reduceat(pdf["rows"].to_numpy()[order], starts),
+                "digest": np.add.reduceat(digests, starts).view(np.int64),
             }
         )
 

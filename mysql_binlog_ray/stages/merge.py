@@ -21,15 +21,16 @@ Scale design (the part the single-threaded reference never needed):
    resumable, idempotent sink).
 4. keyed exchange on ``_part``, then ``lww_final`` per partition — the
    same vectorized kernel picks winners and drops delete tombstones.
-   The lake sink's exchange is plain Ray tasks over the filesystem
-   (``cdc._exchange``); the Dataset-returning paths go through
-   ``cdc.merge_lww``'s ``groupby("_part").map_groups``.
+   There is one exchange, plain Ray tasks over the filesystem
+   (``cdc._exchange``): the lake sink runs it into the lake, and the
+   Dataset-returning paths (``cdc.merge_lww``) into a scratch dir whose
+   partition files they read back.
 
 Skew (M8): the partition hash spreads keys uniformly; a pathologically
-hot *single key* is collapsed to one row per upstream batch (a read
-unit, on the lake path) by the partial combine, so its fan-in to the
-merge stage is bounded by the number of upstream batches, not by the
-number of updates.
+hot *single key* is collapsed to one row per upstream batch by the
+partial combine (a read unit on the lake path, a Dataset block on the
+Dataset paths), so its fan-in to the merge stage is bounded by the
+number of upstream batches, not by the number of updates.
 """
 
 from __future__ import annotations

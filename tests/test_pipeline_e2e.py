@@ -54,6 +54,82 @@ class TestReplayGolden:
 
 
 @pytest.mark.usefixtures("ray_session")
+class TestDatasetPathsShareExchange:
+    """The Dataset-returning paths merge through the lake's keyed
+    exchange (``merge_lww``): every block carries the full schema, the
+    blocks concatenate, and the rows equal the sequential replay."""
+
+    def _check(self, ds, exp):
+        import pyarrow as pa
+        import ray
+
+        blocks = ray.get(ds.to_arrow_refs())
+        assert blocks
+        assert {"repo", "path", "content", "event_seq", "row_seq"} <= set(blocks[0].column_names)
+        for b in blocks:
+            assert b.schema.equals(blocks[0].schema), b.schema
+        got = _normalize(pa.concat_tables(blocks).to_pandas())
+        exp = exp.to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        assert got.equals(exp.sort_values(["repo", "path"]).reset_index(drop=True))
+
+    def test_blocks_concat_and_match_oracle(self, small_stream):
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import (
+            _with_flat_decode,
+            decode_changefeed,
+            merge_lww,
+            read_event_stream,
+            state_as_of,
+        )
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=4)
+        self._check(run_to_dataset(manifest, cfg), final_state_oracle(spec, out))
+        seqs = sorted(pq.read_table(f"{out}/oplog.parquet")["event_seq"].to_pylist())
+        w = seqs[len(seqs) // 2]
+        self._check(state_as_of(manifest, w, cfg), final_state_oracle(spec, out, max_event_seq=w))
+        flat_cfg = _with_flat_decode(cfg)
+        flat = decode_changefeed(read_event_stream(manifest), manifest["table_maps"], flat_cfg)
+        self._check(merge_lww(flat, flat_cfg), final_state_oracle(spec, out))
+
+    def test_scratch_dir_removed(self, small_stream, tmp_path, monkeypatch):
+        """The exchange's scratch dir lives under ``TMPDIR`` and is gone
+        after a successful merge and after a failed spill task."""
+        import tempfile
+
+        import ray
+        import ray.data as rd
+
+        from mysql_binlog_ray.pipelines.cdc import merge_lww
+
+        spec, out, manifest = small_stream
+        scratch = tmp_path / "tmp"
+        scratch.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+        made = []
+        real_mkdtemp = tempfile.mkdtemp
+
+        def mkdtemp(*a, **k):
+            made.append(real_mkdtemp(*a, **k))
+            return made[-1]
+
+        monkeypatch.setattr(tempfile, "mkdtemp", mkdtemp)
+        assert run_to_dataset(manifest, CdcConfig(num_partitions=4)).count() > 0
+        assert len(made) == 1 and made[0].startswith(str(scratch))
+        assert os.listdir(scratch) == []
+
+        # one row without the key columns: the partial combine passes a
+        # 1-row block through, and the spill task's partition hash raises
+        flat = rd.from_items([{"x": 1, "op": "insert", "event_seq": 1, "row_seq": 0}])
+        with pytest.raises(ray.exceptions.RayTaskError, match="repo"):
+            merge_lww(flat, CdcConfig(num_partitions=4))
+        assert len(made) == 2 and made[1].startswith(str(scratch))
+        assert os.listdir(scratch) == []
+
+
+@pytest.mark.usefixtures("ray_session")
 class TestExactlyOnce:
     def test_resume_from_checkpoint_identical(self, small_stream, tmp_path):
         spec, out, manifest = small_stream
@@ -485,12 +561,10 @@ class TestFollowMode:
     def test_fresh_external_commit_runs_no_ray_data(self, small_stream, tmp_path, monkeypatch):
         """A fresh commit is plain Ray tasks only: no Ray Data execution
         and no `read_parquet`, yet every partition file holds exactly the
-        rows that `run_to_dataset`, a second implementation of the merge
-        (a Ray Data groupby), assigns to its partition, sorted by key."""
+        rows of the sequential replay (`final_state_oracle`) that hash to
+        its partition, sorted by key."""
         import pyarrow as pa
-        import pyarrow.compute as pc
         import pyarrow.parquet as pq
-        import ray
 
         from mysql_binlog_ray.stages.merge import partition_codes
 
@@ -502,16 +576,18 @@ class TestFollowMode:
         monkeypatch.undo()
         assert runs == [] and m["partitions_rewritten"] > 0
 
-        ref = pa.concat_tables(ray.get(run_to_dataset(manifest, cfg).to_arrow_refs()))
-        ref = ref.sort_by([(k, "ascending") for k in cfg.key_cols])
-        codes = pa.array(partition_codes(ref, cfg.key_cols, cfg.num_partitions))
+        oracle = final_state_oracle(spec, out)
+        codes = partition_codes(oracle, cfg.key_cols, cfg.num_partitions)
+        oracle = oracle.to_pandas()
+        oracle["stars"] = oracle["stars"].astype("float64")
         files = _part_files(lake)
         assert sorted(files) == [f"part={p['part']:05d}" for p in m["partitions"]]
         for p in m["partitions"]:
             got = pq.ParquetFile(pa.BufferReader(files[f"part={p['part']:05d}"])).read()
-            want = ref.filter(pc.equal(codes, p["part"]))
+            want = oracle[codes == p["part"]].sort_values(list(cfg.key_cols))
             assert got.num_rows == p["rows"] > 0
-            assert got.equals(want), p["part"]
+            assert got.equals(got.sort_by([(k, "ascending") for k in cfg.key_cols]))
+            assert _normalize(got.to_pandas()).equals(want.reset_index(drop=True)), p["part"]
 
     def test_failed_spill_keeps_commit_and_removes_spill(self, small_stream, tmp_path):
         """A spill task that cannot read its stream shard (the newest one,
@@ -1326,10 +1402,11 @@ class TestSnapshotBootstrap:
 
 
 class TestOneLakeWriter:
-    """Structural guard: the lake has one commit path and one final LWW
-    per flavor (Dataset-returning ``merge_lww`` and the per-partition
-    lake writer).  A second writer would have to re-derive the layout
-    record that selective resume and point lookups depend on."""
+    """Structural guard: the lake has one commit path and one final LWW,
+    the per-partition lake writer, which the Dataset-returning paths
+    reach through the same keyed exchange.  A second writer would have
+    to re-derive the layout record that selective resume and point
+    lookups depend on."""
 
     PIPELINES = os.path.join(
         os.path.dirname(__file__), os.pardir, "mysql_binlog_ray", "pipelines"
@@ -1373,12 +1450,18 @@ class TestOneLakeWriter:
         calls = self._calls(os.path.join(self.PIPELINES, "cdc.py"), "commit_manifest")
         assert list(calls) == ["_commit_lake"] and calls["_commit_lake"] == 1
 
-    def test_lww_final_called_from_merge_lww_and_lake_writer(self):
+    def test_lww_final_called_from_lake_writer_only(self):
         callers = {}
         for path in self._modules():
             for fn in self._calls(path, "lww_final"):
                 callers.setdefault(os.path.basename(path), []).append(fn)
-        assert callers == {"cdc.py": ["merge_lww", "_merge_write_partition"]}
+        assert callers == {"cdc.py": ["_merge_write_partition"]}
+
+    def test_cdc_runs_no_groupby(self):
+        """``merge_lww`` and every Dataset path merge through the keyed
+        exchange: no ``groupby`` or ``map_groups`` call is left."""
+        path = os.path.join(self.PIPELINES, "cdc.py")
+        assert self._calls(path, "groupby") == {} and self._calls(path, "map_groups") == {}
 
     def test_atomic_write_parquet_called_from_lake_writer_only(self):
         """Every lake file write (run_to_lake, snapshot seed, compaction)
