@@ -10,7 +10,9 @@ filesystem exchange:
            -> one Arrow IPC file per unit, one       # keyed exchange
               record batch per partition
       -> per touched partition, a merge task:
-           final LWW + atomic parquet                # M6/M7 exactly-once sink
+           final LWW + atomic parquet into _compact/ # M6/M7 exactly-once sink
+      -> once every merge task succeeded, the files
+         move into place                             # one write path
       -> watermark manifest commit                   # M7 atomicity point
 
 Nothing materializes the full stream; the only all-to-all exchange
@@ -20,10 +22,12 @@ partitions, inside the merge task that rewrites them, so a
 ``run_to_lake`` commit runs no Ray Data execution.  The snapshot seed
 and ``compact_lake`` feed the same exchange (snapshot blocks, committed
 partition files) and write through the same merge task; the lake has
-one writer, :func:`_merge_write_partition`.  The Dataset-returning paths
-(``run_to_dataset``, ``state_as_of``, ``audit_lake``'s replay side) run
-the same exchange into a scratch dir through :func:`merge_lww` and read
-the partition files back.
+one writer, :func:`_merge_write_partition`, and one write path: every
+commit stages its files and :func:`_exchange` moves them into place, so
+a failed merge task leaves every committed file as it was.  The
+Dataset-returning paths (``run_to_dataset``, ``state_as_of``,
+``audit_lake``'s replay side) run the same exchange into a scratch dir
+through :func:`merge_lww` and read the partition files back.
 """
 
 from __future__ import annotations
@@ -304,8 +308,10 @@ def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
     block), then :func:`_exchange` of the combined blocks into a
     ``tempfile.mkdtemp()`` scratch dir, hash partitioned on
     ``cfg.key_cols`` into ``cfg.num_partitions``, final LWW in the merge
-    tasks.  The partition files are read back without the hive ``part``
-    column and materialized before the scratch dir is removed.
+    tasks, the files moved from the scratch dir's ``_compact`` into
+    place as in a lake commit.  The partition files are read back
+    without the hive ``part`` column and materialized before the scratch
+    dir is removed.
 
     Merge tasks write the scratch dir on whichever worker runs them, so
     on a multi-node cluster ``TMPDIR`` has to be a shared filesystem,
@@ -373,6 +379,11 @@ def state_as_of(
 # ---------------------------------------------------------------------------
 # exactly-once lake sink (M7) + resume
 # ---------------------------------------------------------------------------
+
+
+# where a commit's merge tasks write before _exchange moves the files
+# into place; it also holds the spill dir
+_STAGING_DIR = "_compact"
 
 
 def _lake_partition_path(lake_dir: str, part: int) -> str:
@@ -490,8 +501,9 @@ def _merge_write_partition(
     """The lake's one writer, the per-partition final merge of the keyed
     exchange: the increment's rows for ``part``, then (selective resume,
     ``prior_rows > 0``) the partition's committed lake rows, read back
-    here rather than shipped through the exchange; final LWW, row order,
-    one atomic zstd write.
+    here from the live file rather than shipped through the exchange;
+    final LWW, row order, one atomic zstd write into
+    ``lake_dir/_compact``, which :func:`_exchange` moves into place.
 
     The read-back goes AFTER the new rows so that a column added by DDL
     inside the increment keeps the position the decoder gives it.  Rows
@@ -516,7 +528,8 @@ def _merge_write_partition(
     else:
         order = pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols])
     final = final.take(order)
-    size = atomic_write_parquet(final, path, compression="zstd")
+    staged = _lake_partition_path(os.path.join(lake_dir, _STAGING_DIR), part)
+    size = atomic_write_parquet(final, staged, compression="zstd")
     mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
     return {
         "part": part,
@@ -623,31 +636,40 @@ def _exchange(
     zorder: tuple[list[str], int] | None = None,
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """The engine's one keyed exchange (Spark-external-shuffle shape) in
-    plain Ray tasks, for every lake write: ``run_to_lake`` (event read
-    units, plus the committed partition files on a layout change),
-    ``seed_lake_from_snapshot`` (snapshot blocks) and ``compact_lake``
-    (committed partition files, ``zorder`` row order); a re-layout
-    writes through :func:`_staged_exchange`.  :func:`merge_lww` runs it
-    into a scratch dir for the Dataset-returning paths (partially
-    combined flat blocks).  Spill half: one
-    :func:`_spill_task` per ``(src, decoder_kwargs)`` source, two per CPU in flight so streamed Dataset
-    blocks stay under Ray Data's backpressure; each writes one Arrow IPC
-    file per block, one record batch per touched partition, and their
-    chunk indexes list every touched partition.  Merge half: one
-    :func:`_merge_spilled_partition` task per touched partition.  The
-    scratch dir is removed on failure too, once every submitted task has
-    ended (a running spill task would re-create it).  Returns the merge
-    stats and the summed counters: ``spill_bytes`` always, the decode
+    plain Ray tasks and the lake's one write path: ``run_to_lake``
+    (event read units, plus the committed partition files on a layout
+    change), ``seed_lake_from_snapshot`` (snapshot blocks) and
+    ``compact_lake`` (committed partition files, ``zorder`` row order);
+    :func:`merge_lww` runs it into a scratch dir for the
+    Dataset-returning paths (partially combined flat blocks).  Spill
+    half: one :func:`_spill_task` per ``(src, decoder_kwargs)`` source,
+    two per CPU in flight so streamed Dataset blocks stay under Ray
+    Data's backpressure, each writing one Arrow IPC file per block into
+    ``_compact/_shuffle``, one record batch per touched partition.  Merge
+    half: one :func:`_merge_spilled_partition` task per touched
+    partition, writing ``_compact/part=NNNNN/data.parquet`` (and reading
+    back the live file when ``prior_rows`` lists the partition).
+
+    Only once every merge task succeeded are the files moved into place,
+    each destination dir fsync'd, so a failed task leaves every committed
+    file untouched; the moves are not atomic as a group.  ``_compact`` is
+    removed before (a crashed commit's leftovers) and after, on failure
+    too once every submitted task has ended (a running task would
+    re-create it).  Returns the manifest entries of the rewritten
+    partitions and the summed counters: ``spill_bytes``,
+    ``readback_rows`` and ``partitions_rewritten`` always, the decode
     counters when events were decoded.
 
-    The scratch dir lives under the lake, so a multi-node cluster needs
-    nothing the lake itself does not: every merge task writes and reads
-    back ``part=*/data.parquet`` under ``lake_dir`` on whichever worker
-    runs it, so the lake must be a shared filesystem anyway.
+    The staging dir lives under the lake, so a multi-node cluster needs
+    nothing the lake itself does not: merge tasks read back live files
+    on whichever worker runs them, so the lake must be a shared
+    filesystem anyway.
     """
     import shutil as _shutil
 
-    spill_dir = os.path.join(lake_dir, "_shuffle")
+    staging = os.path.join(lake_dir, _STAGING_DIR)
+    spill_dir = os.path.join(staging, "_shuffle")
+    _shutil.rmtree(staging, ignore_errors=True)
     window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
     spills: list[ray.ObjectRef] = []
     merges: list[ray.ObjectRef] = []
@@ -675,39 +697,20 @@ def _exchange(
             )
             for p in sorted(by_part)
         ]
-        return ray.get(merges), dict(counters)
-    finally:
-        pending = spills + merges
-        if pending:
-            ray.wait(pending, num_returns=len(pending))
-        _shutil.rmtree(spill_dir, ignore_errors=True)
-
-
-def _staged_exchange(
-    sources: Iterable[tuple[Any, dict[str, Any] | None]],
-    lake_dir: str,
-    cfg: CdcConfig,
-    zorder: tuple[list[str], int] | None = None,
-) -> tuple[list[dict[str, Any]], dict[str, int]]:
-    """:func:`_exchange` for a re-layout (``compact_lake``, a
-    non-selective ``run_to_lake``) into ``lake_dir/_compact``; the files
-    move into place, dirs fsync'd, only once every merge task succeeded,
-    so a failed one leaves the committed files (still listed by the old
-    manifest) untouched.  The moves are not atomic as a group."""
-    import shutil as _shutil
-
-    staging = os.path.join(lake_dir, "_compact")
-    _shutil.rmtree(staging, ignore_errors=True)
-    try:
-        parts, counters = _exchange(sources, staging, cfg, {}, zorder)
+        parts = ray.get(merges)
+        counters["readback_rows"] = sum(p.pop("prior_rows") for p in parts)
+        counters["partitions_rewritten"] = len(parts)
         for p in parts:
             dst = _lake_partition_path(lake_dir, p["part"])
             os.makedirs(os.path.dirname(dst), exist_ok=True)
             os.replace(_lake_partition_path(staging, p["part"]), dst)
             _fsync_dir(os.path.dirname(dst))
+        return parts, dict(counters)
     finally:
+        pending = spills + merges
+        if pending:
+            ray.wait(pending, num_returns=len(pending))
         _shutil.rmtree(staging, ignore_errors=True)
-    return parts, counters
 
 
 def run_to_lake(
@@ -720,15 +723,15 @@ def run_to_lake(
     watermark manifest; rerun/resume reproduces the identical table.
 
     Returns the committed manifest.  Besides ``elapsed_sec`` it records
-    ``readback_rows`` (committed rows the merge tasks read back),
-    ``partitions_rewritten``, the spill tasks' decode counters
-    ``events_decoded``, ``row_images`` and ``checksum_failures``, and
-    ``spill_bytes``, the size of the exchange's spill files: every
-    commit made here does (fresh, selective or layout change).  The
-    other lake commits, a snapshot seed and ``compact_lake``, decode
-    nothing and record none.  A selective step rewrites its partitions
-    in place (a rerun repairs a failed one); every other commit is
-    staged (:func:`_staged_exchange`).
+    :func:`_exchange`'s counters: ``readback_rows`` (committed rows the
+    merge tasks read back), ``partitions_rewritten``, ``spill_bytes``,
+    the size of the exchange's spill files, and the spill tasks' decode
+    counters ``events_decoded``, ``row_images`` and
+    ``checksum_failures``.  Every commit made here records them (fresh,
+    selective or layout change); a snapshot seed and ``compact_lake``
+    decode nothing and record the first three.  Every commit is staged:
+    :func:`_exchange` moves its files into place only once every merge
+    task succeeded.
     """
     import time as _time
 
@@ -759,15 +762,10 @@ def run_to_lake(
     dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
     units = event_read_units(manifest, start_after)
     sources = [((path, k), dk) for path, i, k in units if i == 0]
-    if selective:
-        prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]}
-        parts, decoded = _exchange(sources, lake_dir, cfg, prior_rows)
-    else:
-        if prior:
-            sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
-        parts, decoded = _staged_exchange(sources, lake_dir, cfg)
-    readback_rows = sum(p.pop("prior_rows") for p in parts)
-    partitions_rewritten = len(parts)
+    prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]} if selective else {}
+    if prior and not selective:
+        sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
+    parts, counters = _exchange(sources, lake_dir, cfg, prior_rows)
     if selective:
         have = {p["part"] for p in parts}
         parts.extend(p for p in prior["partitions"] if p["part"] not in have)
@@ -778,10 +776,8 @@ def run_to_lake(
         cfg.key_cols,
         cfg.num_partitions,
         elapsed_sec=round(_time.time() - t_start, 3),
-        readback_rows=readback_rows,
-        partitions_rewritten=partitions_rewritten,
         resumed_from=start_after,
-        **decoded,
+        **counters,
     )
 
 
@@ -817,11 +813,9 @@ def seed_lake_from_snapshot(
     flat = snapshot.map_batches(
         _rows_as_inserts, batch_format="pyarrow", fn_kwargs={"snapshot_seq": snapshot_seq}
     )
-    parts, _ = _exchange(((ref, None) for ref in _block_refs(flat)), lake_dir, cfg, {})
-    for p in parts:
-        del p["prior_rows"]
+    parts, counters = _exchange(((ref, None) for ref in _block_refs(flat)), lake_dir, cfg, {})
     return _commit_lake(
-        lake_dir, snapshot_seq, parts, cfg.key_cols, cfg.num_partitions, bootstrap=True
+        lake_dir, snapshot_seq, parts, cfg.key_cols, cfg.num_partitions, bootstrap=True, **counters
     )
 
 
@@ -1000,9 +994,10 @@ def compact_lake(
     dirs beyond the new count are removed after the commit.
 
     The committed partition files go through the keyed exchange and
-    its one writer, staged (:func:`_staged_exchange`), so the files
-    equal a one-shot run at ``new_num_partitions`` byte for byte, and
-    a failure while they are written leaves the committed lake as is.
+    its one writer (:func:`_exchange`), so the files equal a one-shot
+    run at ``new_num_partitions`` byte for byte, a failure while they
+    are written leaves the committed lake as is, and the manifest
+    records the exchange's counters as a ``run_to_lake`` commit does.
 
     ``zorder_cols`` (integer columns) switches the intra-partition row
     order from the key sort to the Morton curve over those columns (the
@@ -1024,10 +1019,8 @@ def compact_lake(
     cfg = replace(cfg, key_cols=key_cols, num_partitions=new_num_partitions)
     sources = [(path, None) for path in _live_partition_paths(lake_dir, m)]
     zorder = (zorder_cols, zorder_bits) if zorder_cols else None
-    parts, _ = _staged_exchange(sources, lake_dir, cfg, zorder)
-    for p in parts:
-        del p["prior_rows"]
-    return _commit_lake(lake_dir, m["watermark"], parts, key_cols, new_num_partitions)
+    parts, counters = _exchange(sources, lake_dir, cfg, {}, zorder)
+    return _commit_lake(lake_dir, m["watermark"], parts, key_cols, new_num_partitions, **counters)
 
 
 def audit_lake(

@@ -1076,9 +1076,12 @@ def tail_to_shards(
     """Drive a full replica session and spool the event stream into the
     standard ``(shard_id, event_seq, payload)`` parquet shards — the
     handoff point where the wire edge ends and the distributed pipeline
-    (decode -> merge -> lake) begins.  Files appear atomically (tmp +
-    rename), one per ``shard_events`` window, so a follower can ingest
-    completed shards while the tail is still running.
+    (decode -> merge -> lake) begins.  Files appear atomically and
+    durably (``atomic_write_parquet``: fsync'd tmp + rename + dir
+    fsync), one per ``shard_events`` window, so a follower can ingest
+    completed shards while the tail is still running, and a lake
+    watermark past a shard never outlives the shard across a power
+    loss.
 
     With ``manifest_extra`` (the stream metadata a consumer needs —
     ``table_maps`` etc.), every flush also republishes an atomic
@@ -1087,7 +1090,8 @@ def tail_to_shards(
     exactly-once lake CONCURRENTLY with the tail — the full streaming
     loop: socket -> spool -> follow -> lake."""
     import pyarrow as pa
-    import pyarrow.parquet as pq
+
+    from ..state.checkpoint import atomic_write_json, atomic_write_parquet
 
     os.makedirs(out_dir, exist_ok=True)
     client.handshake()
@@ -1147,8 +1151,6 @@ def tail_to_shards(
             return
         import json as _json
 
-        from ..state.checkpoint import atomic_write_json
-
         if latest_maps:
             manifest_extra["table_maps"] = [
                 latest_maps[k] for k in sorted(latest_maps)
@@ -1188,9 +1190,7 @@ def tail_to_shards(
             }
         )
         path = os.path.join(out_dir, f"events-{shard_id:05d}.parquet")
-        tmp = path + ".tmp"
-        pq.write_table(t, tmp)
-        os.replace(tmp, path)
+        atomic_write_parquet(t, path)
         shards.append(
             {
                 "shard_id": shard_id,

@@ -8,9 +8,15 @@ skip filter (`EventsIterator.php:92-101,207-215`).  Our equivalent is an
 as ``_manifest.json`` next to the partitioned Parquet lake.
 
 Exactly-once = idempotent replay: partition files have deterministic
-names, writes go through tmp + rename, and the manifest commit is the
-single atomicity point — a rerun from any checkpoint overwrites
-partitions with byte-identical content (SURVEY §7.3).
+names, writes go through fsync'd tmp + rename + dir fsync
+(:func:`atomic_write_parquet`), and the manifest commit is the single
+atomicity point — a rerun from any checkpoint overwrites partitions
+with byte-identical content (SURVEY §7.3).  The CDC lake writes every
+commit's partition files into a staging dir and moves them into place
+only once every merge task succeeded, so a failed task leaves the
+committed files as they were.  The wire tail spools its event shards
+through the same :func:`atomic_write_parquet`, so a shard a lake
+watermark has passed survives a power loss.
 """
 
 from __future__ import annotations

@@ -616,6 +616,7 @@ class TestFollowMode:
         with open(manifest_path(lake), "rb") as f:
             assert f.read() == committed
         assert not os.path.exists(f"{lake}/_shuffle")
+        assert not os.path.exists(f"{lake}/_compact")
 
     def test_split_shard_files(self, small_stream, tmp_path, monkeypatch):
         """Blocks that split shard files (a smaller block-byte target, so
@@ -703,8 +704,11 @@ class TestFollowMode:
 
     def test_failed_merge_keeps_commit_and_removes_spill(self, small_stream, tmp_path):
         """A merge task that cannot read back its committed partition
-        fails the step: the manifest stays byte-identical and the spill
-        dir is removed once the other merge tasks have ended."""
+        fails the step: the manifest and every partition file stay
+        byte-identical (the other merge tasks' files are staged, never
+        moved into place), the staging and spill dirs are removed once
+        the other merge tasks have ended, and with the victim repaired
+        the lake reads as the committed watermark's state."""
         from mysql_binlog_ray.pipelines.cdc import follow
         from mysql_binlog_ray.state.checkpoint import manifest_path
 
@@ -721,15 +725,28 @@ class TestFollowMode:
             p["part"] for p in m1["partitions"] if p["rows"] and before[p["part"]] != after[p["part"]]
         )
 
-        with open(f"{lake}/part={victim:05d}/data.parquet", "r+b") as f:
+        victim_path = f"{lake}/part={victim:05d}/data.parquet"
+        with open(victim_path, "rb") as f:
+            good = f.read()
+        with open(victim_path, "r+b") as f:
             f.truncate(10)
+        files = _part_files(lake)
         with open(manifest_path(lake), "rb") as f:
             committed = f.read()
         with pytest.raises(Exception):
             follow(_prefix(manifest, 2), lake, cfg)
         with open(manifest_path(lake), "rb") as f:
             assert f.read() == committed
+        assert _part_files(lake) == files
         assert not os.path.exists(f"{lake}/_shuffle")
+        assert not os.path.exists(f"{lake}/_compact")
+
+        with open(victim_path, "wb") as f:
+            f.write(good)
+        got = _normalize(read_lake(lake).to_pandas())
+        exp = final_state_oracle(spec, out, max_event_seq=m1["watermark"]).to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        assert got.equals(exp.sort_values(["repo", "path"]).reset_index(drop=True))
 
 
 @pytest.mark.usefixtures("ray_session")
@@ -830,6 +847,25 @@ class TestDecodeCounters:
         assert sum(m["row_images"] for m in steps) == n_ops
         assert sum(m["events_decoded"] for m in steps) == fresh["events_decoded"]
         assert all(m["spill_bytes"] > 0 for m in steps)
+
+    def test_seed_and_compaction_record_counters(self, small_stream, tmp_path):
+        """A snapshot seed and a compaction record the exchange's
+        counters as a ``run_to_lake`` commit does: spill bytes, no
+        read-back, one rewritten partition per manifest entry; they
+        decode nothing, so they record no decode counter."""
+        from mysql_binlog_ray.pipelines.cdc import compact_lake, seed_lake_from_snapshot
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        fresh = str(tmp_path / "fresh")
+        m = run_to_lake(manifest, fresh, cfg)
+        seeded = seed_lake_from_snapshot(read_lake(fresh), m["watermark"], str(tmp_path / "seed"), cfg)
+        compacted = compact_lake(fresh, 4)
+        for c in (seeded, compacted):
+            assert c["spill_bytes"] > 0
+            assert c["readback_rows"] == 0
+            assert c["partitions_rewritten"] == len(c["partitions"]) > 0
+            assert "row_images" not in c and "events_decoded" not in c
 
     def test_checksum_failure_is_counted(self, small_stream, tmp_path):
         """One flipped byte in one WRITE_ROWS event (on a copy of the
@@ -1463,6 +1499,39 @@ class TestOneLakeWriter:
         path = os.path.join(self.PIPELINES, "cdc.py")
         assert self._calls(path, "groupby") == {} and self._calls(path, "map_groups") == {}
 
+    def test_one_write_path(self):
+        """Every commit stages its partition files and ``_exchange``
+        alone moves them into place: no second exchange wrapper, no
+        other function of ``cdc.py`` renames a file or fsyncs a dir, and
+        every lake commit (and ``merge_lww``) calls ``_exchange`` once."""
+        import ast
+
+        from mysql_binlog_ray.pipelines import cdc
+
+        path = os.path.join(self.PIPELINES, "cdc.py")
+        assert not hasattr(cdc, "_staged_exchange")
+        movers = {}
+        for top in ast.parse(open(path).read()).body:
+            if not isinstance(top, ast.FunctionDef):
+                continue
+            for node in ast.walk(top):
+                func = getattr(node, "func", None)
+                if (
+                    isinstance(node, ast.Call)
+                    and isinstance(func, ast.Attribute)
+                    and getattr(func.value, "id", None) == "os"
+                    and func.attr in ("replace", "rename")
+                ):
+                    movers[top.name] = movers.get(top.name, 0) + 1
+        assert movers == {"_exchange": 1}
+        assert self._calls(path, "_fsync_dir") == {"_exchange": 1}
+        assert self._calls(path, "_exchange") == {
+            "merge_lww": 1,
+            "run_to_lake": 1,
+            "seed_lake_from_snapshot": 1,
+            "compact_lake": 1,
+        }
+
     def test_atomic_write_parquet_called_from_lake_writer_only(self):
         """Every lake file write (run_to_lake, snapshot seed, compaction)
         goes through the per-partition merge of the keyed exchange."""
@@ -1532,6 +1601,8 @@ class TestSpillFormat:
         stats = cdc._merge_spilled_partition._function(
             [index["post"][part], index["pre"][part]], part, lake, ("repo", "path"), 0, None
         )
-        written = pq.read_schema(cdc._lake_partition_path(lake, part))
+        # merge tasks write into the staging dir; _exchange moves the file
+        staged = os.path.join(lake, cdc._STAGING_DIR)
+        written = pq.read_schema(cdc._lake_partition_path(staged, part))
         assert written.names == [n for n in dec_schema.names if n not in ("op", "commit_seq")]
         assert stats["rows"] > 0

@@ -894,6 +894,49 @@ class TestWireSession:
         t.join(timeout=30)
 
 
+class TestSpoolDurability:
+    def test_every_spooled_shard_is_fsynced(self, small_stream, tmp_path, monkeypatch):
+        """Each ``events-*.parquet`` the tail spools is fsync'd before its
+        rename (the inode the tail fsync'd is the one left in place), so
+        a power loss cannot drop a shard a lake watermark has passed;
+        ``spool_shards`` ignores the writer's ``.events-`` temp names."""
+        import glob
+        import os
+
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.sources.wire import spool_shards
+
+        spec, out, manifest = small_stream
+        payloads = [
+            p
+            for s in manifest["shards"]
+            for p in pq.read_table(s["path"], columns=["payload"])["payload"].to_pylist()
+        ][:150]
+        synced = set()
+        real_fsync = os.fsync
+
+        def fsync(fd):
+            synced.add(os.fstat(fd).st_ino)
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        srv, cli = socket.socketpair()
+        t, seen = _serve_in_thread(srv, payloads)
+        spool = str(tmp_path / "spool")
+        client = BinlogWireClient(cli, user="repl", password="secret")
+        res = tail_to_shards(client, spool, shard_events=64)
+        cli.close()
+        t.join(timeout=30)
+        assert not t.is_alive() and "exception" not in seen, seen
+
+        files = sorted(glob.glob(os.path.join(spool, "events-*.parquet")))
+        assert len(files) == len(res["shards"]) == 3
+        assert all(os.stat(f).st_ino in synced for f in files)
+        open(os.path.join(spool, ".events-00099.parquet-stray"), "wb").close()
+        assert [e["path"] for e in spool_shards(spool)] == files
+
+
 class TestDaemonCli:
     """The long-lived listener CLI (`python -m mysql_binlog_ray.daemon`)
     over REAL TCP: tail a fixture server into a spool (manifest gains
