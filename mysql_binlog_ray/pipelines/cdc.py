@@ -5,8 +5,11 @@ it leaves to the consumer (SURVEY.md §2.7), as plain Ray tasks over a
 filesystem exchange:
 
     event_read_units(event shards)                   # S3/S6: resumable source
-      -> per shard, a spill task: flat decode+stamp  # M2/M3/M4
-           -> partial LWW combine -> `_part` hash    # M6 combiner half, M5, M8
+      -> per shard, a spill task: key pass (merge    # M2/M3/M4
+           keys, seqs, commit stamps, tombstones)
+           -> partial LWW combine over the keys      # M6 combiner half, M8
+           -> value pass: newest image per key only
+           -> `_part` hash                           # M5
            -> one Arrow IPC file per unit, one       # keyed exchange
               record batch per partition
       -> per touched partition, a merge task:
@@ -309,9 +312,11 @@ def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
     ``tempfile.mkdtemp()`` scratch dir, hash partitioned on
     ``cfg.key_cols`` into ``cfg.num_partitions``, final LWW in the merge
     tasks, the files moved from the scratch dir's ``_compact`` into
-    place as in a lake commit.  The partition files are read back
-    without the hive ``part`` column and materialized before the scratch
-    dir is removed.
+    place as in a lake commit.  The partition files are read back by one
+    small Ray task each (:func:`_read_partition_file`, no hive ``part``
+    column), and every read has finished before the scratch dir is
+    removed.  Ray Data's ``read_parquet`` set-up was nearly all of the
+    read-back's time.
 
     Merge tasks write the scratch dir on whichever worker runs them, so
     on a multi-node cluster ``TMPDIR`` has to be a shared filesystem,
@@ -323,9 +328,23 @@ def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
     scratch = tempfile.mkdtemp()
     try:
         parts, _ = _exchange(((ref, None) for ref in _block_refs(combined)), scratch, cfg, {})
-        return _read_lake_rows(scratch, {"partitions": parts}).materialize()
+        paths = _live_partition_paths(scratch, {"partitions": parts})
+        if not paths:
+            return rd.from_items([])
+        refs = [_read_partition_file.remote(path) for path in paths]
+        ray.wait(refs, num_returns=len(refs), fetch_local=False)
+        return rd.from_arrow_refs(refs)
     finally:
         _shutil.rmtree(scratch, ignore_errors=True)
+
+
+@ray.remote
+def _read_partition_file(path: str) -> pa.Table:
+    """One partition file as Arrow (``ParquetFile`` infers no hive
+    ``part`` column)."""
+    import pyarrow.parquet as pq
+
+    return pq.ParquetFile(path).read()
 
 
 def _with_flat_decode(cfg: CdcConfig) -> CdcConfig:
@@ -446,15 +465,6 @@ def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
     included); ``read_parquet`` refuses an empty path list."""
     paths = _live_partition_paths(lake_dir, m)
     return rd.read_parquet(paths) if paths else rd.from_items([])
-
-
-def _read_lake_rows(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
-    """:func:`_read_live_partitions` without the hive ``part`` column."""
-
-    def _strip_hive(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["part"]) if "part" in batch.column_names else batch
-
-    return _read_live_partitions(lake_dir, m).map_batches(_strip_hive, batch_format="pyarrow")
 
 
 def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table:
@@ -596,8 +606,11 @@ def _spill_task(
     """Spill half of the keyed exchange, one plain Ray task per input.
     With ``decoder_kwargs``, ``src`` is an event shard ``(path, k)``: read
     ONCE (a unit is a row slice of the shard, not a row group of its
-    own), then its ``k`` read units decoded, partially combined and
-    spilled in turn, one IPC file each.  Without, a committed lake file
+    own), then its ``k`` read units decoded with the partial combine
+    fused in (``BinlogDecoder.flat_combined``: merge keys first, value
+    cells only for each key's newest row image; Arrow-equal to
+    ``lww_partial`` over the flat decode) and spilled in turn, one IPC
+    file each.  Without, a committed lake file
     path (the layout-change re-merge and ``compact_lake``) or a snapshot
     Dataset block, already flat.  Returns :func:`_spill`'s chunk index
     entries and the counters: ``spill_bytes`` (the files' summed size)
@@ -613,7 +626,7 @@ def _spill_task(
         tab = pq.ParquetFile(path).read()
         bounds = [tab.num_rows * i // k for i in range(k + 1)]
         blocks = (
-            lww_partial(dec(tab.slice(lo, hi - lo)), key_cols) for lo, hi in zip(bounds, bounds[1:])
+            dec.flat_combined(tab.slice(lo, hi - lo), key_cols) for lo, hi in zip(bounds, bounds[1:])
         )
     entries, spill_bytes = [], 0
     for flat in blocks:
@@ -895,10 +908,16 @@ def run_tables_to_lakes(
 
 
 def read_lake(lake_dir: str) -> rd.Dataset:
+    """The committed lake rows (:func:`_read_live_partitions` without
+    the hive ``part`` column)."""
     m = read_manifest(lake_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest in {lake_dir}")
-    return _read_lake_rows(lake_dir, m)
+
+    def _strip_hive(batch: pa.Table) -> pa.Table:
+        return batch.drop_columns(["part"]) if "part" in batch.column_names else batch
+
+    return _read_live_partitions(lake_dir, m).map_batches(_strip_hive, batch_format="pyarrow")
 
 
 def lake_point_lookup(lake_dir: str, keys) -> pa.Table:

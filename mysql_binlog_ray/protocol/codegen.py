@@ -11,7 +11,7 @@ one row kernel of ``BinlogDecoder``'s typed modes, and
 
 Generated function shape (op="update"):
 
-    def decode_rows(data, off, end, cols, bcols, readers, skippers):
+    def decode_rows(data, off, end, cols, bcols, readers, skippers, spans=None):
         out_0, ..., out_{n-1} = cols        # one list per source column
         bout_k, ... = (bcols[k], ...)       # before-image key columns
         n_rows = 0
@@ -22,6 +22,13 @@ Generated function shape (op="update"):
             ...                             # after image: read all
             n_rows += 1
         return n_rows, off
+
+Each (table, op) also gets a key-only kernel, ``codegen[op + "_keys"]``:
+it decodes only the merge-key columns of every image, byte-skips the
+rest, and appends each insert/update after-image's ``[start, end)`` byte
+range to ``spans``.  ``codegen["insert"]`` over one such range decodes
+exactly that image, so a caller can pick rows by key first and decode
+values only for the rows it keeps.
 """
 
 from __future__ import annotations
@@ -101,10 +108,11 @@ def compile_flat_decoder(
     plan: DecodePlan,
     op: str,
     key_src: frozenset[int],
+    keys_only: bool = False,
 ) -> Callable:
-    """Build decode_rows(data, off, end, cols, bcols, readers, skippers)
-    -> (n_rows, off) for one (table, op) pair (one list per source
-    column in ``cols``/``bcols``), serving both typed decode modes:
+    """Build decode_rows(data, off, end, cols, bcols, readers, skippers,
+    spans=None) -> (n_rows, off) for one (table, op) pair (one list per
+    source column in ``cols``/``bcols``), serving both typed decode modes:
     ``key_src`` is flat mode's merge key, changefeed mode's every column.
 
     - insert: decode the full after image into ``cols``
@@ -112,6 +120,10 @@ def compile_flat_decoder(
       ``bcols``, byte-skip the rest, then the after image into ``cols``
     - delete: decode ``key_src`` columns of the before image into
       ``cols``, skip the rest (appending None)
+
+    ``keys_only`` decodes only the ``key_src`` columns of every image
+    (nothing is appended for the others) and appends the start and end
+    offset of each insert/update after image to ``spans``.
     """
     cols = plan.table_map.columns
     n = len(cols)
@@ -120,18 +132,24 @@ def compile_flat_decoder(
     def null_test(i: int) -> str:
         return f"(nb{i >> 3} & {1 << (i & 7)})"
 
+    def unpack(prefix: str, src: str, idx: list[int]) -> str:
+        names = ", ".join(f"{prefix}_{i}" for i in idx) + ("," if len(idx) == 1 else "")
+        return f" {names} = (" + ", ".join(f"{src}[{i}]" for i in idx) + ("," if len(idx) == 1 else "") + ")"
+
     lines = [
-        "def decode_rows(data, off, end, cols, bcols, readers, skippers):",
+        "def decode_rows(data, off, end, cols, bcols, readers, skippers, spans=None):",
         " import struct",
         " _unpack_d = struct.Struct('<d').unpack_from",
-        " " + ", ".join(f"out_{i}" for i in range(n)) + ("," if n == 1 else "") + " = cols",
     ]
+    if not keys_only:
+        lines.append(" " + ", ".join(f"out_{i}" for i in range(n)) + ("," if n == 1 else "") + " = cols")
+    elif key_src:
+        lines.append(unpack("out", "cols", sorted(key_src)))
     if op == "update" and key_src:
-        lines.append(
-            " " + ", ".join(f"bout_{i}" for i in sorted(key_src))
-            + ("," if len(key_src) == 1 else "") + " = "
-            + ("(" + ", ".join(f"bcols[{i}]" for i in sorted(key_src)) + ("," if len(key_src) == 1 else "") + ")")
-        )
+        lines.append(unpack("bout", "bcols", sorted(key_src)))
+    spans_rows = keys_only and op != "delete"
+    if spans_rows:
+        lines.append(" span = spans.append")
     lines.append(" n_rows = 0")
     lines.append(" while off < end:")
 
@@ -140,67 +158,66 @@ def compile_flat_decoder(
             lines.append(f"{indent}nb{b} = data[off+{b}]")
         lines.append(f"{indent}off += {nbl}")
 
+    def emit_read(indent: str, i: int, c: ColumnDef, out: str) -> None:
+        read = _inline_read(c, i)
+        if read is None:
+            lines.append(
+                f"{indent}if {null_test(i)}: {out}_{i}.append(None)\n"
+                f"{indent}else:\n"
+                f"{indent} _v, off = readers[{i}](data, off)\n"
+                f"{indent} {out}_{i}.append(_v)"
+            )
+        else:
+            lines.append(
+                f"{indent}if {null_test(i)}: {out}_{i}.append(None)\n"
+                f"{indent}else: {read.replace(f'out_{i}.append', f'{out}_{i}.append')}"
+            )
+
+    def emit_skip(indent: str, i: int, c: ColumnDef) -> None:
+        skip = _inline_skip(c)
+        if skip is None:
+            lines.append(f"{indent}if not {null_test(i)}: off = skippers[{i}](data, off)")
+        else:
+            lines.append(f"{indent}if not {null_test(i)}: {skip}")
+
     indent = "  "
     if op == "update":
         # before image: decode merge-key columns, skip everything else
         emit_bitmap(indent)
         for i, c in enumerate(cols):
             if i in key_src:
-                read = _inline_read(c, i)
-                if read is None:
-                    lines.append(
-                        f"{indent}if {null_test(i)}: bout_{i}.append(None)\n"
-                        f"{indent}else:\n"
-                        f"{indent} _v, off = readers[{i}](data, off)\n"
-                        f"{indent} bout_{i}.append(_v)"
-                    )
-                else:
-                    lines.append(
-                        f"{indent}if {null_test(i)}: bout_{i}.append(None)\n"
-                        f"{indent}else: {read.replace(f'out_{i}.append', f'bout_{i}.append')}"
-                    )
-                continue
-            skip = _inline_skip(c)
-            if skip is None:
-                lines.append(f"{indent}if not {null_test(i)}: off = skippers[{i}](data, off)")
+                emit_read(indent, i, c, "bout")
             else:
-                lines.append(f"{indent}if not {null_test(i)}: {skip}")
+                emit_skip(indent, i, c)
+    if spans_rows:
+        lines.append(f"{indent}span(off)")
     emit_bitmap(indent)
     for i, c in enumerate(cols):
-        if op == "delete" and i not in key_src:
-            skip = _inline_skip(c)
-            body = skip if skip is not None else f"off = skippers[{i}](data, off)"
-            lines.append(
-                f"{indent}if not {null_test(i)}: {body}\n"
-                f"{indent}out_{i}.append(None)"
-            )
+        if (keys_only or op == "delete") and i not in key_src:
+            emit_skip(indent, i, c)
+            if not keys_only:
+                lines.append(f"{indent}out_{i}.append(None)")
             continue
-        read = _inline_read(c, i)
-        if read is None:
-            lines.append(
-                f"{indent}if {null_test(i)}: out_{i}.append(None)\n"
-                f"{indent}else:\n"
-                f"{indent} _v, off = readers[{i}](data, off)\n"
-                f"{indent} out_{i}.append(_v)"
-            )
-        else:
-            lines.append(
-                f"{indent}if {null_test(i)}: out_{i}.append(None)\n"
-                f"{indent}else: {read}"
-            )
+        emit_read(indent, i, c, "out")
+    if spans_rows:
+        lines.append(f"{indent}span(off)")
     lines.append(f"{indent}n_rows += 1")
     lines.append(" return n_rows, off")
 
     src = "\n".join(lines)
     ns: dict = {}
-    exec(compile(src, f"<codegen:{plan.table_map.table_name}:{op}>", "exec"), ns)
+    kind = f"{op}_keys" if keys_only else op
+    exec(compile(src, f"<codegen:{plan.table_map.table_name}:{kind}>", "exec"), ns)
     fn = ns["decode_rows"]
     fn.__codegen_source__ = src  # for debugging/inspection
     return fn
 
 
 def compile_flat_decoders(plan: DecodePlan, key_src: frozenset[int]) -> dict[str, Callable]:
+    """The layout's kernels: ``op`` -> full kernel, ``op + "_keys"`` ->
+    key-only kernel, for op in insert/update/delete."""
     return {
-        op: compile_flat_decoder(plan, op, key_src)
+        op + suffix: compile_flat_decoder(plan, op, key_src, keys_only=bool(suffix))
         for op in ("insert", "update", "delete")
+        for suffix in ("", "_keys")
     }

@@ -17,6 +17,13 @@ The three output modes (changefeed, flat, json) share ONE event walk,
 the rows of each accepted ROWS event.  The typed modes (changefeed,
 flat) decode rows through ONE kernel, the layout's code-generated row
 decoder (``_TableState.codegen``); json mode uses ``parse_rows_event``.
+Each layout has two kernel shapes per op: the full kernel
+(``codegen[op]``: all cells of the after-image, merge keys of the
+before-image) and the key-only kernel (``codegen[op + "_keys"]``: merge
+keys of every image plus each after-image's byte range).  ``flat_combined``
+(the lake's spill tasks) runs the key-only kernels, picks each key's
+newest row, and decodes only those after-images with
+``codegen["insert"]`` over their recorded ranges.
 
 Semantics reproduced from the reference (citations in protocol/decode.py):
 
@@ -58,6 +65,7 @@ from ..protocol.decode import (
     verify_checksum,
 )
 from ..protocol.model import ColumnDef, TableMapDef
+from .merge import _winner_indices
 
 _ROWS_TYPES = {0x17, 0x18, 0x19, 0x1E, 0x1F, 0x20}
 _OP_BY_TYPE = {
@@ -158,6 +166,20 @@ def _build_child(values: list, typ: pa.DataType) -> pa.Array:
     return pa.array(values, type=typ)
 
 
+def _meta_arrays(
+    ops: np.ndarray, ev: np.ndarray, row_seqs: np.ndarray, commit_seqs: np.ndarray
+) -> list[pa.Array]:
+    """The flat rows' ``op``, ``event_seq``, ``row_seq`` and
+    ``commit_seq`` columns from their numpy forms (``ops`` holds codes
+    into ``_OP_NAMES_ARROW``)."""
+    return [
+        pa.DictionaryArray.from_arrays(pa.array(ops), _OP_NAMES_ARROW).dictionary_decode(),
+        pa.array(ev),
+        pa.array(row_seqs),
+        pa.array(commit_seqs),
+    ]
+
+
 class _TableState:
     """Per-table-map decode state: compiled plan + remap into the target
     column order (late-binding cast, null-fill for added columns).
@@ -209,7 +231,7 @@ class _TableState:
         )
         self.schema_ver = tm.schema_ver
         # per-(table, op) code-generated row decoders: the typed modes'
-        # one row kernel
+        # one row kernel, plus the key-only kernels of flat_combined
         from ..protocol.codegen import compile_flat_decoders
 
         self.codegen = compile_flat_decoders(self.plan, self.key_src)
@@ -785,6 +807,129 @@ class BinlogDecoder:
         the dominant memory-bandwidth saving at scale."""
         n_target = len(self.target_names)
         cols: list[list] = [[] for _ in range(n_target)]
+        meta = self._flat_rows(batch, cols)
+        if meta is None:
+            return self._empty
+        ops, ev, row_seqs, commit_seqs = meta
+        st_type = self.struct_type
+        arrays = [
+            _build_child(cols[i], st_type.field(i).type) for i in range(n_target)
+        ] + _meta_arrays(ops, ev, row_seqs, commit_seqs)
+        return pa.Table.from_arrays(arrays, schema=self.out_schema)
+
+    def flat_combined(self, batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Table:
+        """Flat decode fused with the partial combine: Arrow-equal to
+        ``merge.lww_partial(self(batch), key_cols)`` (same schema, rows
+        and row order), but value cells are built only for the rows the
+        combine keeps.  ``key_cols`` must be among the decoder's merge
+        keys (``key_cols=`` / the table's primary key).
+
+        1. Key pass: the one walk, each event through its layout's
+           key-only kernel (``codegen[op + "_keys"]``), which decodes the
+           merge-key columns, byte-skips the rest, and records each
+           insert/update after-image's byte range.  Op, sequence columns
+           and key-change tombstones come out exactly as in
+           :meth:`_call_flat`.
+        2. Winners: ``merge._winner_indices`` over the key and sequence
+           columns, the function ``lww_partial`` runs.
+        3. Value pass: each winning insert/update after-image decoded
+           through the layout's ``codegen["insert"]`` over its recorded
+           range; deletes and tombstones carry only their key.
+        """
+        assert self.output == "flat"
+        not_decoded = [k for k in key_cols if k in self.target_names and k not in self.key_names]
+        if not_decoded:
+            raise ValueError(f"merge keys {not_decoded} are not decoder merge keys {self.key_names}")
+        n_target = len(self.target_names)
+        key_tgts = [t for t, n in enumerate(self.target_names) if n in self.key_names]
+        # key pass: only key target columns get lists; the others share
+        # the trash, which the key-only kernel never appends cells to
+        cols: list[list] = [self._trash] * n_target
+        for t in key_tgts:
+            cols[t] = []
+        spans: list[int] = []
+        events: list[tuple[int, _TableState, Any]] = []
+        meta = self._flat_rows(batch, cols, spans, events)
+        if meta is None:
+            return self._empty
+        ops, ev, row_seqs, commit_seqs = meta
+        st_type = self.struct_type
+        keys = {
+            self.target_names[t]: _build_child(cols[t], st_type.field(t).type) for t in key_tgts
+        }
+        if len(ops) <= 1:
+            win = np.arange(len(ops))
+        else:
+            seq = {"event_seq": ev, "row_seq": row_seqs}
+            win = _winner_indices(pa.table({**keys, **seq}), key_cols)
+        vals = self._decode_winner_values(win, ops, spans, events, key_tgts)
+        arrays = [
+            keys[n].take(win) if t in key_tgts else _build_child(vals[t], st_type.field(t).type)
+            for t, n in enumerate(self.target_names)
+        ] + _meta_arrays(ops[win], ev[win], row_seqs[win], commit_seqs[win])
+        return pa.Table.from_arrays(arrays, schema=self.out_schema)
+
+    def _decode_winner_values(
+        self,
+        win: np.ndarray,
+        ops: np.ndarray,
+        spans: list[int],
+        events: list[tuple[int, _TableState, Any]],
+        key_tgts: list[int],
+    ) -> list[list]:
+        """The value pass of :meth:`flat_combined`: the non-key target
+        columns of rows ``win``, in that order.  An insert/update row's
+        after-image is decoded by its layout's ``codegen["insert"]`` over
+        the byte range the key pass recorded (span ``j`` of the flat rows
+        is the ``j``-th insert/update row); a delete or tombstone row, and
+        an added column, gets None."""
+        n_target = len(self.target_names)
+        vals: list[list] = [[] for _ in range(n_target)]
+        non_key = [t for t in range(n_target) if t not in key_tgts]
+        is_image = ops != _OP_DELETE_CODE
+        span_of = np.cumsum(is_image) - 1
+        win_span = span_of[win]
+        firsts = np.asarray([e[0] for e in events], dtype=np.int64)
+        win_event = np.searchsorted(firsts, win_span, side="right") - 1
+        trash = self._trash
+        trash.clear()
+        layouts: dict[_TableState, tuple[list[list], list[int]]] = {}
+        for image, j, e in zip(is_image[win].tolist(), win_span.tolist(), win_event.tolist()):
+            if not image:
+                for t in non_key:
+                    vals[t].append(None)
+                continue
+            _first, st, payload = events[e]
+            lay = layouts.get(st)
+            if lay is None:
+                # key columns come from the key pass: their cells go to the trash
+                out_lists = [
+                    vals[t] if t is not None and t not in key_tgts else trash
+                    for t in st.src_to_tgt
+                ]
+                lay = layouts[st] = (out_lists, [t for t in st.null_fill_tgts if t not in key_tgts])
+            out_lists, fill = lay
+            st.codegen["insert"](
+                payload, spans[2 * j], spans[2 * j + 1], out_lists, (), st.plan.readers, st.plan.skippers
+            )
+            for t in fill:
+                vals[t].append(None)
+        trash.clear()
+        return vals
+
+    def _flat_rows(
+        self,
+        batch: pa.Table,
+        cols: list[list],
+        spans: list[int] | None = None,
+        events: list | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+        """The flat modes' pass over :meth:`_row_events`: each ROWS event
+        decoded into the target-order ``cols`` (by the full kernels, or
+        with ``spans`` the key-only ones, which also note
+        ``(first span, state, payload)`` of each insert/update event in
+        ``events``).  Returns the per-row op code, event_seq, row_seq and
+        commit_seq as numpy arrays, or None when the batch has no row."""
         # metadata columns are run-length encoded per event and expanded
         # ONCE with numpy at the end: [op]*n / [seq]*n temp lists and the
         # per-element appends were ~10% of the kernel (measured)
@@ -800,7 +945,9 @@ class BinlogDecoder:
         for _shard_id, event_seq, etype, _table_id, st, h, payload, ctx in self._row_events(
             batch, commit_seqs
         ):
-            n_rows, tomb_rows = self._decode_rows_flat(payload, h, etype, st, cols)
+            if spans is not None and _OP_CODE_BY_TYPE[etype] != _OP_DELETE_CODE:
+                events.append((len(spans) >> 1, st, payload))
+            n_rows, tomb_rows = self._decode_rows_flat(payload, h, etype, st, cols, spans)
             if n_rows:
                 op_codes.append(_OP_CODE_BY_TYPE[etype])
                 run_counts.append(n_rows)
@@ -824,23 +971,14 @@ class BinlogDecoder:
             self.n_rows += n_rows
 
         if not run_counts:
-            return self._empty
+            return None
         counts = np.asarray(run_counts, dtype=np.int64)
-        ops_arr = pa.DictionaryArray.from_arrays(
-            pa.array(np.repeat(np.asarray(op_codes, dtype=np.int8), counts)),
-            _OP_NAMES_ARROW,
-        ).dictionary_decode()
-        ev_arr = pa.array(np.repeat(np.asarray(ev_vals, dtype=np.int64), counts))
-        st_type = self.struct_type
-        arrays = [
-            _build_child(cols[i], st_type.field(i).type) for i in range(n_target)
-        ] + [
-            ops_arr,
-            ev_arr,
-            pa.array(row_seqs, pa.int32()),
-            pa.array(commit_seqs, pa.int64()),
-        ]
-        return pa.Table.from_arrays(arrays, schema=self.out_schema)
+        return (
+            np.repeat(np.asarray(op_codes, dtype=np.int8), counts),
+            np.repeat(np.asarray(ev_vals, dtype=np.int64), counts),
+            np.asarray(row_seqs, dtype=np.int32),
+            np.asarray(commit_seqs, dtype=np.int64),
+        )
 
     def _decode_rows_flat(
         self,
@@ -849,7 +987,12 @@ class BinlogDecoder:
         etype: int,
         st: _TableState,
         cols: list[list],
+        spans: list[int] | None = None,
     ) -> tuple[int, list[int]]:
+        """One ROWS event into the target-order ``cols`` through the
+        layout's full kernel, or with ``spans`` its key-only kernel.
+        Returns the row count and the source row of each key-change
+        tombstone, whose rows it appends after the event's rows."""
         op = _OP_BY_TYPE[etype]
         plan = st.plan
         off, is_update = rows_body_offset(payload, etype, plan)
@@ -890,8 +1033,8 @@ class BinlogDecoder:
                 bcols.append([])
             for k in key_list:
                 bcols[k].clear()
-        n_rows, off = st.codegen[op](
-            payload, off, end, out_lists, bcols, plan.readers, plan.skippers
+        n_rows, off = st.codegen[op if spans is None else op + "_keys"](
+            payload, off, end, out_lists, bcols, plan.readers, plan.skippers, spans
         )
         for t_i in st.null_fill_tgts:  # added columns: no source bytes
             cols[t_i].extend([None] * n_rows)

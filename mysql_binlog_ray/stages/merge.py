@@ -15,7 +15,13 @@ Scale design (the part the single-threaded reference never needed):
    from a struct changefeed for callers that hold one.
 2. ``lww_partial``         — per-batch combiner: keep only the newest
    image per key within the batch *before* the shuffle, so repeatedly
-   updated (hot) keys ship one row per batch, not one per update.
+   updated (hot) keys ship one row per batch, not one per update.  The
+   lake's spill tasks combine inside the decode
+   (``BinlogDecoder.flat_combined``: merge keys first, then
+   :func:`_winner_indices`, then value cells for the winners only, with
+   a result Arrow-equal to ``lww_partial`` over the flat rows); the
+   Dataset paths (``cdc.merge_lww``) still run ``lww_partial`` on
+   decoded flat blocks.
 3. partition column        — deterministic hash of the primary key mod
    ``num_partitions`` (stable across runs/processes: required for the
    resumable, idempotent sink).

@@ -1030,7 +1030,11 @@ class TestOneDecodeWalk:
 
         V().visit(ast.parse(open(self._stage()).read()))
         assert reader_calls == []
-        assert sorted(kernel_calls) == ["_decode_rows_flat", "_decode_rows_into"]
+        assert sorted(kernel_calls) == [
+            "_decode_rows_flat",
+            "_decode_rows_into",
+            "_decode_winner_values",
+        ]
 
 
 class TestTableStateCache:
@@ -1085,3 +1089,207 @@ class TestTableStateCache:
         ]
         assert callers == ["_table_state"]
         assert "_state_cache" not in src
+
+
+class TestFusedCombine:
+    """``BinlogDecoder.flat_combined`` (the lake's spill tasks decode
+    through it) is Arrow-equal to ``lww_partial`` over the flat decode:
+    same schema, rows and row order, and the same decoder counters."""
+
+    @staticmethod
+    def _assert_fused(blocks, key_cols, dec_keys=None, **kw):
+        from mysql_binlog_ray.stages.merge import lww_partial
+
+        kw = dict(output="flat", key_cols=dec_keys or key_cols, **kw)
+        flat, fused = BinlogDecoder(**kw), BinlogDecoder(**kw)
+        outs = []
+        for blk in blocks:
+            want = lww_partial(flat(blk), key_cols)
+            outs.append(fused.flat_combined(blk, key_cols))
+            assert outs[-1].schema.equals(want.schema, check_metadata=True)
+            assert outs[-1].equals(want), (outs[-1].to_pylist()[:3], want.to_pylist()[:3])
+        counters = ("n_events", "n_rows", "n_checksum_failures")
+        assert [getattr(fused, c) for c in counters] == [getattr(flat, c) for c in counters]
+        return pa.concat_tables(outs), fused
+
+    @staticmethod
+    def _blocks(m, size):
+        import pyarrow.parquet as pq
+
+        tabs = [pq.read_table(s["path"], columns=["shard_id", "event_seq", "payload"]) for s in m["shards"]]
+        return [t.slice(i, size) for t in tabs for i in range(0, t.num_rows, size)]
+
+    # these streams hold at most a few hundred events per shard, so a
+    # 700-event block is a whole shard
+    SIZES = (64, 700)
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_small_stream(self, small_stream, size):
+        _spec, _out, m = small_stream
+        blocks = self._blocks(m, size)
+        got, dec = self._assert_fused(blocks, ("repo", "path"), registry_snapshot=m["table_maps"])
+        assert 0 < got.num_rows < dec.n_rows
+        # a resume position inside the first block
+        mid = blocks[0].column("event_seq")[blocks[0].num_rows // 2].as_py()
+        self._assert_fused(
+            blocks, ("repo", "path"), registry_snapshot=m["table_maps"], start_after_seq=mid
+        )
+
+    def test_mid_stream_ddl(self, tmp_path):
+        """Blocks that hold two layouts; the older one null-fills the
+        column the ALTER added."""
+        m = generate_stream(StreamSpec(n_keys=80, n_ops=400, n_shards=2, ddl_at=0.5), str(tmp_path))
+        for size in self.SIZES:
+            _got, dec = self._assert_fused(
+                self._blocks(m, size), ("repo", "path"), registry_snapshot=m["table_maps"]
+            )
+            assert len(dec.states) == 2
+
+    def test_typed_issues_table(self, tmp_path):
+        """``code.issues``: unsigned PK, ENUM, DATETIME2 and NEWDECIMAL
+        columns, read through the layout's ``readers``."""
+        spec = StreamSpec(n_keys=400, n_ops=3000, n_shards=3, issues_every=3)
+        m = generate_stream(spec, str(tmp_path))
+        for size in self.SIZES:
+            blocks = self._blocks(m, size)
+            for table, keys in ((("code", "repos"), ("repo", "path")), (("code", "issues"), ("issue_id",))):
+                got, _ = self._assert_fused(
+                    blocks, keys, registry_snapshot=m["table_maps"], target_table=table
+                )
+                assert got.num_rows > 0
+
+    def test_key_changing_updates_and_refill(self):
+        """Row 0 moves key A to B and row 1 of the same event moves C to
+        the vacated A: A's after-image outranks row 0's tombstone."""
+        a, b, c = _mk_row(1), _mk_row(2), _mk_row(3)
+        moved = {**a, "path": "moved.py", "commit": "d" * 40}
+        refill = {**c, "repo": a["repo"], "path": a["path"], "content": "refilled"}
+        evs = _simple_stream(
+            TM,
+            [
+                ("insert", [a, c]),
+                ("update", [{"before": a, "after": moved}, {"before": c, "after": refill}]),
+                ("update", [{"before": b, "after": {**b, "lang": "go"}}]),
+                ("delete", [moved]),
+            ],
+        )
+        got, _ = self._assert_fused([_batch(evs)], ("repo", "path"), registry_snapshot=[TM.to_dict()])
+        by_key = {(r["repo"], r["path"]): r for r in got.to_pylist()}
+        assert got.num_rows == 4
+        assert by_key[(a["repo"], a["path"])]["content"] == "refilled"
+        assert by_key[(c["repo"], c["path"])]["op"] == "delete"  # C's tombstone
+        assert by_key[(moved["repo"], moved["path"])]["op"] == "delete"
+        assert by_key[(b["repo"], b["path"])]["lang"] == "go"
+
+    def test_merge_key_dropped_by_ddl(self):
+        """A merge-key column the latest layout dropped still drives the
+        tombstone compare (``key_trash_srcs``); the combine keys on the
+        surviving target key."""
+        tm0 = repos_table_map(False)
+        tm1 = TableMapDef(
+            table_id=tm0.table_id + 1,
+            schema_name="code",
+            table_name="repos",
+            columns=tuple(c for c in tm0.columns if c.name not in ("path", "commit")),
+            primary_key=(0,),
+            schema_ver=tm0.schema_ver + 1,
+        )
+        r1, r2 = _mk_row(1), _mk_row(2)
+        evs = _simple_stream(
+            tm0,
+            [
+                ("insert", [r1, r2]),
+                ("update", [{"before": r1, "after": {**r1, "commit": "d" * 40}},
+                            {"before": r2, "after": {**r2, "path": "moved.py"}}]),
+            ],
+        )
+        got, dec = self._assert_fused(
+            [_batch(evs)],
+            ("repo",),
+            dec_keys=("repo", "path"),
+            registry_snapshot=[tm0.to_dict(), tm1.to_dict()],
+        )
+        assert got.num_rows == 2 and next(iter(dec.states.values())).key_trash_srcs
+
+    def test_u64_at_and_above_2_63(self):
+        cols = (
+            ColumnDef("k", ColumnType.LONGLONG, signed=False),
+            ColumnDef("v", ColumnType.LONGLONG, signed=False),
+            ColumnDef("s", ColumnType.LONG),
+        )
+        tm = TableMapDef(table_id=41, schema_name="code", table_name="u", columns=cols, primary_key=(0,))
+        hi, top = 1 << 63, (1 << 64) - 1
+        evs = _simple_stream(
+            tm,
+            [
+                ("insert", [{"k": hi + 5, "v": top, "s": 1}, {"k": 3, "v": hi, "s": 2}]),
+                ("update", [{"before": {"k": 3, "v": hi, "s": 2}, "after": {"k": hi, "v": 1, "s": 3}}]),
+                ("insert", [{"k": top, "v": hi + 1, "s": 4}]),
+                ("delete", [{"k": hi + 5, "v": top, "s": 1}]),
+            ],
+        )
+        got, _ = self._assert_fused([_batch(evs)], ("k",), registry_snapshot=[tm.to_dict()])
+        assert {r["k"]: (r["op"], r["v"]) for r in got.to_pylist()} == {
+            hi + 5: ("delete", None),
+            3: ("delete", None),
+            hi: ("update", 1),
+            top: ("insert", hi + 1),
+        }
+        assert got.num_rows == 4
+
+    def test_corrupt_event_skipped_and_counted(self, small_stream):
+        _spec, _out, m = small_stream
+        blk = self._blocks(m, 64)[0]
+        payloads = blk.column("payload").to_pylist()
+        i = next(j for j, p in enumerate(payloads) if p[5] == EventType.WRITE_ROWS_V2)
+        bad = bytearray(payloads[i])
+        bad[len(bad) // 2] ^= 0xFF
+        payloads[i] = bytes(bad)
+        blk = blk.set_column(2, "payload", pa.array(payloads, pa.binary()))
+        _got, dec = self._assert_fused([blk], ("repo", "path"), registry_snapshot=m["table_maps"])
+        assert dec.n_checksum_failures == 1
+
+    def test_spill_builds_values_for_the_newest_image_only(self, tmp_path, monkeypatch):
+        """One key inserted, then updated ``n`` times: the spill task
+        builds the non-key value cells of exactly one row."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines import cdc
+        from mysql_binlog_ray.stages import decode_stage
+
+        n = 40
+        r = _mk_row(1)
+        images = [{**r, "content": f"v{i}"} for i in range(n + 1)]
+        evs = _simple_stream(
+            TM,
+            [("insert", [images[0]])]
+            + [("update", [{"before": images[i], "after": images[i + 1]}]) for i in range(n)],
+        )
+        shard = str(tmp_path / "shard.parquet")
+        pq.write_table(_batch(evs), shard)
+        built = []
+        real = decode_stage._build_child
+
+        def spy(values, typ):
+            built.append(len(values))
+            return real(values, typ)
+
+        monkeypatch.setattr(decode_stage, "_build_child", spy)
+        cfg = cdc.CdcConfig(num_partitions=4)
+        dk = cdc._decoder_kwargs([TM.to_dict()], cdc._with_flat_decode(cfg), None)
+        entries, counts = cdc._spill_task._function(
+            (shard, 1), str(tmp_path / "spill"), cfg.key_cols, cfg.num_partitions, dk
+        )
+        # the two key columns over every row image, the three value
+        # columns over the one winner
+        assert sorted(built) == [1, 1, 1, n + 1, n + 1]
+        assert counts["row_images"] == n + 1
+        ((_part, path, i),) = entries
+        with pa.OSFile(path) as f:
+            spilled = pa.ipc.open_file(f).get_batch(i).to_pylist()
+        assert [row["content"] for row in spilled] == [f"v{n}"]
+
+    def test_spill_task_does_not_decode_then_combine(self):
+        cdc_py = os.path.join(TestOneDecodeWalk.PKG, "pipelines", "cdc.py")
+        assert "_spill_task" not in TestOneDecodeWalk._calls(cdc_py, "lww_partial")
+        assert list(TestOneDecodeWalk._calls(cdc_py, "flat_combined")) == ["_spill_task"]
