@@ -942,34 +942,70 @@ def scan_table_maps(shard_paths: list[str]) -> list[dict]:
     return [latest[k] for k in sorted(latest)]
 
 
-def spool_shards(out_dir: str) -> list[dict]:
-    """Manifest entries for every committed shard in a spool directory
-    (the atomically-renamed ``events-NNNNN.parquet`` files) — feed these
-    to ``run_to_lake``/``follow`` to ingest everything the tail has
-    spooled so far, including shards from earlier tail sessions."""
+def _spool_names(out_dir: str) -> list[str]:
+    """The committed shard files of a spool directory, by name — the
+    writer's temp files (``.events-…``) never match."""
+    if not os.path.isdir(out_dir):
+        return []
+    return sorted(
+        f for f in os.listdir(out_dir) if f.startswith("events-") and f.endswith(".parquet")
+    )
+
+
+def _shard_id(name: str) -> int:
+    return int(name[len("events-") : -len(".parquet")])
+
+
+def _shard_entry(out_dir: str, name: str) -> dict | None:
+    """The manifest entry of one spooled shard from its parquet footer:
+    the row count and the ``event_seq`` row-group min/max statistics.
+    The column is read only when a row group has no min/max statistics.
+    None for a shard with no rows."""
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
 
-    out = []
-    if not os.path.isdir(out_dir):
-        return out
-    for f in sorted(os.listdir(out_dir)):
-        if not (f.startswith("events-") and f.endswith(".parquet")):
-            continue
-        path = os.path.join(out_dir, f)
-        t = pq.read_table(path, columns=["event_seq"])
-        if t.num_rows == 0:
-            continue
-        out.append(
-            {
-                "shard_id": int(f[len("events-") : -len(".parquet")]),
-                "path": path,
-                "events": t.num_rows,
-                "first_event_seq": int(pc.min(t.column("event_seq")).as_py()),
-                "last_event_seq": int(pc.max(t.column("event_seq")).as_py()),
-            }
-        )
-    return out
+    path = os.path.join(out_dir, name)
+    with pq.ParquetFile(path) as pf:
+        md = pf.metadata
+        if md.num_rows == 0:
+            return None
+        col = md.schema.names.index("event_seq")
+        stats = [md.row_group(i).column(col).statistics for i in range(md.num_row_groups)]
+        if all(s is not None and s.has_min_max for s in stats):
+            lo, hi = min(s.min for s in stats), max(s.max for s in stats)
+        else:
+            seqs = pf.read(columns=["event_seq"]).column(0)
+            lo, hi = pc.min(seqs).as_py(), pc.max(seqs).as_py()
+    return {
+        "shard_id": _shard_id(name),
+        "path": path,
+        "events": md.num_rows,
+        "first_event_seq": int(lo),
+        "last_event_seq": int(hi),
+    }
+
+
+def _resume_point(entries: list[dict]) -> tuple[int, int]:
+    """(next_shard_id, next_event_seq) after the given shard entries."""
+    if not entries:
+        return 0, 0
+    return (
+        max(e["shard_id"] for e in entries) + 1,
+        max(e["last_event_seq"] for e in entries) + 1,
+    )
+
+
+def spool_shards(out_dir: str) -> list[dict]:
+    """Manifest entries for every committed shard in a spool directory
+    (the atomically-renamed ``events-NNNNN.parquet`` files, in name
+    order; empty ones skipped) — feed these to ``run_to_lake``/``follow``
+    to ingest everything the tail has spooled so far, including shards
+    from earlier tail sessions.  Each entry comes from the shard's
+    parquet footer (row count, ``event_seq`` statistics), so listing
+    reads no event data."""
+    return [
+        e for e in (_shard_entry(out_dir, f) for f in _spool_names(out_dir)) if e is not None
+    ]
 
 
 def purge_spool(out_dir: str, watermark: int) -> dict:
@@ -1051,14 +1087,20 @@ def spool_state(out_dir: str) -> tuple[int, int]:
     (the reference always restarts at position 4, `Connection.php:156`),
     pass ``skip_events=next_event_seq`` to ``tail_to_shards`` so the
     already-spooled prefix is dropped instead of re-ingested under
-    fresh sequence numbers."""
-    entries = spool_shards(out_dir)
-    if not entries:
-        return 0, 0
-    return (
-        max(e["shard_id"] for e in entries) + 1,
-        max(e["last_event_seq"] for e in entries) + 1,
-    )
+    fresh sequence numbers.
+
+    Reads ONE footer, whatever the spool's size: ``tail_to_shards`` is
+    the only spool writer and numbers shards and ``event_seq`` together
+    (each new shard continues both after the newest one), and
+    ``purge_spool`` always keeps the newest shard, so the newest
+    non-empty shard holds both the highest shard id and the highest
+    ``event_seq``.  The walk goes newest-first by shard id and stops at
+    the first non-empty shard."""
+    for f in sorted(_spool_names(out_dir), key=_shard_id, reverse=True):
+        entry = _shard_entry(out_dir, f)
+        if entry is not None:
+            return _resume_point([entry])
+    return 0, 0
 
 
 def tail_to_shards(
@@ -1088,7 +1130,14 @@ def tail_to_shards(
     ``manifest.json`` listing ALL committed shards, so a live
     ``FollowDaemon`` pointed at the spool ingests the stream into the
     exactly-once lake CONCURRENTLY with the tail — the full streaming
-    loop: socket -> spool -> follow -> lake."""
+    loop: socket -> spool -> follow -> lake.
+
+    ``resume=True`` continues the spool's numbering.  A session that
+    publishes no manifest (no ``manifest_extra`` and no prior
+    ``manifest.json``) reads only the newest shard's footer
+    (:func:`spool_state`), so resuming costs the same at any spool
+    size; a publishing session lists the prior shards from their
+    footers (:func:`spool_shards`), once per session."""
     import pyarrow as pa
 
     from ..state.checkpoint import atomic_write_json, atomic_write_parquet
@@ -1108,10 +1157,7 @@ def tail_to_shards(
     client.dump_binlog(binlog_file, position)
 
     shards = []
-    prior_shards = spool_shards(out_dir) if resume else []
     buf: list[bytes] = []
-    shard_id, seq = spool_state(out_dir) if resume else (0, 0)
-    first_seq = seq
     if skip_events is None:
         skip_events = 0
     to_skip = skip_events
@@ -1127,6 +1173,18 @@ def tail_to_shards(
             with open(mpath) as f:
                 prior_meta = _json.load(f)
             manifest_extra = {k: v for k, v in prior_meta.items() if k != "shards"}
+
+    # the resume point: a publishing session lists every prior shard in
+    # its manifests anyway (one footer each) and resumes after the
+    # newest; any other session reads the newest shard's footer only
+    prior_shards: list[dict] = []
+    shard_id, seq = 0, 0
+    if resume and manifest_extra is not None:
+        prior_shards = spool_shards(out_dir)
+        shard_id, seq = _resume_point(prior_shards)
+    elif resume:
+        shard_id, seq = spool_state(out_dir)
+    first_seq = seq
 
     # in-stream registry-snapshot scan: a REAL stream's TABLE_MAPs exist
     # only in-band, and a follower's PARALLEL decode needs the snapshot

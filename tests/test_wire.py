@@ -937,6 +937,240 @@ class TestSpoolDurability:
         assert [e["path"] for e in spool_shards(spool)] == files
 
 
+def _column_spool_shards(out_dir):
+    """Reference listing: every shard's ``event_seq`` column read in
+    full (the definition before footers replaced it)."""
+    import os
+
+    import pyarrow.compute as pc
+    import pyarrow.parquet as pq
+
+    out = []
+    if not os.path.isdir(out_dir):
+        return out
+    for f in sorted(os.listdir(out_dir)):
+        if not (f.startswith("events-") and f.endswith(".parquet")):
+            continue
+        path = os.path.join(out_dir, f)
+        t = pq.read_table(path, columns=["event_seq"])
+        if t.num_rows == 0:
+            continue
+        out.append(
+            {
+                "shard_id": int(f[len("events-") : -len(".parquet")]),
+                "path": path,
+                "events": t.num_rows,
+                "first_event_seq": int(pc.min(t.column("event_seq")).as_py()),
+                "last_event_seq": int(pc.max(t.column("event_seq")).as_py()),
+            }
+        )
+    return out
+
+
+def _column_spool_state(out_dir):
+    entries = _column_spool_shards(out_dir)
+    if not entries:
+        return 0, 0
+    return (
+        max(e["shard_id"] for e in entries) + 1,
+        max(e["last_event_seq"] for e in entries) + 1,
+    )
+
+
+def _stream_payloads(manifest):
+    import pyarrow.parquet as pq
+
+    return [
+        p
+        for s in manifest["shards"]
+        for p in pq.read_table(s["path"], columns=["payload"])["payload"].to_pylist()
+    ]
+
+
+def _tail_session(spool, payloads, **kw):
+    srv, cli = socket.socketpair()
+    t, seen = _serve_in_thread(srv, payloads)
+    client = BinlogWireClient(cli, user="repl", password="secret")
+    res = tail_to_shards(client, spool, **kw)
+    cli.close()
+    t.join(timeout=30)
+    assert not t.is_alive() and "exception" not in seen, seen
+    return res
+
+
+class _ShardOpenSpy:
+    """Records every spooled shard opened through ``pq.ParquetFile`` or
+    ``pq.read_table`` (by file name) while installed."""
+
+    def __init__(self, monkeypatch):
+        import os
+
+        import pyarrow.parquet as pq
+
+        self.footers: list[str] = []
+        self.tables: list[str] = []
+        real_file, real_read = pq.ParquetFile, pq.read_table
+
+        def parquet_file(source, *a, **kw):
+            self.footers.append(os.path.basename(str(source)))
+            return real_file(source, *a, **kw)
+
+        def read_table(source, *a, **kw):
+            self.tables.append(os.path.basename(str(source)))
+            return real_read(source, *a, **kw)
+
+        monkeypatch.setattr(pq, "ParquetFile", parquet_file)
+        monkeypatch.setattr(pq, "read_table", read_table)
+
+    def clear(self):
+        self.footers.clear()
+        self.tables.clear()
+
+
+class TestSpoolFooterResume:
+    """A resumed tail session reads the newest shard's footer only, and
+    ``spool_shards`` / ``spool_state`` built from footers return exactly
+    what reading every shard's ``event_seq`` column returns."""
+
+    N_SESSIONS = 21
+
+    def _assert_column_equal(self, spool):
+        from mysql_binlog_ray.sources.wire import spool_shards, spool_state
+
+        assert spool_shards(spool) == _column_spool_shards(spool)
+        assert spool_state(spool) == _column_spool_state(spool)
+
+    def _sessions(self, spool, payloads, spy=None, **kw):
+        """One resumed tail session per increment, as a benchmark follow
+        loop runs them; with ``spy``, returns each session's opens."""
+        step = len(payloads) // self.N_SESSIONS
+        opens = []
+        for i in range(self.N_SESSIONS):
+            if spy is not None:
+                spy.clear()
+            _tail_session(
+                spool, payloads[i * step : (i + 1) * step], shard_events=1 << 30, resume=True, **kw
+            )
+            if spy is not None:
+                opens.append((list(spy.footers), list(spy.tables)))
+        return opens
+
+    def test_resumed_session_opens_one_shard(self, small_stream, tmp_path, monkeypatch):
+        _spec, _out, manifest = small_stream
+        spool = str(tmp_path / "spool")
+        spy = _ShardOpenSpy(monkeypatch)
+        opens = self._sessions(spool, _stream_payloads(manifest), spy)
+        assert opens[0] == ([], [])  # an empty spool has no shard to open
+        for i, (footers, tables) in enumerate(opens[1:]):
+            # whatever the spool's size, only the newest shard's footer
+            assert footers == [f"events-{i:05d}.parquet"]
+            assert tables == []
+        self._assert_column_equal(spool)
+
+    def test_publishing_session_reads_each_footer_once(
+        self, small_stream, tmp_path, monkeypatch
+    ):
+        import collections
+        import json
+
+        _spec, _out, manifest = small_stream
+        meta = {k: v for k, v in manifest.items() if k != "shards"}
+        payloads = _stream_payloads(manifest)
+        spool = str(tmp_path / "spool")
+        self._sessions(spool, payloads, manifest_extra=meta)
+        n = self.N_SESSIONS
+        spy = _ShardOpenSpy(monkeypatch)
+        # one session with manifest_extra, one resolving it from the
+        # prior manifest.json
+        for i, kw in enumerate(({"manifest_extra": meta}, {})):
+            spy.clear()
+            _tail_session(spool, payloads[i : i + 5], shard_events=1 << 30, resume=True, **kw)
+            counts = collections.Counter(spy.footers)
+            assert set(counts) == {f"events-{k:05d}.parquet" for k in range(n + i)}
+            assert max(counts.values()) == 1
+            assert spy.tables == []
+        monkeypatch.undo()
+        with open(f"{spool}/manifest.json") as f:
+            assert json.load(f)["shards"] == _column_spool_shards(spool)
+        self._assert_column_equal(spool)
+
+    def test_fresh_and_replay_resumed_spools(self, small_stream, tmp_path):
+        from mysql_binlog_ray.sources.wire import spool_state
+
+        _spec, _out, manifest = small_stream
+        payloads = _stream_payloads(manifest)
+        k = len(payloads) // 3
+        spool = str(tmp_path / "spool")
+        _tail_session(spool, payloads[:k], shard_events=64)
+        self._assert_column_equal(spool)
+        # the dump replays from the start: skip the spooled prefix
+        _, next_seq = spool_state(spool)
+        assert next_seq == k
+        _tail_session(spool, payloads, shard_events=64, resume=True, skip_events=next_seq)
+        self._assert_column_equal(spool)
+
+    def test_purged_spool_and_stray_temp_file(self, small_stream, tmp_path):
+        import os
+
+        from mysql_binlog_ray.sources.wire import purge_spool
+
+        _spec, _out, manifest = small_stream
+        payloads = _stream_payloads(manifest)
+        spool = str(tmp_path / "spool")
+        _tail_session(spool, payloads[:400], shard_events=32)
+        assert purge_spool(spool, 10**9)["purged"] > 0  # all but the newest
+        self._assert_column_equal(spool)
+        open(os.path.join(spool, ".events-00099.parquet-stray"), "wb").close()
+        self._assert_column_equal(spool)
+        _tail_session(spool, payloads[400:500], shard_events=32, resume=True)
+        self._assert_column_equal(spool)
+
+    def test_empty_newest_shard_and_statistics_fallback(self, small_stream, tmp_path):
+        import os
+
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.sources.wire import spool_state
+
+        _spec, _out, manifest = small_stream
+        payloads = _stream_payloads(manifest)
+        spool = str(tmp_path / "spool")
+        _tail_session(spool, payloads[:200], shard_events=64)
+        first = pq.read_table(os.path.join(spool, "events-00000.parquet"))
+        # the walk steps past an empty newest shard
+        pq.write_table(first.slice(0, 0), os.path.join(spool, "events-00007.parquet"))
+        self._assert_column_equal(spool)
+
+        def shard(sid, lo, n):
+            return pa.table(
+                {
+                    "shard_id": pa.array([sid] * n, pa.int32()),
+                    "event_seq": pa.array(range(lo, lo + n), pa.int64()),
+                    "payload": first["payload"].slice(0, n),
+                }
+            )
+
+        # several row groups with statistics, then one shard without
+        path8 = os.path.join(spool, "events-00008.parquet")
+        pq.write_table(shard(8, 200, 50), path8, row_group_size=7)
+        self._assert_column_equal(spool)
+        path9 = os.path.join(spool, "events-00009.parquet")
+        pq.write_table(shard(9, 250, 40), path9, write_statistics=False)
+        assert pq.ParquetFile(path9).metadata.row_group(0).column(1).statistics is None
+        self._assert_column_equal(spool)
+        assert spool_state(spool) == (10, 290)
+
+    def test_empty_and_missing_spool_dirs(self, tmp_path):
+        from mysql_binlog_ray.sources.wire import spool_shards, spool_state
+
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        for d in (str(empty), str(tmp_path / "missing")):
+            self._assert_column_equal(d)
+            assert spool_shards(d) == [] and spool_state(d) == (0, 0)
+
+
 class TestDaemonCli:
     """The long-lived listener CLI (`python -m mysql_binlog_ray.daemon`)
     over REAL TCP: tail a fixture server into a spool (manifest gains
