@@ -5,15 +5,18 @@ it leaves to the consumer (SURVEY.md §2.7), as plain Ray tasks over a
 filesystem exchange:
 
     event_read_units(event shards)                   # S3/S6: resumable source
-      -> per shard, a spill task: key pass (merge    # M2/M3/M4
-           keys, seqs, commit stamps, tombstones)
+      -> per CPU (or per ~16 MiB), a spill task;     # task count by CPUs
+         per shard in turn: key pass (merge keys,    # M2/M3/M4
+           seqs, commit stamps, tombstones)
            -> partial LWW combine over the keys      # M6 combiner half, M8
            -> value pass: newest image per key only
            -> `_part` hash                           # M5
            -> one Arrow IPC file per unit, one       # keyed exchange
               record batch per partition
-      -> per touched partition, a merge task:
-           final LWW + atomic parquet into _compact/ # M6/M7 exactly-once sink
+      -> per CPU, a merge task, started by Ray once
+         the last spill ended; per partition of its
+         share: one sort + one take (final LWW in
+         key order), parquet into _compact/          # M6/M7 exactly-once sink
       -> once every merge task succeeded, the files
          move into place                             # one write path
       -> watermark manifest commit                   # M7 atomicity point
@@ -90,7 +93,14 @@ def event_read_units(
     of compressed payload per block, at most 512 unless there are more
     files, spread evenly, at least one per file.  Smaller blocks pay
     per-block overhead; larger ones weaken parallelism and the partial
-    combine.  Measured fastest and stablest at both 8 and 32 CPUs."""
+    combine.  Measured fastest and stablest at both 8 and 32 CPUs.  The
+    lake's spill tasks take whole shards (a shard is read once) and
+    :func:`_pack_sources` packs them by the same ~16 MiB rule with at
+    least one task per CPU instead of one per file, so a stream of many
+    small shards runs as one task per CPU.  That packing, and the merge
+    half's one task per CPU, are timed only at 1 CPU (BASELINE.md
+    "PR 16"); at more CPUs only their task counts and lake bytes are
+    checked."""
     shards = manifest["shards"]
     if start_after_seq is not None:
         shards = [s for s in shards if s["last_event_seq"] > start_after_seq]
@@ -517,11 +527,12 @@ def _merge_write_partition(
 
     The read-back goes AFTER the new rows so that a column added by DDL
     inside the increment keeps the position the decoder gives it.  Rows
-    are sorted by key, or with ``zorder = (cols, bits)`` (compaction
-    only) along the Morton curve over ``cols`` with ties in key order;
-    either way a rerun produces byte-identical files (exactly-once via
-    idempotence, SURVEY §7.3).  Returns the manifest entry plus
-    ``prior_rows``, the committed rows read back for it.
+    stay in the key order ``lww_final`` returns, or with ``zorder =
+    (cols, bits)`` (compaction only) go along the Morton curve over
+    ``cols`` with ties in key order; either way a rerun produces
+    byte-identical files (exactly-once via idempotence, SURVEY §7.3).
+    Returns the manifest entry plus ``prior_rows``, the committed rows
+    read back for it.
     """
     import pyarrow.compute as pc
     import pyarrow.parquet as pq
@@ -534,10 +545,7 @@ def _merge_write_partition(
         new = [*new, _rows_as_inserts(pq.ParquetFile(path).read())]
     final = lww_final(pa.concat_tables(new, promote_options="default"), key_cols)
     if zorder:
-        order = zorder_sort_indices(final, *zorder, key_cols)
-    else:
-        order = pc.sort_indices(final, sort_keys=[(k, "ascending") for k in key_cols])
-    final = final.take(order)
+        final = final.take(zorder_sort_indices(final, *zorder, key_cols))
     staged = _lake_partition_path(os.path.join(lake_dir, _STAGING_DIR), part)
     size = atomic_write_parquet(final, staged, compression="zstd")
     mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
@@ -552,22 +560,36 @@ def _merge_write_partition(
 
 @ray.remote
 def _merge_spilled_partition(
-    chunks: list[tuple[str, int]],
-    part: int,
+    parts: list[int],
     lake_dir: str,
     key_cols: tuple[str, ...],
-    prior_rows: int,
+    prior_rows: dict[int, int],
     zorder: tuple[list[str], int] | None,
-) -> dict[str, Any]:
-    """Merge half of the keyed exchange, one plain Ray task per
-    touched partition: read the partition's spill record batches, one
-    ``(path, batch)`` per spill file that holds its rows, in spill
-    order, then :func:`_merge_write_partition`."""
-    new = []
-    for path, i in chunks:
-        with pa.OSFile(path) as f:
-            new.append(pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)]))
-    return _merge_write_partition(new, part, lake_dir, key_cols, prior_rows, zorder)
+    *spilled: tuple[list[tuple[int, str, int]], dict[str, int]],
+) -> list[dict[str, Any]]:
+    """Merge half of the keyed exchange, one plain Ray task per CPU:
+    ``spilled`` are the spill tasks' results, passed as object refs, so
+    Ray starts the task once the last spill task has ended.  For each of
+    ``parts`` that the spill files hold rows of, in ascending order:
+    read its record batches, one ``(path, batch)`` per spill file that
+    holds its rows, in spill order, then :func:`_merge_write_partition`
+    (which reads back the partitions ``prior_rows`` lists).  Returns
+    their manifest entries."""
+    chunks: dict[int, list[tuple[str, int]]] = {p: [] for p in parts}
+    for entries, _counts in spilled:
+        for part, path, i in entries:
+            if part in chunks:
+                chunks[part].append((path, i))
+    out = []
+    for part in sorted(p for p, c in chunks.items() if c):
+        new = []
+        for path, i in chunks[part]:
+            with pa.OSFile(path) as f:
+                new.append(pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)]))
+        out.append(
+            _merge_write_partition(new, part, lake_dir, key_cols, prior_rows.get(part, 0), zorder)
+        )
+    return out
 
 
 def _spill(parted: pa.Table, spill_dir: str) -> tuple[list[tuple[int, str, int]], int]:
@@ -599,46 +621,89 @@ def _spill(parted: pa.Table, spill_dir: str) -> tuple[list[tuple[int, str, int]]
     return [(int(part), path, i) for i, part in enumerate(uniq)], os.path.getsize(path)
 
 
+def _cluster_cpus() -> int:
+    """The cluster's CPU count, which sizes the exchange's task counts."""
+    return max(1, int(ray.cluster_resources().get("CPU", 1)))
+
+
+def _pack_sources(
+    sources: list[tuple[Any, dict[str, Any] | None]], cpus: int
+) -> list[list[tuple[Any, dict[str, Any] | None]]]:
+    """The spill tasks of planned sources (event shards ``((path, k),
+    decoder_kwargs)``, committed partition files ``(path, None)``): the
+    read-unit rule's ~16 MiB per task, at least one task per CPU,
+    ``min(sources, max(cpus, ceil(bytes / 16 MiB)))`` tasks, each a run
+    of consecutive sources of about equal bytes, so the spill order
+    stays the source order."""
+    sizes = [os.path.getsize(src if isinstance(src, str) else src[0]) for src, _dk in sources]
+    total = sum(sizes)
+    n = min(len(sources), max(cpus, -(-total // _EVENT_BLOCK_BYTES)))
+    tasks: list[list[tuple[Any, dict[str, Any] | None]]] = [[]]
+    done = 0
+    for j, (source, size) in enumerate(zip(sources, sizes)):
+        tasks[-1].append(source)
+        done += size
+        # close the run at its byte share, or when each task left needs
+        # one of the sources left
+        left = len(sources) - j - 1
+        if len(tasks) < n and (done * n >= total * len(tasks) or left == n - len(tasks)):
+            tasks.append([])
+    return tasks if tasks[-1] else tasks[:-1]
+
+
 @ray.remote
 def _spill_task(
-    src: Any, spill_dir: str, key_cols: tuple[str, ...], num_partitions: int, decoder_kwargs
+    sources: list[tuple[Any, dict[str, Any] | None]],
+    spill_dir: str,
+    key_cols: tuple[str, ...],
+    num_partitions: int,
 ) -> tuple[list[tuple[int, str, int]], dict[str, int]]:
-    """Spill half of the keyed exchange, one plain Ray task per input.
-    With ``decoder_kwargs``, ``src`` is an event shard ``(path, k)``: read
-    ONCE (a unit is a row slice of the shard, not a row group of its
-    own), then its ``k`` read units decoded with the partial combine
-    fused in (``BinlogDecoder.flat_combined``: merge keys first, value
-    cells only for each key's newest row image; Arrow-equal to
-    ``lww_partial`` over the flat decode) and spilled in turn, one IPC
-    file each.  Without, a committed lake file
-    path (the layout-change re-merge and ``compact_lake``) or a snapshot
-    Dataset block, already flat.  Returns :func:`_spill`'s chunk index
-    entries and the counters: ``spill_bytes`` (the files' summed size)
-    and, with a decoder, its decode counters."""
+    """Spill half of the keyed exchange, one plain Ray task per packed
+    run of planned sources (:func:`_pack_sources`) or per streamed
+    Dataset block (see :func:`_exchange`).  Its ``(src,
+    decoder_kwargs)`` sources run in turn, one source's tables in
+    memory at a time.  With ``decoder_kwargs``,
+    ``src`` is an event shard ``(path, k)``: read ONCE (a unit is a row
+    slice of the shard, not a row group of its own), then its ``k`` read
+    units decoded with the partial combine fused in
+    (``BinlogDecoder.flat_combined``: merge keys first, value cells only
+    for each key's newest row image; Arrow-equal to ``lww_partial`` over
+    the flat decode) and spilled in turn, one IPC file each.  Without, a
+    committed lake file path (the layout-change re-merge and
+    ``compact_lake``) or a snapshot Dataset block ref, already flat.
+    Returns :func:`_spill`'s chunk index entries and the counters:
+    ``spill_bytes`` (the files' summed size) and, when it decoded, the
+    decoders' summed counters."""
     import pyarrow.parquet as pq
 
-    dec = None
-    if decoder_kwargs is None:
-        tab = pq.ParquetFile(src).read() if isinstance(src, str) else _as_arrow(src)
-        blocks = [_rows_as_inserts(tab) if isinstance(src, str) else tab]
-    else:
-        (path, k), dec = src, BinlogDecoder(**decoder_kwargs)
-        tab = pq.ParquetFile(path).read()
-        bounds = [tab.num_rows * i // k for i in range(k + 1)]
-        blocks = (
-            dec.flat_combined(tab.slice(lo, hi - lo), key_cols) for lo, hi in zip(bounds, bounds[1:])
-        )
-    entries, spill_bytes = [], 0
-    for flat in blocks:
-        if flat.num_rows:
-            got, size = _spill(add_partition_column(flat, key_cols, num_partitions), spill_dir)
-            entries += got
-            spill_bytes += size
-    counts = {"spill_bytes": spill_bytes}
-    if dec is not None:
-        n = dec.n_events, dec.n_rows, dec.n_checksum_failures
-        counts.update(zip(("events_decoded", "row_images", "checksum_failures"), n))
-    return entries, counts
+    entries, counts = [], Counter(spill_bytes=0)
+    for src, decoder_kwargs in sources:
+        dec = None
+        if decoder_kwargs is None:
+            if isinstance(src, str):
+                blocks = [_rows_as_inserts(pq.ParquetFile(src).read())]
+            else:
+                blocks = [_as_arrow(ray.get(src))]
+        else:
+            (path, k), dec = src, BinlogDecoder(**decoder_kwargs)
+            tab = pq.ParquetFile(path).read()
+            bounds = [tab.num_rows * i // k for i in range(k + 1)]
+            blocks = (
+                dec.flat_combined(tab.slice(lo, hi - lo), key_cols)
+                for lo, hi in zip(bounds, bounds[1:])
+            )
+        for flat in blocks:
+            if flat.num_rows:
+                got, size = _spill(add_partition_column(flat, key_cols, num_partitions), spill_dir)
+                entries += got
+                counts["spill_bytes"] += size
+        if dec is not None:
+            n = dec.n_events, dec.n_rows, dec.n_checksum_failures
+            counts.update(dict(zip(("events_decoded", "row_images", "checksum_failures"), n)))
+        # one source's tables in memory at a time: drop them before the
+        # next source is read
+        tab = blocks = flat = None
+    return entries, dict(counts)
 
 
 def _exchange(
@@ -654,14 +719,24 @@ def _exchange(
     change), ``seed_lake_from_snapshot`` (snapshot blocks) and
     ``compact_lake`` (committed partition files, ``zorder`` row order);
     :func:`merge_lww` runs it into a scratch dir for the
-    Dataset-returning paths (partially combined flat blocks).  Spill
-    half: one :func:`_spill_task` per ``(src, decoder_kwargs)`` source,
-    two per CPU in flight so streamed Dataset blocks stay under Ray
-    Data's backpressure, each writing one Arrow IPC file per block into
-    ``_compact/_shuffle``, one record batch per touched partition.  Merge
-    half: one :func:`_merge_spilled_partition` task per touched
-    partition, writing ``_compact/part=NNNNN/data.parquet`` (and reading
-    back the live file when ``prior_rows`` lists the partition).
+    Dataset-returning paths (partially combined flat blocks).
+
+    The task count follows the cluster's CPUs, not the input's files
+    and partitions.  Spill half: ``sources`` are ``(src,
+    decoder_kwargs)`` pairs; a list (planned sources) is packed into
+    CPU-sized :func:`_spill_task` runs by :func:`_pack_sources`, any
+    other iterable (streamed Dataset blocks) gets one task per source.
+    Two tasks per CPU are in flight so streamed blocks stay under Ray
+    Data's backpressure; each task writes one Arrow IPC file per block
+    into ``_compact/_shuffle``, one record batch per touched partition.
+    Merge half: ``min(CPUs, num_partitions)`` :func:`_merge_spilled_partition`
+    tasks, partition ``p`` dealt to task ``p % n``, each given the spill
+    results' refs, so Ray starts them as the last spill task ends with
+    no driver round trip in between; each writes
+    ``_compact/part=NNNNN/data.parquet`` for its touched partitions (and
+    reads back the live file when ``prior_rows`` lists the partition).
+    The driver waits on the merge results and then reads the counters
+    from the spill results.
 
     Only once every merge task succeeded are the files moved into place,
     each destination dir fsync'd, so a failed task leaves every committed
@@ -683,34 +758,41 @@ def _exchange(
     staging = os.path.join(lake_dir, _STAGING_DIR)
     spill_dir = os.path.join(staging, "_shuffle")
     _shutil.rmtree(staging, ignore_errors=True)
-    window = 2 * max(1, int(ray.cluster_resources().get("CPU", 1)))
+    cpus = _cluster_cpus()
+    if isinstance(sources, list):
+        tasks: Iterable[list] = _pack_sources(sources, cpus)
+    else:
+        tasks = ([source] for source in sources)
     spills: list[ray.ObjectRef] = []
     merges: list[ray.ObjectRef] = []
     try:
         running: list[ray.ObjectRef] = []
-        for src, dk in sources:  # the next source is pulled only when the window has room
-            spills.append(_spill_task.remote(src, spill_dir, cfg.key_cols, cfg.num_partitions, dk))
+        for task in tasks:  # the next task is pulled only when the window has room
+            spills.append(_spill_task.remote(task, spill_dir, cfg.key_cols, cfg.num_partitions))
             running.append(spills[-1])
-            if len(running) >= window:
+            if len(running) >= 2 * cpus:
                 _, running = ray.wait(running, num_returns=1)
-        by_part: dict[int, list[tuple[str, int]]] = {}
-        counters: Counter[str] = Counter()
-        for entries, counts in ray.get(spills):
-            for part, chunk, i in entries:
-                by_part.setdefault(part, []).append((chunk, i))
-            counters.update(counts)
-        # chunks stay in spill order, sources first to last: decoded
-        # rows come before the committed rows a layout change re-merges,
-        # so the merged columns keep the decoder's order whatever the
-        # spill files are named.  An increment with no row events
-        # touches no partition
+        # each merge task reads its partitions' chunks in spill order,
+        # sources first to last: decoded rows come before the committed
+        # rows a layout change re-merges, so the merged columns keep the
+        # decoder's order whatever the spill files are named.  An
+        # increment with no row events touches no partition
+        n = min(cpus, cfg.num_partitions)
         merges = [
             _merge_spilled_partition.remote(
-                by_part[p], p, lake_dir, cfg.key_cols, prior_rows.get(p, 0), zorder
+                list(range(j, cfg.num_partitions, n)),
+                lake_dir,
+                cfg.key_cols,
+                prior_rows,
+                zorder,
+                *spills,
             )
-            for p in sorted(by_part)
+            for j in range(n)
         ]
-        parts = ray.get(merges)
+        parts = sorted((p for got in ray.get(merges) for p in got), key=lambda p: p["part"])
+        counters: Counter[str] = Counter()
+        for _entries, counts in ray.get(spills):
+            counters.update(counts)
         counters["readback_rows"] = sum(p.pop("prior_rows") for p in parts)
         counters["partitions_rewritten"] = len(parts)
         for p in parts:

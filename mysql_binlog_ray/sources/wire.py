@@ -1096,11 +1096,18 @@ def spool_state(out_dir: str) -> tuple[int, int]:
     non-empty shard holds both the highest shard id and the highest
     ``event_seq``.  The walk goes newest-first by shard id and stops at
     the first non-empty shard."""
+    newest = _newest_shard(out_dir)
+    return _resume_point([newest] if newest is not None else [])
+
+
+def _newest_shard(out_dir: str) -> dict | None:
+    """The manifest entry of the newest non-empty shard (see
+    :func:`spool_state`), or None."""
     for f in sorted(_spool_names(out_dir), key=_shard_id, reverse=True):
         entry = _shard_entry(out_dir, f)
         if entry is not None:
-            return _resume_point([entry])
-    return 0, 0
+            return entry
+    return None
 
 
 def tail_to_shards(
@@ -1132,12 +1139,18 @@ def tail_to_shards(
     exactly-once lake CONCURRENTLY with the tail — the full streaming
     loop: socket -> spool -> follow -> lake.
 
-    ``resume=True`` continues the spool's numbering.  A session that
-    publishes no manifest (no ``manifest_extra`` and no prior
-    ``manifest.json``) reads only the newest shard's footer
-    (:func:`spool_state`), so resuming costs the same at any spool
-    size; a publishing session lists the prior shards from their
-    footers (:func:`spool_shards`), once per session."""
+    ``resume=True`` continues the spool's numbering from the newest
+    shard's footer (:func:`spool_state`), the one footer a resumed
+    session reads, so resuming costs the same at any spool size.  A
+    publishing session takes the prior shards from the prior
+    ``manifest.json`` when its last entry equals that footer's entry;
+    otherwise (a crash between a shard write and its publish, a
+    manifest another writer left) it lists them from their footers
+    (:func:`spool_shards`).
+
+    Shards are written zstd-compressed with no dictionary for
+    ``payload`` (binlog events do not repeat), as the generator's are,
+    with the ``event_seq`` statistics the footer resume reads."""
     import pyarrow as pa
 
     from ..state.checkpoint import atomic_write_json, atomic_write_parquet
@@ -1162,28 +1175,31 @@ def tail_to_shards(
         skip_events = 0
     to_skip = skip_events
 
-    if manifest_extra is None and resume:
-        # a prior tail session published a manifest: keep publishing
-        # with ITS metadata, or a FollowDaemon watching the spool would
-        # silently freeze at the old shard list forever
-        mpath = os.path.join(out_dir, "manifest.json")
-        if os.path.exists(mpath):
-            import json as _json
+    prior_meta: dict = {}
+    mpath = os.path.join(out_dir, "manifest.json")
+    if resume and os.path.exists(mpath):
+        import json as _json
 
-            with open(mpath) as f:
-                prior_meta = _json.load(f)
+        with open(mpath) as f:
+            prior_meta = _json.load(f)
+        if manifest_extra is None:
+            # a prior tail session published a manifest: keep publishing
+            # with ITS metadata, or a FollowDaemon watching the spool
+            # would silently freeze at the old shard list forever
             manifest_extra = {k: v for k, v in prior_meta.items() if k != "shards"}
 
-    # the resume point: a publishing session lists every prior shard in
-    # its manifests anyway (one footer each) and resumes after the
-    # newest; any other session reads the newest shard's footer only
+    # the resume point from the newest shard's footer; a publishing
+    # session lists the prior shards from the prior manifest when that
+    # manifest already names the newest shard, else from every footer
     prior_shards: list[dict] = []
     shard_id, seq = 0, 0
-    if resume and manifest_extra is not None:
-        prior_shards = spool_shards(out_dir)
-        shard_id, seq = _resume_point(prior_shards)
-    elif resume:
-        shard_id, seq = spool_state(out_dir)
+    if resume:
+        newest = _newest_shard(out_dir)
+        if newest is not None:
+            shard_id, seq = _resume_point([newest])
+            if manifest_extra is not None:
+                listed = prior_meta.get("shards") or [None]
+                prior_shards = listed if listed[-1] == newest else spool_shards(out_dir)
     first_seq = seq
 
     # in-stream registry-snapshot scan: a REAL stream's TABLE_MAPs exist
@@ -1248,7 +1264,9 @@ def tail_to_shards(
             }
         )
         path = os.path.join(out_dir, f"events-{shard_id:05d}.parquet")
-        atomic_write_parquet(t, path)
+        atomic_write_parquet(
+            t, path, compression="zstd", use_dictionary=["shard_id", "event_seq"]
+        )
         shards.append(
             {
                 "shard_id": shard_id,

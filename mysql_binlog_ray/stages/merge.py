@@ -160,15 +160,32 @@ def lww_partial(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Table:
 
 
 def lww_final(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Table:
-    """Final per-partition merge: newest image per key, tombstones dropped,
-    bookkeeping columns removed (sequence columns retained as lineage for
-    checkpoint/resume)."""
+    """Final per-partition merge: newest image per key, tombstones
+    dropped, rows in ascending key order (nulls last), bookkeeping
+    columns removed (sequence columns retained as lineage for
+    checkpoint/resume).
+
+    One ``sort_indices`` over (keys, ``event_seq``, ``row_seq``) gives
+    the key order and each key's newest row at once, the last of its
+    run (a stable sort, so a duplicate sequence tuple keeps the later
+    row, as :func:`_winner_indices` does); null keys group together, as
+    there.  Then one ``take`` of the winners that are not deletes."""
+    drop = [c for c in ("op", "commit_seq", "_part") if c in batch.column_names]
     if batch.num_rows == 0:
-        return batch.drop_columns([c for c in ("op", "commit_seq", "_part") if c in batch.column_names])
-    winners = batch.take(_winner_indices(batch, key_cols))
-    live = winners.filter(pc.not_equal(winners.column("op"), pa.scalar("delete")))
-    drop = [c for c in ("op", "commit_seq", "_part") if c in live.column_names]
-    return live.drop_columns(drop)
+        return batch.drop_columns(drop)
+    sort_keys = [(k, "ascending") for k in (*key_cols, *SEQ_COLS)]
+    order = pc.sort_indices(batch, sort_keys=sort_keys).to_numpy()
+    # last row of each key run: the key differs from the next row's
+    same = np.ones(len(order) - 1, dtype=bool)
+    for kc in key_cols:
+        col = batch.column(kc).take(order)
+        a, b = col.slice(0, len(order) - 1), col.slice(1)
+        eq = pc.or_(pc.fill_null(pc.equal(a, b), False), pc.and_(pc.is_null(a), pc.is_null(b)))
+        same &= eq.to_numpy(zero_copy_only=False)
+    winners = order[np.append(~same, True)]
+    live = pc.not_equal(batch.column("op").take(winners), pa.scalar("delete"))
+    live = pc.fill_null(live, False).to_numpy(zero_copy_only=False)
+    return batch.drop_columns(drop).take(pa.array(winners[live]))
 
 
 # -- Arrow-native deterministic key hash (no pandas, no per-row Python) --

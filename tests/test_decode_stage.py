@@ -1278,7 +1278,7 @@ class TestFusedCombine:
         cfg = cdc.CdcConfig(num_partitions=4)
         dk = cdc._decoder_kwargs([TM.to_dict()], cdc._with_flat_decode(cfg), None)
         entries, counts = cdc._spill_task._function(
-            (shard, 1), str(tmp_path / "spill"), cfg.key_cols, cfg.num_partitions, dk
+            [((shard, 1), dk)], str(tmp_path / "spill"), cfg.key_cols, cfg.num_partitions
         )
         # the two key columns over every row image, the three value
         # columns over the one winner

@@ -206,7 +206,7 @@ class TestSkew:
         for path, i, k in units:
             if i == 0:
                 got, _ = cdc._spill_task._function(
-                    (path, k), spill, cfg.key_cols, cfg.num_partitions, dk
+                    [((path, k), dk)], spill, cfg.key_cols, cfg.num_partitions
                 )
                 entries += got
         keys = pa.Table.from_batches(

@@ -358,3 +358,66 @@ def test_key_vacated_then_refilled_within_one_update_event():
     out = run_to_dataset(manifest, CdcConfig(num_partitions=4)).to_pandas()
     got = dict(zip(out["path"], out["content"]))
     assert got == {"1.py": "a2", "2.py": "b2"}, got
+
+
+def _reference_lww_final(batch, key_cols):
+    """The two-pass final merge: winners by ``_winner_indices``,
+    tombstones dropped, then a key sort and a second ``take``."""
+    import pyarrow.compute as pc
+
+    from mysql_binlog_ray.stages.merge import _winner_indices
+
+    drop = [c for c in ("op", "commit_seq", "_part") if c in batch.column_names]
+    if batch.num_rows == 0:
+        return batch.drop_columns(drop)
+    winners = batch.take(_winner_indices(batch, key_cols))
+    live = winners.filter(pc.not_equal(winners.column("op"), pa.scalar("delete")))
+    live = live.drop_columns(drop)
+    return live.take(pc.sort_indices(live, sort_keys=[(k, "ascending") for k in key_cols]))
+
+
+def _random_flat(rng, n, key_cols):
+    """``n`` flat rows in a few chunks: keys drawn from a small pool with
+    nulls, inserts, updates and deletes, and key-change tombstones that
+    reuse their source row's ``(event_seq, row_seq)``."""
+    pools = {
+        "repo": [None, "a", "b", "c"],
+        "path": [None, *(f"p{i}" for i in range(6))],
+        "id": [None, *range(5)],
+    }
+    rows = []
+    for i in range(n):
+        key = {k: pools[k][rng.integers(len(pools[k]))] for k in key_cols}
+        op = ("insert", "update", "delete")[rng.integers(3)]
+        ev, rs = int(rng.integers(1, max(2, n // 2))), int(rng.integers(0, 3))
+        rows.append({**key, "v": None if op == "delete" else f"v{i}", "op": op, "event_seq": ev, "row_seq": rs})
+        if op == "update" and rng.random() < 0.3:
+            old = {k: pools[k][rng.integers(len(pools[k]))] for k in key_cols}
+            rows.append({**old, "v": None, "op": "delete", "event_seq": ev, "row_seq": rs})
+    types = {"repo": pa.string(), "path": pa.string(), "id": pa.int64(), "v": pa.string(),
+             "op": pa.string(), "event_seq": pa.int64(), "row_seq": pa.int32()}
+    names = [*key_cols, "v", "op", "event_seq", "row_seq"]
+    tab = pa.table({c: pa.array([r[c] for r in rows], types[c]) for c in names})
+    tab = tab.append_column("commit_seq", pa.array(range(tab.num_rows), pa.int64()))
+    cuts = sorted(int(c) for c in rng.integers(0, tab.num_rows + 1, 2))
+    return pa.concat_tables(
+        [tab.slice(lo, hi - lo) for lo, hi in zip([0, *cuts], [*cuts, tab.num_rows])]
+    )
+
+
+def test_lww_final_equals_winners_then_key_sort():
+    """The one-sort ``lww_final`` is Arrow-equal (schema, row order and
+    all) to winners, tombstone drop, key sort: on random tables with
+    null keys, one- and two-column keys, deletes and key-change
+    tombstones, and on empty and one-row tables."""
+    rng = np.random.default_rng(16)
+    for key_cols in (("repo", "path"), ("id",)):
+        for n in (0, 1, 2, 7, 40, 300):
+            for _ in range(6 if n > 1 else 1):
+                t = _random_flat(rng, n, key_cols)
+                assert lww_final(t, key_cols).equals(_reference_lww_final(t, key_cols))
+    # one-row tables: an insert stays, a tombstone leaves nothing
+    for op, rows in (("insert", 1), ("delete", 0)):
+        t = flat([dict(repo="a", path=None, v="v", op=op, event_seq=1, row_seq=0)])
+        assert lww_final(t, KEYS).equals(_reference_lww_final(t, KEYS))
+        assert lww_final(t, KEYS).num_rows == rows

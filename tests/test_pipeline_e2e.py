@@ -1598,11 +1598,87 @@ class TestSpillFormat:
         # decoder's columns, `op` and `commit_seq` dropped
         part = min(set(index["post"]) & set(index["pre"]))
         lake = str(tmp_path / "lake")
-        stats = cdc._merge_spilled_partition._function(
-            [index["post"][part], index["pre"][part]], part, lake, ("repo", "path"), 0, None
+        (stats,) = cdc._merge_spilled_partition._function(
+            [part],
+            lake,
+            ("repo", "path"),
+            {},
+            None,
+            *(([(part, *index[name][part])], {}) for name in ("post", "pre")),
         )
         # merge tasks write into the staging dir; _exchange moves the file
         staged = os.path.join(lake, cdc._STAGING_DIR)
         written = pq.read_schema(cdc._lake_partition_path(staged, part))
         assert written.names == [n for n in dec_schema.names if n not in ("op", "commit_seq")]
         assert stats["rows"] > 0
+
+
+class _Submits:
+    """Stands in for a Ray remote function: counts ``.remote`` calls."""
+
+    def __init__(self, task, counts, name):
+        self.task, self.counts, self.name = task, counts, name
+
+    def remote(self, *a, **kw):
+        self.counts[self.name] += 1
+        return self.task.remote(*a, **kw)
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestCpuSizedExchange:
+    """The keyed exchange sizes its task counts by the cluster's CPUs
+    (``cdc._cluster_cpus``, patched here to emulate 1, 3 and 8 CPUs in
+    the test session), not by shard files or partitions, and the lake
+    bytes do not depend on it."""
+
+    def _commits(self, manifest, root, monkeypatch, cpus):
+        """Every commit kind on an 8-shard stream at ``cpus`` CPUs:
+        ``({name: part files}, {commit: (spill tasks, merge tasks)})``."""
+        from mysql_binlog_ray.pipelines import cdc
+
+        counts = {"spill": 0, "merge": 0}
+        monkeypatch.setattr(cdc, "_cluster_cpus", lambda: cpus)
+        monkeypatch.setattr(cdc, "_spill_task", _Submits(cdc._spill_task, counts, "spill"))
+        monkeypatch.setattr(
+            cdc, "_merge_spilled_partition", _Submits(cdc._merge_spilled_partition, counts, "merge")
+        )
+        files, tasks = {}, {}
+
+        def commit(name, lake, fn, *a, **kw):
+            counts.update(spill=0, merge=0)
+            fn(*a, **kw)
+            files[name], tasks[name] = _part_files(lake), (counts["spill"], counts["merge"])
+
+        fresh = f"{root}/fresh"
+        commit("fresh", fresh, run_to_lake, manifest, fresh, CdcConfig(num_partitions=8))
+        inc = f"{root}/inc"
+        # the ALTER lands inside the second increment
+        for upto in (3, 6, 8):
+            step = _prefix(manifest, upto)
+            commit(f"follow{upto}", inc, cdc.follow, step, inc, CdcConfig(num_partitions=8))
+        relayout = f"{root}/relayout"
+        run_to_lake(_prefix(manifest, 4), relayout, CdcConfig(num_partitions=16))
+        commit("relayout", relayout, run_to_lake, manifest, relayout, CdcConfig(num_partitions=5))
+        for z in (None, ["stars", "event_seq"]):
+            lake = f"{root}/compact{bool(z)}"
+            run_to_lake(manifest, lake, CdcConfig(num_partitions=16))
+            commit(f"compact{bool(z)}", lake, cdc.compact_lake, lake, 4, zorder_cols=z)
+        monkeypatch.undo()
+        return files, tasks
+
+    def test_tasks_follow_cpus_and_bytes_do_not(self, tmp_path, monkeypatch):
+        import ray
+
+        from mysql_binlog_ray.pipelines import cdc
+
+        assert cdc._cluster_cpus() == int(ray.cluster_resources()["CPU"])
+        spec = StreamSpec(n_keys=250, n_ops=1600, n_shards=8)
+        manifest = generate_stream(spec, str(tmp_path / "stream"))
+        assert len(manifest["shards"]) == 8
+        runs = {c: self._commits(manifest, tmp_path / f"cpus{c}", monkeypatch, c) for c in (1, 3, 8)}
+        assert runs[1][1]["fresh"] == (1, 1)
+        assert runs[3][1]["fresh"] == (3, 3)
+        assert runs[8][1]["fresh"] == (8, 8)
+        assert all(n_merge == 1 for _s, n_merge in runs[1][1].values())
+        assert all(files for files in runs[1][0].values())
+        assert runs[1][0] == runs[3][0] == runs[8][0]

@@ -1070,7 +1070,6 @@ class TestSpoolFooterResume:
     def test_publishing_session_reads_each_footer_once(
         self, small_stream, tmp_path, monkeypatch
     ):
-        import collections
         import json
 
         _spec, _out, manifest = small_stream
@@ -1085,14 +1084,38 @@ class TestSpoolFooterResume:
         for i, kw in enumerate(({"manifest_extra": meta}, {})):
             spy.clear()
             _tail_session(spool, payloads[i : i + 5], shard_events=1 << 30, resume=True, **kw)
-            counts = collections.Counter(spy.footers)
-            assert set(counts) == {f"events-{k:05d}.parquet" for k in range(n + i)}
-            assert max(counts.values()) == 1
+            # the prior manifest names the newest shard: only its footer
+            assert spy.footers == [f"events-{n + i - 1:05d}.parquet"]
             assert spy.tables == []
         monkeypatch.undo()
         with open(f"{spool}/manifest.json") as f:
             assert json.load(f)["shards"] == _column_spool_shards(spool)
         self._assert_column_equal(spool)
+
+    def test_unpublished_shard_lists_every_footer(self, small_stream, tmp_path, monkeypatch):
+        """A crash between a shard write and its publish leaves a manifest
+        whose last entry is not the newest shard: the next publishing
+        session lists the prior shards from their footers, so its
+        manifest names every shard."""
+        import json
+
+        _spec, _out, manifest = small_stream
+        meta = {k: v for k, v in manifest.items() if k != "shards"}
+        payloads = _stream_payloads(manifest)
+        spool = str(tmp_path / "spool")
+        _tail_session(spool, payloads[:40], shard_events=16, manifest_extra=meta)
+        with open(f"{spool}/manifest.json") as f:
+            published = json.load(f)
+        published["shards"].pop()
+        with open(f"{spool}/manifest.json", "w") as f:
+            json.dump(published, f)
+        spy = _ShardOpenSpy(monkeypatch)
+        _tail_session(spool, payloads[40:60], shard_events=16, resume=True)
+        assert sorted(set(spy.footers)) == [f"events-{k:05d}.parquet" for k in range(3)]
+        assert spy.tables == []
+        monkeypatch.undo()
+        with open(f"{spool}/manifest.json") as f:
+            assert json.load(f)["shards"] == _column_spool_shards(spool)
 
     def test_fresh_and_replay_resumed_spools(self, small_stream, tmp_path):
         from mysql_binlog_ray.sources.wire import spool_state
