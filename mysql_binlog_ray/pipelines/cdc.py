@@ -4,7 +4,7 @@ Ray-native realization of the reference's whole dataflow plus the sink
 it leaves to the consumer (SURVEY.md §2.7), as plain Ray tasks over a
 filesystem exchange:
 
-    event_read_units(event shards)                   # S3/S6: resumable source
+    _event_sources(event shards[, cut])              # S3/S6: resumable source
       -> per CPU (or per ~16 MiB), a spill task;     # task count by CPUs
          per shard in turn: key pass (merge keys,    # M2/M3/M4
            seqs, commit stamps, tombstones)
@@ -32,18 +32,27 @@ one writer, :func:`_merge_write_partition`, and one write path: every
 commit stages its files and :func:`_exchange` moves them into place, so
 a failed merge task leaves every committed file as it was.  The
 Dataset-returning paths (``run_to_dataset``, ``state_as_of``,
-``audit_lake``'s replay side) run the same exchange into a scratch dir
-through :func:`merge_lww` and read the partition files back.
+``audit_lake``'s replay side) take ``run_to_lake``'s event sources
+(:func:`_event_sources`, the one source plan and the one decode), run
+the same exchange into a scratch dir and read the partition files back
+(:func:`_exchange_to_dataset`).
 """
 
 from __future__ import annotations
 
 import os
+import shutil
+import tempfile
+import time
+import uuid
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Iterable
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
+import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
@@ -115,10 +124,12 @@ def event_read_units(
 
 
 def read_event_stream(manifest: dict[str, Any], start_after_seq: int | None = None) -> rd.Dataset:
-    """Source stage of the Ray Data paths: the shard files past
+    """Source stage of the changefeed consumers (``decode_changefeed``,
+    ``decode_all_tables``, the payload scans): the shard files past
     ``start_after_seq``, one block per :func:`event_read_units` unit up
     to the block cap.  Column pruning is irrelevant here (payload is the
-    data)."""
+    data).  The merged-table paths read shards in the spill tasks
+    instead (:func:`_event_sources`)."""
     units = event_read_units(manifest, start_after_seq)
     if not units:
         return rd.from_items([])
@@ -155,11 +166,8 @@ def build_xid_index(events: rd.Dataset) -> tuple[Any, Any, Any]:
     (not the row count) fits driver memory; with GTIDs enabled (any
     modern MySQL/MariaDB) prefer the in-band path at unbounded scale.
     """
-    import numpy as np
-
     from ..protocol.constants import EventType
     from ..protocol.decode import parse_xid
-    from ..stages.decode_stage import BinlogDecoder
 
     def extract(batch: pa.Table) -> pa.Table:
         seqs: list[int] = []
@@ -202,8 +210,6 @@ def repair_commit_seqs(cf: rd.Dataset, xid_index: tuple[Any, Any, Any]) -> rd.Da
     batch against the broadcast index.  A row whose candidate XID lies
     beyond its own file's boundary (truncated-tail transaction) stays -1
     — unknown is honest; a foreign file's commit id is not."""
-    import numpy as np
-
     xid_seqs, xid_vals, shard_bounds = xid_index
     ref = ray.put(
         (
@@ -316,28 +322,25 @@ def decode_all_tables(
 
 def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
     """Dataset-returning LWW merge of flat rows (``[value cols..., op,
-    event_seq, row_seq[, commit_seq]]``) through the lake's keyed
-    exchange: a per-batch partial combine (a hot key ships one row per
-    block), then :func:`_exchange` of the combined blocks into a
-    ``tempfile.mkdtemp()`` scratch dir, hash partitioned on
-    ``cfg.key_cols`` into ``cfg.num_partitions``, final LWW in the merge
-    tasks, the files moved from the scratch dir's ``_compact`` into
-    place as in a lake commit.  The partition files are read back by one
-    small Ray task each (:func:`_read_partition_file`, no hive ``part``
-    column), and every read has finished before the scratch dir is
-    removed.  Ray Data's ``read_parquet`` set-up was nearly all of the
-    read-back's time.
-
-    Merge tasks write the scratch dir on whichever worker runs them, so
-    on a multi-node cluster ``TMPDIR`` has to be a shared filesystem,
-    like the lake."""
-    import shutil as _shutil
-    import tempfile
-
+    event_seq, row_seq[, commit_seq]]``) that do not come from event
+    shards (``queries.lww_merge_events``): a per-batch partial combine
+    (a hot key ships one row per block), then :func:`_exchange_to_dataset`."""
     combined = flat.map_batches(lww_partial, batch_format="pyarrow", fn_args=(cfg.key_cols,))
+    return _exchange_to_dataset(((ref, None) for ref in _block_refs(combined)), cfg)
+
+
+def _exchange_to_dataset(sources: Iterable[tuple], cfg: CdcConfig) -> rd.Dataset:
+    """The Dataset paths' one tail: :func:`_exchange` of ``sources``
+    into a ``tempfile.mkdtemp()`` scratch dir as in a lake commit, then
+    the partition files read back by one small Ray task each
+    (:func:`_read_partition_file`; Ray Data's ``read_parquet`` set-up
+    was nearly all of the read-back's time), every read finished before
+    the scratch dir is removed.  Merge tasks write the scratch dir on
+    whichever worker runs them, so on a multi-node cluster ``TMPDIR``
+    has to be a shared filesystem, like the lake."""
     scratch = tempfile.mkdtemp()
     try:
-        parts, _ = _exchange(((ref, None) for ref in _block_refs(combined)), scratch, cfg, {})
+        parts, _ = _exchange(sources, scratch, cfg, {})
         paths = _live_partition_paths(scratch, {"partitions": parts})
         if not paths:
             return rd.from_items([])
@@ -345,37 +348,63 @@ def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
         return rd.from_arrow_refs(refs)
     finally:
-        _shutil.rmtree(scratch, ignore_errors=True)
+        shutil.rmtree(scratch, ignore_errors=True)
 
 
 @ray.remote
 def _read_partition_file(path: str) -> pa.Table:
     """One partition file as Arrow (``ParquetFile`` infers no hive
     ``part`` column)."""
-    import pyarrow.parquet as pq
-
     return pq.ParquetFile(path).read()
 
 
 def _with_flat_decode(cfg: CdcConfig) -> CdcConfig:
-    from dataclasses import replace
-
     dk = dict(cfg.decoder_kwargs)
     dk.setdefault("output", "flat")
     dk.setdefault("key_cols", cfg.key_cols)
     return replace(cfg, decoder_kwargs=dk)
 
 
-def run_to_dataset(manifest: dict[str, Any], cfg: CdcConfig | None = None) -> rd.Dataset:
-    """Full pipeline, returning the merged final table as a Dataset.
+def _event_sources(
+    manifest: dict[str, Any],
+    cfg: CdcConfig,
+    start_after: int | None = None,
+    stop_at: int | None = None,
+) -> list[tuple[tuple, dict[str, Any]]]:
+    """The one source plan of every shard replay: ``((path, k),
+    decoder_kwargs)`` per shard past ``start_after``, ``k`` its
+    :func:`event_read_units` count, for :func:`_spill_task`'s fused flat
+    decode.  With ``stop_at``, shards that start past it are pruned and
+    the one straddling it becomes ``(path, k, stop_at)``, cut to
+    ``event_seq <= stop_at`` before decode.  A manifest purged through
+    ``purged_through`` (``sources.wire.purge_spool``) lacks the events up
+    to it: a replay from the start or from before it raises."""
+    purged = manifest.get("purged_through")
+    if purged is not None and (start_after is None or start_after < purged):
+        raise ValueError(
+            f"the stream's shards are purged through event_seq {purged}: a replay from "
+            f"{'its start' if start_after is None else start_after} would miss events; "
+            f"resume a lake at or past {purged}"
+        )
+    cut: dict[str, tuple[int]] = {}
+    if stop_at is not None:
+        shards = [s for s in manifest["shards"] if s["first_event_seq"] <= stop_at]
+        manifest = dict(manifest, shards=shards)
+        cut = {s["path"]: (stop_at,) for s in shards if s["last_event_seq"] > stop_at}
+    dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
+    units = event_read_units(manifest, start_after)
+    return [((path, k, *cut.get(path, ())), dk) for path, i, k in units if i == 0]
 
-    Uses the flat decode path: before-images are byte-skipped (merge
-    keys only for deletes) — the changefeed-shape decode remains
-    available via ``decode_changefeed`` for changefeed consumers.
-    """
-    cfg = _with_flat_decode(cfg or CdcConfig())
-    events = read_event_stream(manifest)
-    return merge_lww(decode_changefeed(events, manifest["table_maps"], cfg), cfg)
+
+def run_to_dataset(manifest: dict[str, Any], cfg: CdcConfig | None = None) -> rd.Dataset:
+    """Full pipeline, returning the merged final table as a Dataset equal
+    to a one-shot ``run_to_lake``'s lake: its sources
+    (:func:`_event_sources`) through :func:`_exchange_to_dataset`.  As
+    there, every ``cfg.key_cols`` column in the target must be a merge
+    key of the decoder, else ``ValueError``.  Changefeed consumers
+    decode with ``decode_changefeed`` instead."""
+    cfg = cfg or CdcConfig()
+    return _exchange_to_dataset(_event_sources(manifest, cfg), cfg)
 
 
 def state_as_of(
@@ -383,26 +412,15 @@ def state_as_of(
     watermark: int,
     cfg: CdcConfig | None = None,
 ) -> rd.Dataset:
-    """Time travel by log replay: the merged table state AS OF
-    ``watermark`` (inclusive) — every event with ``event_seq`` beyond it
-    is excluded BEFORE decode.  Shard pruning first (whole shards past
-    the watermark never leave storage — the read-side mirror of the F2
-    start-position skip), then a vectorized in-batch cut for the one
-    shard that straddles it.  As long as the spool/stream retains
-    events up to ``watermark`` (see ``sources.wire.purge_spool``), any
-    historical state is reproducible exactly.
-    """
-    import pyarrow.compute as pc
-
-    cfg = _with_flat_decode(cfg or CdcConfig())
-    keep = [s for s in manifest["shards"] if s["first_event_seq"] <= watermark]
-    pruned = dict(manifest, shards=keep)
-    events = read_event_stream(pruned)
-    events = events.map_batches(
-        lambda b: b.filter(pc.less_equal(b.column("event_seq"), watermark)),
-        batch_format="pyarrow",
-    )
-    return merge_lww(decode_changefeed(events, manifest["table_maps"], cfg), cfg)
+    """Time travel by log replay: :func:`run_to_dataset` AS OF
+    ``watermark`` (inclusive).  Whole shards past it never leave
+    storage (the read-side mirror of the F2 start-position skip); the
+    one shard straddling it is cut inside its spill task, before decode.
+    The replay needs every event from the stream's start up to
+    ``watermark``, so a manifest that ``sources.wire.purge_spool``
+    truncated raises ``ValueError``."""
+    cfg = cfg or CdcConfig()
+    return _exchange_to_dataset(_event_sources(manifest, cfg, stop_at=watermark), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -425,8 +443,6 @@ def _cleanup_orphan_parts(lake_dir: str, live_parts: set[int]) -> None:
     layout (changed num_partitions or hash algorithm) rewrites rows into
     new partitions: leaving the old files would duplicate keys on any
     path listing that ignores the manifest, and wastes lake storage."""
-    import shutil as _shutil
-
     for entry in os.listdir(lake_dir):
         if entry.startswith("part="):
             try:
@@ -434,7 +450,7 @@ def _cleanup_orphan_parts(lake_dir: str, live_parts: set[int]) -> None:
             except ValueError:
                 continue
             if part not in live_parts:
-                _shutil.rmtree(os.path.join(lake_dir, entry), ignore_errors=True)
+                shutil.rmtree(os.path.join(lake_dir, entry), ignore_errors=True)
 
 
 def _commit_lake(
@@ -534,9 +550,6 @@ def _merge_write_partition(
     Returns the manifest entry plus ``prior_rows``, the committed rows
     read back for it.
     """
-    import pyarrow.compute as pc
-    import pyarrow.parquet as pq
-
     from ..stages.layout import zorder_sort_indices
 
     path = _lake_partition_path(lake_dir, part)
@@ -602,10 +615,6 @@ def _spill(parted: pa.Table, spill_dir: str) -> tuple[list[tuple[int, str, int]]
     file is read back once and deleted in the same commit, so it is
     written for a cheap hand-over, not for size: no compression, no
     encoding (Exoshuffle's point, Luan et al., SIGCOMM 2023)."""
-    import uuid
-
-    import numpy as np
-
     pn = parted.column("_part").to_numpy(zero_copy_only=False)
     order = np.argsort(pn, kind="stable")
     sorted_tab = parted.take(pa.array(order)).drop_columns(["_part"]).combine_chunks()
@@ -630,7 +639,8 @@ def _pack_sources(
     sources: list[tuple[Any, dict[str, Any] | None]], cpus: int
 ) -> list[list[tuple[Any, dict[str, Any] | None]]]:
     """The spill tasks of planned sources (event shards ``((path, k),
-    decoder_kwargs)``, committed partition files ``(path, None)``): the
+    decoder_kwargs)`` or ``((path, k, stop), decoder_kwargs)``,
+    committed partition files ``(path, None)``): the
     read-unit rule's ~16 MiB per task, at least one task per CPU,
     ``min(sources, max(cpus, ceil(bytes / 16 MiB)))`` tasks, each a run
     of consecutive sources of about equal bytes, so the spill order
@@ -663,9 +673,10 @@ def _spill_task(
     Dataset block (see :func:`_exchange`).  Its ``(src,
     decoder_kwargs)`` sources run in turn, one source's tables in
     memory at a time.  With ``decoder_kwargs``,
-    ``src`` is an event shard ``(path, k)``: read ONCE (a unit is a row
-    slice of the shard, not a row group of its own), then its ``k`` read
-    units decoded with the partial combine fused in
+    ``src`` is an event shard ``(path, k[, stop])``: read ONCE (a unit
+    is a row slice of the shard, not a row group of its own), cut to
+    ``event_seq <= stop`` when a ``stop`` is given (``state_as_of``),
+    then its ``k`` read units decoded with the partial combine fused in
     (``BinlogDecoder.flat_combined``: merge keys first, value cells only
     for each key's newest row image; Arrow-equal to ``lww_partial`` over
     the flat decode) and spilled in turn, one IPC file each.  Without, a
@@ -674,8 +685,6 @@ def _spill_task(
     Returns :func:`_spill`'s chunk index entries and the counters:
     ``spill_bytes`` (the files' summed size) and, when it decoded, the
     decoders' summed counters."""
-    import pyarrow.parquet as pq
-
     entries, counts = [], Counter(spill_bytes=0)
     for src, decoder_kwargs in sources:
         dec = None
@@ -685,8 +694,10 @@ def _spill_task(
             else:
                 blocks = [_as_arrow(ray.get(src))]
         else:
-            (path, k), dec = src, BinlogDecoder(**decoder_kwargs)
+            (path, k, *stop), dec = src, BinlogDecoder(**decoder_kwargs)
             tab = pq.ParquetFile(path).read()
+            if stop:
+                tab = tab.filter(pc.less_equal(tab.column("event_seq"), stop[0]))
             bounds = [tab.num_rows * i // k for i in range(k + 1)]
             blocks = (
                 dec.flat_combined(tab.slice(lo, hi - lo), key_cols)
@@ -718,8 +729,10 @@ def _exchange(
     (event read units, plus the committed partition files on a layout
     change), ``seed_lake_from_snapshot`` (snapshot blocks) and
     ``compact_lake`` (committed partition files, ``zorder`` row order);
-    :func:`merge_lww` runs it into a scratch dir for the
-    Dataset-returning paths (partially combined flat blocks).
+    :func:`_exchange_to_dataset` runs it into a scratch dir for the
+    Dataset-returning paths (``run_to_dataset`` and ``state_as_of`` with
+    ``run_to_lake``'s event sources, :func:`merge_lww` with partially
+    combined flat blocks).
 
     The task count follows the cluster's CPUs, not the input's files
     and partitions.  Spill half: ``sources`` are ``(src,
@@ -753,11 +766,9 @@ def _exchange(
     on whichever worker runs them, so the lake must be a shared
     filesystem anyway.
     """
-    import shutil as _shutil
-
     staging = os.path.join(lake_dir, _STAGING_DIR)
     spill_dir = os.path.join(staging, "_shuffle")
-    _shutil.rmtree(staging, ignore_errors=True)
+    shutil.rmtree(staging, ignore_errors=True)
     cpus = _cluster_cpus()
     if isinstance(sources, list):
         tasks: Iterable[list] = _pack_sources(sources, cpus)
@@ -805,7 +816,7 @@ def _exchange(
         pending = spills + merges
         if pending:
             ray.wait(pending, num_returns=len(pending))
-        _shutil.rmtree(staging, ignore_errors=True)
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def run_to_lake(
@@ -828,9 +839,7 @@ def run_to_lake(
     :func:`_exchange` moves its files into place only once every merge
     task succeeded.
     """
-    import time as _time
-
-    t_start = _time.time()
+    t_start = time.time()
     cfg = cfg or CdcConfig()
     prior = read_manifest(lake_dir) if resume else None
     start_after = prior["watermark"] if prior else None
@@ -854,9 +863,7 @@ def run_to_lake(
         and prior.get("num_partitions") == cfg.num_partitions
         and prior.get("hash_algo") == PARTITION_HASH_ALGO
     )
-    dk = _decoder_kwargs(manifest["table_maps"], _with_flat_decode(cfg), start_after)
-    units = event_read_units(manifest, start_after)
-    sources = [((path, k), dk) for path, i, k in units if i == 0]
+    sources = _event_sources(manifest, cfg, start_after)
     prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]} if selective else {}
     if prior and not selective:
         sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
@@ -870,7 +877,7 @@ def run_to_lake(
         parts,
         cfg.key_cols,
         cfg.num_partitions,
-        elapsed_sec=round(_time.time() - t_start, 3),
+        elapsed_sec=round(time.time() - t_start, 3),
         resumed_from=start_after,
         **counters,
     )
@@ -966,10 +973,8 @@ def run_tables_to_lakes(
     ``decode_all_tables`` — the trade is its JSON row rendering vs this
     path's typed flat decode and exactly-once sinks.
     """
-    from dataclasses import replace as _replace
-
     def one(schema: str, table: str, cfg: CdcConfig) -> dict[str, Any]:
-        cfg = _replace(cfg, target_table=(schema, table))
+        cfg = replace(cfg, target_table=(schema, table))
         lake = os.path.join(base_dir, f"{schema}.{table}")
         return run_to_lake(manifest, lake, cfg, resume=resume)
 
@@ -1015,9 +1020,6 @@ def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
     the matching live rows as one Arrow table (point lookups are small by
     contract; use ``read_lake`` for scans).
     """
-    import numpy as np
-    import pyarrow.parquet as pq
-
     from ..stages.bucketed import _type_family, normalize_probe, probe_semi_join
     from ..stages.merge import partition_codes
 
@@ -1110,8 +1112,6 @@ def compact_lake(
     ``follow`` step that touches the partition, which rewrites it in
     key order.
     """
-    from dataclasses import replace
-
     cfg = cfg or CdcConfig()
     m = read_manifest(lake_dir)
     if m is None:
@@ -1146,7 +1146,7 @@ def audit_lake(
     (batch, partition) partial rows of (part, rows, digest); the driver
     folds O(batches x touched-partitions) slim rows with a numpy
     groupby.  The replay rows come back from the keyed exchange
-    materialized (:func:`merge_lww`), so the column intersection reads
+    materialized (:func:`run_to_dataset`), so the column intersection reads
     their schema without a second run — the audit holds one copy of the
     final table in the object store while it runs.
 
@@ -1155,7 +1155,6 @@ def audit_lake(
     Numeric columns are normalized to float64 before hashing so parquet
     nullable-int round-trips hash identically to the in-memory replay.
     """
-    import numpy as np
     import pandas as pd
 
     cfg = cfg or CdcConfig()
@@ -1258,7 +1257,6 @@ def schema_history(
     pattern as ``build_xid_index``; output is O(DDL count)."""
     from ..protocol.constants import EventType
     from ..protocol.decode import parse_header, parse_query
-    from ..stages.decode_stage import BinlogDecoder
 
     def extract(batch: pa.Table) -> pa.Table:
         seqs: list[int] = []

@@ -1016,7 +1016,11 @@ def purge_spool(out_dir: str, watermark: int) -> dict:
     kept whole (shards are the atomic unit).  The spool's
     ``manifest.json`` (if present) is republished without the purged
     shards, atomically, so a concurrent FollowDaemon never sees a
-    manifest that references deleted files.
+    manifest that references deleted files, and with
+    ``purged_through``, the highest purge watermark so far: a replay of
+    that manifest from the stream's start (a fresh lake,
+    ``state_as_of``) or from a lake behind that line raises instead of
+    answering with partial state (Delta Lake's VACUUM rule).
 
     Returns ``{"purged": n, "kept": n, "failed": n, "freed_bytes": n}``
     — a shard whose file could not be unlinked counts as ``failed``,
@@ -1027,8 +1031,9 @@ def purge_spool(out_dir: str, watermark: int) -> dict:
 
     Concurrency with a LIVE tail: the purge watermark is persisted to
     ``_purge.json`` and the tail's per-flush ``publish()`` filters its
-    shard list through it, so a flush racing the purge can never
-    resurrect deleted paths in ``manifest.json``.  (Run one purge at a
+    shard list through it (and records it as ``purged_through``), so a
+    flush racing the purge can never resurrect deleted paths in
+    ``manifest.json``.  (Run one purge at a
     time; MySQL's own PURGE BINARY LOGS has the same discipline.)
     """
     import json as _json
@@ -1060,6 +1065,7 @@ def purge_spool(out_dir: str, watermark: int) -> dict:
         with open(mpath) as f:
             meta = _json.load(f)
         meta["shards"] = kept
+        meta["purged_through"] = max(int(watermark), meta.get("purged_through", watermark))
         atomic_write_json(out_dir, meta, filename="manifest.json")
     purged, failed, freed = 0, 0, 0
     for e in to_purge:
@@ -1244,6 +1250,7 @@ def tail_to_shards(
                 # a one-window-stale manifest only delays a follower
                 return
             listed = [e for e in listed if e["last_event_seq"] > pw]
+            manifest_extra["purged_through"] = max(pw, manifest_extra.get("purged_through", pw))
         atomic_write_json(
             out_dir,
             dict(manifest_extra, shards=listed),

@@ -6,9 +6,9 @@ happens before ``__call__``, so it only walks payload bytes: per-table
 decode plans, their code-generated row decoders and the column remap
 for late-binding casts are compiled once per table layout per process
 (``_table_state``), and the target schema is resolved once per decoder
-in ``__init__``.  The lake exchange's ``_spill_task`` builds one decoder
-per task and ``_map_decoder`` (the Dataset-returning paths) caches one
-per worker.
+in ``__init__``.  The exchange's ``_spill_task`` (every shard replay)
+builds one decoder per shard and ``_map_decoder`` (the changefeed
+consumers) caches one per worker.
 
 The three output modes (changefeed, flat, json) share ONE event walk,
 ``_row_events`` — the reference's single ``EventsIterator`` loop

@@ -16,12 +16,13 @@ Scale design (the part the single-threaded reference never needed):
 2. ``lww_partial``         — per-batch combiner: keep only the newest
    image per key within the batch *before* the shuffle, so repeatedly
    updated (hot) keys ship one row per batch, not one per update.  The
-   lake's spill tasks combine inside the decode
+   spill tasks of every shard replay (``run_to_lake``,
+   ``run_to_dataset``, ``state_as_of``) combine inside the decode
    (``BinlogDecoder.flat_combined``: merge keys first, then
    :func:`_winner_indices`, then value cells for the winners only, with
-   a result Arrow-equal to ``lww_partial`` over the flat rows); the
-   Dataset paths (``cdc.merge_lww``) still run ``lww_partial`` on
-   decoded flat blocks.
+   a result Arrow-equal to ``lww_partial`` over the flat rows);
+   ``lww_partial`` itself runs only on flat Datasets that do not come
+   from shards (``cdc.merge_lww``).
 3. partition column        — deterministic hash of the primary key mod
    ``num_partitions`` (stable across runs/processes: required for the
    resumable, idempotent sink).
@@ -29,13 +30,13 @@ Scale design (the part the single-threaded reference never needed):
    same vectorized kernel picks winners and drops delete tombstones.
    There is one exchange, plain Ray tasks over the filesystem
    (``cdc._exchange``): the lake sink runs it into the lake, and the
-   Dataset-returning paths (``cdc.merge_lww``) into a scratch dir whose
-   partition files they read back.
+   Dataset-returning paths (``cdc._exchange_to_dataset``) into a
+   scratch dir whose partition files they read back.
 
 Skew (M8): the partition hash spreads keys uniformly; a pathologically
 hot *single key* is collapsed to one row per upstream batch by the
-partial combine (a read unit on the lake path, a Dataset block on the
-Dataset paths), so its fan-in to the merge stage is bounded by the
+partial combine (a read unit of a shard replay, a Dataset block in
+``cdc.merge_lww``), so its fan-in to the merge stage is bounded by the
 number of upstream batches, not by the number of updates.
 """
 

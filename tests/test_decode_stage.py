@@ -1289,6 +1289,39 @@ class TestFusedCombine:
             spilled = pa.ipc.open_file(f).get_batch(i).to_pylist()
         assert [row["content"] for row in spilled] == [f"v{n}"]
 
+    def test_spill_task_cuts_before_decode(self, small_stream, tmp_path):
+        """A straddling shard's ``stop`` (``state_as_of``'s cut) drops
+        the events past it before decode: the decoder counts only the
+        row images at or before the cut, and none past it is spilled."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines import cdc
+
+        _spec, out, m = small_stream
+        shard = m["shards"][1]
+        w = (shard["first_event_seq"] + shard["last_event_seq"]) // 2
+        seqs = pq.read_table(f"{out}/oplog.parquet", columns=["event_seq"])["event_seq"].to_numpy()
+        cfg = cdc.CdcConfig(num_partitions=4)
+        ((src, dk),) = cdc._event_sources(dict(m, shards=[shard]), cfg, stop_at=w)
+        assert src == (shard["path"], 1, w)
+
+        def spill(src, name):
+            return cdc._spill_task._function(
+                [(src, dk)], str(tmp_path / name), cfg.key_cols, cfg.num_partitions
+            )
+
+        entries, counts = spill(src, "cut")
+        in_shard = seqs >= shard["first_event_seq"]
+        assert counts["row_images"] == int((in_shard & (seqs <= w)).sum())
+        _entries, whole = spill(src[:2], "whole")
+        assert whole["row_images"] == int((in_shard & (seqs <= shard["last_event_seq"])).sum())
+        assert whole["row_images"] > counts["row_images"]
+        spilled = []
+        for _part, path, i in entries:
+            with pa.OSFile(path) as f:
+                spilled += pa.ipc.open_file(f).get_batch(i).column("event_seq").to_pylist()
+        assert spilled and max(spilled) <= w
+
     def test_spill_task_does_not_decode_then_combine(self):
         cdc_py = os.path.join(TestOneDecodeWalk.PKG, "pipelines", "cdc.py")
         assert "_spill_task" not in TestOneDecodeWalk._calls(cdc_py, "lww_partial")

@@ -94,6 +94,38 @@ class TestDatasetPathsShareExchange:
         flat = decode_changefeed(read_event_stream(manifest), manifest["table_maps"], flat_cfg)
         self._check(merge_lww(flat, flat_cfg), final_state_oracle(spec, out))
 
+    def _assert_equals_lake(self, manifest, cfg, lake, monkeypatch):
+        """``run_to_dataset``'s blocks, concatenated, equal ``read_lake``
+        of a one-shot ``run_to_lake`` (read in partition order): schema,
+        column order, rows and row order."""
+        import pyarrow as pa
+        import ray
+        from ray.data import DataContext
+
+        run_to_lake(manifest, lake, cfg)
+        got = pa.concat_tables(ray.get(run_to_dataset(manifest, cfg).to_arrow_refs()))
+        options = DataContext.get_current().execution_options
+        monkeypatch.setattr(options, "preserve_order", True)
+        want = pa.concat_tables(ray.get(read_lake(lake).to_arrow_refs()))
+        assert got.num_rows > 0
+        assert got.schema.equals(want.schema), (got.schema, want.schema)
+        assert got.equals(want)
+
+    @pytest.mark.parametrize("num_partitions", [4, 8])
+    def test_run_to_dataset_equals_one_shot_lake(
+        self, small_stream, tmp_path, monkeypatch, num_partitions
+    ):
+        # small_stream's ALTER adds `stars` mid-stream
+        _spec, _out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=num_partitions)
+        self._assert_equals_lake(manifest, cfg, str(tmp_path), monkeypatch)
+
+    def test_issues_run_to_dataset_equals_one_shot_lake(self, tmp_path, monkeypatch):
+        spec = StreamSpec(n_keys=400, n_ops=3000, n_shards=3, issues_every=3)
+        manifest = generate_stream(spec, str(tmp_path / "stream"))
+        cfg = CdcConfig(num_partitions=4, key_cols=("issue_id",), target_table=("code", "issues"))
+        self._assert_equals_lake(manifest, cfg, str(tmp_path / "lake"), monkeypatch)
+
     def test_scratch_dir_removed(self, small_stream, tmp_path, monkeypatch):
         """The exchange's scratch dir lives under ``TMPDIR`` and is gone
         after a successful merge and after a failed spill task."""
@@ -1526,11 +1558,37 @@ class TestOneLakeWriter:
         assert movers == {"_exchange": 1}
         assert self._calls(path, "_fsync_dir") == {"_exchange": 1}
         assert self._calls(path, "_exchange") == {
-            "merge_lww": 1,
+            "_exchange_to_dataset": 1,
             "run_to_lake": 1,
             "seed_lake_from_snapshot": 1,
             "compact_lake": 1,
         }
+
+    def test_shard_replays_share_one_source_plan(self):
+        """``run_to_dataset`` and ``state_as_of`` plan their sources as
+        ``run_to_lake`` does and share ``merge_lww``'s scratch-dir tail;
+        none of them decodes through Ray Data."""
+        import ast
+
+        path = os.path.join(self.PIPELINES, "cdc.py")
+        replays = {"run_to_lake": 1, "run_to_dataset": 1, "state_as_of": 1}
+        assert self._calls(path, "_event_sources") == replays
+        assert self._calls(path, "_exchange_to_dataset") == {
+            "merge_lww": 1,
+            "run_to_dataset": 1,
+            "state_as_of": 1,
+        }
+        for name in ("decode_changefeed", "read_event_stream", "map_batches"):
+            calls = self._calls(path, name)
+            assert not set(calls) & set(replays), (name, calls)
+        # the per-block combine runs only for flat Datasets (merge_lww)
+        users = set()
+        for top in ast.parse(open(path).read()).body:
+            if isinstance(top, ast.FunctionDef) and any(
+                isinstance(n, ast.Name) and n.id == "lww_partial" for n in ast.walk(top)
+            ):
+                users.add(top.name)
+        assert users == {"merge_lww"}
 
     def test_atomic_write_parquet_called_from_lake_writer_only(self):
         """Every lake file write (run_to_lake, snapshot seed, compaction)

@@ -827,6 +827,45 @@ class TestWireSession:
 
         assert snap(lake).equals(snap(lake_ref))
 
+    def test_replay_of_purged_spool_fails_closed(self, small_stream, tmp_path):
+        """After a purge the spool's ``manifest.json`` records
+        ``purged_through``, and a replay that would need the purged
+        shards (a fresh lake, ``state_as_of``) raises instead of
+        answering with the retained shards' partial state; a later tail
+        session keeps the record even when it publishes with its own
+        ``manifest_extra``."""
+        import json
+
+        from mysql_binlog_ray.pipelines.cdc import CdcConfig, follow, run_to_lake, state_as_of
+        from mysql_binlog_ray.sources.wire import purge_spool, spool_shards
+        from mysql_binlog_ray.state.checkpoint import read_manifest
+
+        _spec, _out, manifest = small_stream
+        payloads = _stream_payloads(manifest)
+        meta = {k: v for k, v in manifest.items() if k != "shards"}
+        spool, lake, fresh = (str(tmp_path / d) for d in ("spool", "lake", "fresh"))
+        cfg = CdcConfig(num_partitions=4)
+        k = len(payloads) // 2
+        _tail_session(spool, payloads[:k], shard_events=32, manifest_extra=meta)
+        wm = run_to_lake(dict(meta, shards=spool_shards(spool)), lake, cfg)["watermark"]
+        assert purge_spool(spool, wm)["purged"] > 0
+
+        def spool_manifest():
+            with open(f"{spool}/manifest.json") as f:
+                return json.load(f)
+
+        assert spool_manifest()["purged_through"] == wm
+        _tail_session(spool, payloads[k:], shard_events=32, resume=True, manifest_extra=meta)
+        purged = spool_manifest()
+        assert purged["purged_through"] == wm
+        with pytest.raises(ValueError, match=f"purged through event_seq {wm}"):
+            follow(purged, fresh, cfg)
+        assert read_manifest(fresh) is None
+        with pytest.raises(ValueError, match="purged"):
+            state_as_of(purged, wm + 1, cfg)
+        # a lake at the purge line resumes
+        assert follow(purged, lake, cfg)["watermark"] > wm
+
     def test_resumed_tail_keeps_publishing_prior_manifest(
         self, small_stream, tmp_path
     ):
