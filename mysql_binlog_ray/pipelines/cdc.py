@@ -377,9 +377,12 @@ def _event_sources(
     decode.  With ``stop_at``, shards that start past it are pruned and
     the one straddling it becomes ``(path, k, stop_at)``, cut to
     ``event_seq <= stop_at`` before decode.  A manifest purged through
-    ``purged_through`` (``sources.wire.purge_spool``) lacks the events up
-    to it: a replay from the start or from before it raises."""
-    purged = manifest.get("purged_through")
+    ``purged_through`` (``sources.wire.purge_spool``; the field of the
+    manifest or of a shard entry, as ``spool_shards`` sets it on its
+    first) lacks the events up to it: a replay from the start or from
+    before it raises."""
+    marks = [manifest.get("purged_through")] + [s.get("purged_through") for s in manifest["shards"]]
+    purged = max((m for m in marks if m is not None), default=None)
     if purged is not None and (start_after is None or start_after < purged):
         raise ValueError(
             f"the stream's shards are purged through event_seq {purged}: a replay from "
@@ -495,9 +498,9 @@ def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
 
 def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table:
     """Rows as flat merge input, [values..., op='insert', event_seq,
-    row_seq, commit_seq=-1] (flatten_changefeed's order).  Lake rows keep
-    their lineage so newer events win; snapshot rows get
-    ``(snapshot_seq, 0)``.  A hive ``part`` column is dropped."""
+    row_seq] (the spilled rows' order).  Lake rows keep their lineage so
+    newer events win; snapshot rows get ``(snapshot_seq, 0)``.  A hive
+    ``part`` column is dropped."""
     n = tab.num_rows
     drop = ("op", *SEQ_COLS, "commit_seq", "part")
     cols = {c: tab.column(c) for c in tab.column_names if c not in drop}
@@ -508,7 +511,6 @@ def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table
     else:
         cols["event_seq"] = pa.array([snapshot_seq] * n, pa.int64())
         cols["row_seq"] = pa.array([0] * n, pa.int32())
-    cols["commit_seq"] = pa.array([-1] * n, pa.int64())
     return pa.table(cols)
 
 
@@ -538,8 +540,9 @@ def _merge_write_partition(
     exchange: the increment's rows for ``part``, then (selective resume,
     ``prior_rows > 0``) the partition's committed lake rows, read back
     here from the live file rather than shipped through the exchange;
-    final LWW, row order, one atomic zstd write into
-    ``lake_dir/_compact``, which :func:`_exchange` moves into place.
+    final LWW, row order, one atomic zstd write (plain pages, statistics
+    kept) into ``lake_dir/_compact``, which :func:`_exchange` moves into
+    place.
 
     The read-back goes AFTER the new rows so that a column added by DDL
     inside the increment keeps the position the decoder gives it.  Rows
@@ -560,7 +563,9 @@ def _merge_write_partition(
     if zorder:
         final = final.take(zorder_sort_indices(final, *zorder, key_cols))
     staged = _lake_partition_path(os.path.join(lake_dir, _STAGING_DIR), part)
-    size = atomic_write_parquet(final, staged, compression="zstd")
+    # no dictionary pages: content is unique per row, so the writer would
+    # hash every cell into a dictionary that overflows to plain pages
+    size = atomic_write_parquet(final, staged, compression="zstd", use_dictionary=False)
     mx = int(pc.max(final.column("event_seq")).as_py()) if final.num_rows else -1
     return {
         "part": part,
@@ -677,11 +682,12 @@ def _spill_task(
     is a row slice of the shard, not a row group of its own), cut to
     ``event_seq <= stop`` when a ``stop`` is given (``state_as_of``),
     then its ``k`` read units decoded with the partial combine fused in
-    (``BinlogDecoder.flat_combined``: merge keys first, value cells only
-    for each key's newest row image; Arrow-equal to ``lww_partial`` over
-    the flat decode) and spilled in turn, one IPC file each.  Without, a
-    committed lake file path (the layout-change re-merge and
-    ``compact_lake``) or a snapshot Dataset block ref, already flat.
+    (``BinlogDecoder.flat_combined``: a located decode that gathers
+    value cells only for each key's newest row image; Arrow-equal to
+    ``lww_partial`` over the flat decode) and spilled in turn, one IPC
+    file each.  Without, a committed lake file path (the layout-change
+    re-merge and ``compact_lake``) or a snapshot Dataset block ref,
+    already flat.  Every block is spilled without ``commit_seq``.
     Returns :func:`_spill`'s chunk index entries and the counters:
     ``spill_bytes`` (the files' summed size) and, when it decoded, the
     decoders' summed counters."""
@@ -705,6 +711,10 @@ def _spill_task(
             )
         for flat in blocks:
             if flat.num_rows:
+                # nothing after the spill reads commit_seq (lww_final
+                # drops it): it is not shipped
+                if "commit_seq" in flat.column_names:
+                    flat = flat.drop_columns(["commit_seq"])
                 got, size = _spill(add_partition_column(flat, key_cols, num_partitions), spill_dir)
                 entries += got
                 counts["spill_bytes"] += size

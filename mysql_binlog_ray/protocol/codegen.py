@@ -11,7 +11,7 @@ one row kernel of ``BinlogDecoder``'s typed modes, and
 
 Generated function shape (op="update"):
 
-    def decode_rows(data, off, end, cols, bcols, readers, skippers, spans=None):
+    def decode_rows(data, off, end, cols, bcols, readers):
         out_0, ..., out_{n-1} = cols        # one list per source column
         bout_k, ... = (bcols[k], ...)       # before-image key columns
         n_rows = 0
@@ -23,37 +23,26 @@ Generated function shape (op="update"):
             n_rows += 1
         return n_rows, off
 
-Each (table, op) also gets a key-only kernel, ``codegen[op + "_keys"]``:
-it decodes only the merge-key columns of every image, byte-skips the
-rest, and appends each insert/update after-image's ``[start, end)`` byte
-range to ``spans``.  ``codegen["insert"]`` over one such range decodes
-exactly that image, so a caller can pick rows by key first and decode
-values only for the rows it keeps.
+Skips are inline, their widths :func:`decode.cell_layout`'s.  The
+lake's fused decode (``BinlogDecoder.flat_combined``) does not run these
+kernels: it locates cells with numpy over every event at once.
 """
 
 from __future__ import annotations
 
 from typing import Callable
 
-from .constants import ColumnType, collation_codec
-from .decode import DecodePlan
+from .constants import INTEGER_TYPES, ColumnType, collation_codec
+from .decode import DecodePlan, cell_layout
 from .model import ColumnDef
-
-_INT_SIZES = {
-    ColumnType.TINY: 1,
-    ColumnType.SHORT: 2,
-    ColumnType.INT24: 3,
-    ColumnType.LONG: 4,
-    ColumnType.LONGLONG: 8,
-}
 
 
 def _inline_read(col: ColumnDef, idx: int) -> str | None:
     """Inline source for one cell read appending to ``out_{idx}``;
     None -> use the closure fallback."""
     t = col.type
-    if t in _INT_SIZES and not (t is ColumnType.LONGLONG and not col.signed):
-        w = _INT_SIZES[t]
+    if t in INTEGER_TYPES and not (t is ColumnType.LONGLONG and not col.signed):
+        w = cell_layout(col)[0]
         sign = "True" if col.signed else "False"
         return (
             f"out_{idx}.append(int.from_bytes(data[off:off+{w}], 'little', signed={sign})); "
@@ -88,30 +77,20 @@ def _inline_read(col: ColumnDef, idx: int) -> str | None:
     return None
 
 
-def _inline_skip(col: ColumnDef) -> str | None:
-    t = col.type
-    if t in _INT_SIZES:
-        return f"off += {_INT_SIZES[t]}"
-    if t in (ColumnType.VARCHAR, ColumnType.STRING):
-        if col.max_length > 255:
-            return "off += 2 + (data[off] | (data[off+1] << 8))"
+def _inline_skip(col: ColumnDef) -> str:
+    w, lb = cell_layout(col)
+    if not lb:
+        return f"off += {w}"
+    if lb == 1:
         return "off += 1 + data[off]"
-    if t in (ColumnType.BLOB, ColumnType.JSON, ColumnType.GEOMETRY):
-        lb = col.length_bytes
-        return f"off += {lb} + int.from_bytes(data[off:off+{lb}], 'little')"
-    if t is ColumnType.DOUBLE:
-        return "off += 8"
-    return None
+    if lb == 2:
+        return "off += 2 + (data[off] | (data[off+1] << 8))"
+    return f"off += {lb} + int.from_bytes(data[off:off+{lb}], 'little')"
 
 
-def compile_flat_decoder(
-    plan: DecodePlan,
-    op: str,
-    key_src: frozenset[int],
-    keys_only: bool = False,
-) -> Callable:
-    """Build decode_rows(data, off, end, cols, bcols, readers, skippers,
-    spans=None) -> (n_rows, off) for one (table, op) pair (one list per
+def compile_flat_decoder(plan: DecodePlan, op: str, key_src: frozenset[int]) -> Callable:
+    """Build decode_rows(data, off, end, cols, bcols, readers) ->
+    (n_rows, off) for one (table, op) pair (one list per
     source column in ``cols``/``bcols``), serving both typed decode modes:
     ``key_src`` is flat mode's merge key, changefeed mode's every column.
 
@@ -120,10 +99,6 @@ def compile_flat_decoder(
       ``bcols``, byte-skip the rest, then the after image into ``cols``
     - delete: decode ``key_src`` columns of the before image into
       ``cols``, skip the rest (appending None)
-
-    ``keys_only`` decodes only the ``key_src`` columns of every image
-    (nothing is appended for the others) and appends the start and end
-    offset of each insert/update after image to ``spans``.
     """
     cols = plan.table_map.columns
     n = len(cols)
@@ -137,19 +112,13 @@ def compile_flat_decoder(
         return f" {names} = (" + ", ".join(f"{src}[{i}]" for i in idx) + ("," if len(idx) == 1 else "") + ")"
 
     lines = [
-        "def decode_rows(data, off, end, cols, bcols, readers, skippers, spans=None):",
+        "def decode_rows(data, off, end, cols, bcols, readers):",
         " import struct",
         " _unpack_d = struct.Struct('<d').unpack_from",
     ]
-    if not keys_only:
-        lines.append(" " + ", ".join(f"out_{i}" for i in range(n)) + ("," if n == 1 else "") + " = cols")
-    elif key_src:
-        lines.append(unpack("out", "cols", sorted(key_src)))
+    lines.append(" " + ", ".join(f"out_{i}" for i in range(n)) + ("," if n == 1 else "") + " = cols")
     if op == "update" and key_src:
         lines.append(unpack("bout", "bcols", sorted(key_src)))
-    spans_rows = keys_only and op != "delete"
-    if spans_rows:
-        lines.append(" span = spans.append")
     lines.append(" n_rows = 0")
     lines.append(" while off < end:")
 
@@ -174,11 +143,7 @@ def compile_flat_decoder(
             )
 
     def emit_skip(indent: str, i: int, c: ColumnDef) -> None:
-        skip = _inline_skip(c)
-        if skip is None:
-            lines.append(f"{indent}if not {null_test(i)}: off = skippers[{i}](data, off)")
-        else:
-            lines.append(f"{indent}if not {null_test(i)}: {skip}")
+        lines.append(f"{indent}if not {null_test(i)}: {_inline_skip(c)}")
 
     indent = "  "
     if op == "update":
@@ -189,35 +154,24 @@ def compile_flat_decoder(
                 emit_read(indent, i, c, "bout")
             else:
                 emit_skip(indent, i, c)
-    if spans_rows:
-        lines.append(f"{indent}span(off)")
     emit_bitmap(indent)
     for i, c in enumerate(cols):
-        if (keys_only or op == "delete") and i not in key_src:
+        if op == "delete" and i not in key_src:
             emit_skip(indent, i, c)
-            if not keys_only:
-                lines.append(f"{indent}out_{i}.append(None)")
+            lines.append(f"{indent}out_{i}.append(None)")
             continue
         emit_read(indent, i, c, "out")
-    if spans_rows:
-        lines.append(f"{indent}span(off)")
     lines.append(f"{indent}n_rows += 1")
     lines.append(" return n_rows, off")
 
     src = "\n".join(lines)
     ns: dict = {}
-    kind = f"{op}_keys" if keys_only else op
-    exec(compile(src, f"<codegen:{plan.table_map.table_name}:{kind}>", "exec"), ns)
+    exec(compile(src, f"<codegen:{plan.table_map.table_name}:{op}>", "exec"), ns)
     fn = ns["decode_rows"]
     fn.__codegen_source__ = src  # for debugging/inspection
     return fn
 
 
 def compile_flat_decoders(plan: DecodePlan, key_src: frozenset[int]) -> dict[str, Callable]:
-    """The layout's kernels: ``op`` -> full kernel, ``op + "_keys"`` ->
-    key-only kernel, for op in insert/update/delete."""
-    return {
-        op + suffix: compile_flat_decoder(plan, op, key_src, keys_only=bool(suffix))
-        for op in ("insert", "update", "delete")
-        for suffix in ("", "_keys")
-    }
+    """The layout's kernels, op -> kernel for op in insert/update/delete."""
+    return {op: compile_flat_decoder(plan, op, key_src) for op in ("insert", "update", "delete")}

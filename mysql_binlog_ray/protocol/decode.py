@@ -241,21 +241,13 @@ def _text_value(raw: bytes, charset: int) -> str:
 
 CellReader = Callable[[bytes, int], tuple[Any, int]]
 
-_INT_SIZES = {
-    ColumnType.TINY: 1,
-    ColumnType.SHORT: 2,
-    ColumnType.INT24: 3,
-    ColumnType.LONG: 4,
-    ColumnType.LONGLONG: 8,
-}
-
 
 def make_cell_reader(col: ColumnDef) -> CellReader:
     """Compile the reader closure for one column (the per-type dispatch of
     `RowFactory.php:72-165`, resolved once instead of per cell)."""
     t = col.type
     if t in INTEGER_TYPES:
-        size = _INT_SIZES[t]
+        size = _FIXED_WIDTH[t]
         signed = col.signed
         if t is ColumnType.LONGLONG and not signed:
 
@@ -357,6 +349,9 @@ def make_cell_reader(col: ColumnDef) -> CellReader:
         return read_geometry
     if t is ColumnType.DATE:
         return _decode_date
+    if t is ColumnType.YEAR:
+        # one byte, years since 1900; 0 is the zero year
+        return lambda data, off: ((data[off] + 1900) if data[off] else 0, off + 1)
     if t is ColumnType.DATETIME2:
         fsp = col.fsp
         return lambda data, off: _decode_datetime2(data, off, fsp)
@@ -402,42 +397,48 @@ _FIXED_WIDTH: dict[ColumnType, int] = {
     ColumnType.FLOAT: 4,
     ColumnType.DOUBLE: 8,
     ColumnType.DATE: 3,
+    ColumnType.YEAR: 1,
 }
+_TEMPORAL2_BASE = {ColumnType.DATETIME2: 5, ColumnType.TIMESTAMP2: 4, ColumnType.TIME2: 3}
+
+
+def cell_layout(col: ColumnDef) -> tuple[int, int]:
+    """The ONE byte-layout rule of a non-NULL cell, mirroring
+    `make_cell_reader`: ``(width, 0)`` for a fixed-width type, ``(0,
+    length_bytes)`` for a little-endian length prefix of 1-4 bytes
+    followed by that many bytes.  The skippers, the code-generated
+    kernels' skips and the stage's located decode all derive from it."""
+    t = col.type
+    if t in _FIXED_WIDTH:
+        return _FIXED_WIDTH[t], 0
+    if t is ColumnType.NEWDECIMAL:
+        intg0, intg0x = divmod(col.precision - col.scale, _DIG_PER_DEC)
+        frac0, frac0x = divmod(col.scale, _DIG_PER_DEC)
+        return _DIG2BYTES[intg0x] + intg0 * 4 + frac0 * 4 + _DIG2BYTES[frac0x], 0
+    if t is ColumnType.BIT:
+        return col.bit_bytes, 0
+    if t in _TEMPORAL2_BASE:
+        return _TEMPORAL2_BASE[t] + ((col.fsp + 1) >> 1 if col.fsp else 0), 0
+    if t in (ColumnType.ENUM, ColumnType.SET):
+        return col.size, 0
+    if t in (ColumnType.VARCHAR, ColumnType.STRING):
+        return 0, 2 if col.max_length > 255 else 1
+    if t in (ColumnType.BLOB, ColumnType.JSON, ColumnType.GEOMETRY):
+        return 0, col.length_bytes
+    raise ValueError(f"unsupported column type {t!r}")
 
 
 def make_cell_skipper(col: ColumnDef) -> CellSkipper:
     """Compile a skipper that advances past one cell WITHOUT constructing
     its value — used for row images the pipeline does not need (e.g.
-    update before-images when only the after state is merged).  Mirrors
-    the byte layout of `make_cell_reader` exactly."""
-    t = col.type
-    if t in _FIXED_WIDTH:
-        w = _FIXED_WIDTH[t]
+    update before-images when only the after state is merged).  Its
+    widths are :func:`cell_layout`'s."""
+    w, lb = cell_layout(col)
+    if not lb:
         return lambda data, off, _w=w: off + _w
-    if t is ColumnType.NEWDECIMAL:
-        intg = col.precision - col.scale
-        intg0, intg0x = divmod(intg, _DIG_PER_DEC)
-        frac0, frac0x = divmod(col.scale, _DIG_PER_DEC)
-        w = _DIG2BYTES[intg0x] + intg0 * 4 + frac0 * 4 + _DIG2BYTES[frac0x]
-        return lambda data, off, _w=w: off + _w
-    if t is ColumnType.BIT:
-        w = col.bit_bytes
-        return lambda data, off, _w=w: off + _w
-    if t in (ColumnType.DATETIME2, ColumnType.TIMESTAMP2, ColumnType.TIME2):
-        base = {ColumnType.DATETIME2: 5, ColumnType.TIMESTAMP2: 4, ColumnType.TIME2: 3}[t]
-        w = base + ((col.fsp + 1) >> 1 if col.fsp else 0)
-        return lambda data, off, _w=w: off + _w
-    if t in (ColumnType.VARCHAR, ColumnType.STRING):
-        if col.max_length > 255:
-            return lambda data, off: off + 2 + _u16.unpack_from(data, off)[0]
+    if lb == 1:
         return lambda data, off: off + 1 + data[off]
-    if t in (ColumnType.BLOB, ColumnType.JSON, ColumnType.GEOMETRY):
-        lb = col.length_bytes
-        return lambda data, off, _lb=lb: off + _lb + int.from_bytes(data[off : off + _lb], "little")
-    if t in (ColumnType.ENUM, ColumnType.SET):
-        w = col.size
-        return lambda data, off, _w=w: off + _w
-    raise ValueError(f"unsupported column type {t!r}")
+    return lambda data, off, _lb=lb: off + _lb + int.from_bytes(data[off : off + _lb], "little")
 
 
 @dataclass
@@ -848,7 +849,9 @@ __all__ = [
     "RowsEvent",
     "ROW_EVENT_TYPES",
     "SKIP_EVENT_TYPES",
+    "cell_layout",
     "make_cell_reader",
+    "make_cell_skipper",
     "parse_format_description",
     "parse_header",
     "parse_query",

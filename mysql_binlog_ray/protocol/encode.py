@@ -190,6 +190,9 @@ def encode_value(col: ColumnDef, value: Any) -> bytes:
         return len(raw).to_bytes(col.length_bytes, "little") + raw
     if t is ColumnType.DATE:
         return _encode_date(str(value))
+    if t is ColumnType.YEAR:
+        v = int(value)
+        return bytes([v - 1900 if v else 0])
     if t is ColumnType.DATETIME2:
         s = str(value)
         frac = ""

@@ -995,6 +995,27 @@ def _resume_point(entries: list[dict]) -> tuple[int, int]:
     )
 
 
+def _spool_entries(out_dir: str) -> list[dict]:
+    """Each committed shard's footer entry, in name order, empty ones
+    skipped."""
+    return [
+        e for e in (_shard_entry(out_dir, f) for f in _spool_names(out_dir)) if e is not None
+    ]
+
+
+def _purge_watermark(out_dir: str) -> int | None:
+    """The ``_purge.json`` watermark :func:`purge_spool` recorded, or
+    None when the spool was never purged; an unreadable sidecar raises
+    (``OSError``, ``ValueError`` or ``KeyError``)."""
+    import json as _json
+
+    ppath = os.path.join(out_dir, "_purge.json")
+    if not os.path.exists(ppath):
+        return None
+    with open(ppath) as f:
+        return int(_json.load(f)["purge_watermark"])
+
+
 def spool_shards(out_dir: str) -> list[dict]:
     """Manifest entries for every committed shard in a spool directory
     (the atomically-renamed ``events-NNNNN.parquet`` files, in name
@@ -1002,10 +1023,15 @@ def spool_shards(out_dir: str) -> list[dict]:
     to ingest everything the tail has spooled so far, including shards
     from earlier tail sessions.  Each entry comes from the shard's
     parquet footer (row count, ``event_seq`` statistics), so listing
-    reads no event data."""
-    return [
-        e for e in (_shard_entry(out_dir, f) for f in _spool_names(out_dir)) if e is not None
-    ]
+    reads no event data.  After a :func:`purge_spool` the first entry
+    carries the purge watermark as ``purged_through``, so a manifest
+    built from these entries fails closed on a replay that would need
+    the purged events, as the spool's own ``manifest.json`` does."""
+    entries = _spool_entries(out_dir)
+    purged = _purge_watermark(out_dir)
+    if entries and purged is not None:
+        entries[0] = dict(entries[0], purged_through=purged)
+    return entries
 
 
 def purge_spool(out_dir: str, watermark: int) -> dict:
@@ -1040,7 +1066,7 @@ def purge_spool(out_dir: str, watermark: int) -> dict:
 
     from ..state.checkpoint import atomic_write_json
 
-    entries = spool_shards(out_dir)
+    entries = _spool_entries(out_dir)
     if not entries:
         return {"purged": 0, "kept": 0, "failed": 0, "freed_bytes": 0}
     # keep the newest shard unconditionally: it carries the numbering
@@ -1205,7 +1231,7 @@ def tail_to_shards(
             shard_id, seq = _resume_point([newest])
             if manifest_extra is not None:
                 listed = prior_meta.get("shards") or [None]
-                prior_shards = listed if listed[-1] == newest else spool_shards(out_dir)
+                prior_shards = listed if listed[-1] == newest else _spool_entries(out_dir)
     first_seq = seq
 
     # in-stream registry-snapshot scan: a REAL stream's TABLE_MAPs exist
@@ -1229,8 +1255,6 @@ def tail_to_shards(
         # shard paths
         if manifest_extra is None:
             return
-        import json as _json
-
         if latest_maps:
             manifest_extra["table_maps"] = [
                 latest_maps[k] for k in sorted(latest_maps)
@@ -1239,16 +1263,14 @@ def tail_to_shards(
         # a concurrent purge_spool records its watermark in _purge.json;
         # filtering through it here means a flush racing the purge can
         # never resurrect deleted shard paths in the manifest
-        ppath = os.path.join(out_dir, "_purge.json")
-        if os.path.exists(ppath):
-            try:
-                with open(ppath) as f:
-                    pw = int(_json.load(f)["purge_watermark"])
-            except (OSError, ValueError, KeyError):
-                # unreadable sidecar: SKIP this publish rather than risk
-                # resurrecting purged paths — the next flush retries and
-                # a one-window-stale manifest only delays a follower
-                return
+        try:
+            pw = _purge_watermark(out_dir)
+        except (OSError, ValueError, KeyError):
+            # unreadable sidecar: SKIP this publish rather than risk
+            # resurrecting purged paths — the next flush retries and
+            # a one-window-stale manifest only delays a follower
+            return
+        if pw is not None:
             listed = [e for e in listed if e["last_event_seq"] > pw]
             manifest_extra["purged_through"] = max(pw, manifest_extra.get("purged_through", pw))
         atomic_write_json(

@@ -14,16 +14,18 @@ The three output modes (changefeed, flat, json) share ONE event walk,
 ``_row_events`` — the reference's single ``EventsIterator`` loop
 (`EventsIterator.php:73-88`) — and ONE ROWS-event prologue,
 ``protocol.decode.rows_body_offset``; a mode only chooses how it emits
-the rows of each accepted ROWS event.  The typed modes (changefeed,
-flat) decode rows through ONE kernel, the layout's code-generated row
-decoder (``_TableState.codegen``); json mode uses ``parse_rows_event``.
-Each layout has two kernel shapes per op: the full kernel
-(``codegen[op]``: all cells of the after-image, merge keys of the
-before-image) and the key-only kernel (``codegen[op + "_keys"]``: merge
-keys of every image plus each after-image's byte range).  ``flat_combined``
-(the lake's spill tasks) runs the key-only kernels, picks each key's
-newest row, and decodes only those after-images with
-``codegen["insert"]`` over their recorded ranges.
+the rows of each accepted ROWS event.  The changefeed mode and
+``__call__``'s flat mode decode rows through ONE kernel per op, the
+layout's code-generated row decoder (``_TableState.codegen``); json
+mode uses ``parse_rows_event``.  ``flat_combined`` (the lake's spill
+tasks) runs no kernel: a located decode finds the cells of every row
+image with one numpy pass per layout (``_locate_images``, all events at
+once, one row image of each per iteration, widths from
+``protocol.decode.cell_layout``), picks each key's newest row, walks
+only those after-images again to find their value cells, and gathers
+the cells it keeps from the block's payload buffer with numpy and Arrow
+takes (``_decode_cells``), reading only the types no gather covers
+through the layout's cell readers.
 
 Semantics reproduced from the reference (citations in protocol/decode.py):
 
@@ -52,10 +54,12 @@ from typing import Any, Iterable
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
-from ..protocol.constants import ColumnType, EventType
+from ..protocol.constants import INTEGER_TYPES, ColumnType, EventType, collation_codec
 from ..protocol.decode import (
     DecodePlan,
+    cell_layout,
     parse_format_description,
     parse_header,
     parse_rows_event,
@@ -79,6 +83,7 @@ _OP_BY_TYPE = {
 # run-length op encoding for the flat path (expanded via np.repeat)
 _OP_NAMES_ARROW = pa.array(["insert", "update", "delete"], pa.string())
 _OP_CODE_BY_TYPE = {0x17: 0, 0x1E: 0, 0x18: 1, 0x1F: 1, 0x19: 2, 0x20: 2}
+_OP_UPDATE_CODE = 1
 _OP_DELETE_CODE = 2
 
 
@@ -86,7 +91,7 @@ def changefeed_arrow_type(col: ColumnDef) -> pa.DataType:
     """Arrow type of one column in the changefeed (reference JSON shape:
     temporals/decimals/bits stay strings — SURVEY §1.4 compat boundary)."""
     t = col.type
-    if t in (ColumnType.TINY, ColumnType.SHORT, ColumnType.INT24, ColumnType.LONG):
+    if t in (ColumnType.TINY, ColumnType.SHORT, ColumnType.INT24, ColumnType.LONG, ColumnType.YEAR):
         return pa.int64()
     if t is ColumnType.LONGLONG:
         return pa.int64() if col.signed else pa.uint64()
@@ -180,6 +185,238 @@ def _meta_arrays(
     ]
 
 
+def _payload_base(batch: pa.Table) -> tuple[pa.Buffer, np.ndarray, list[int]]:
+    """The located decode's byte source: one buffer holding every
+    event's bytes, as a pyarrow Buffer and a numpy view, and each event's
+    start offset in it.  One chunk's data buffer is used as it is
+    (sliced or not, binary or large_binary); several chunks are copied
+    into one buffer, their used byte ranges back to back."""
+    col = batch.column("payload")
+    spans = []
+    for chunk in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
+        if not len(chunk):
+            continue
+        _validity, offsets, data = chunk.buffers()
+        dtype = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
+        offs = np.frombuffer(offsets, dtype=dtype)[chunk.offset : chunk.offset + len(chunk) + 1]
+        spans.append((data or pa.py_buffer(b""), offs.astype(np.int64)))
+    if len(spans) == 1:
+        data, offs = spans[0]
+        return data, np.frombuffer(data, dtype=np.uint8), offs[:-1].tolist()
+    parts, starts, at = [], [], 0
+    for data, offs in spans:
+        parts.append(np.frombuffer(data, dtype=np.uint8)[offs[0] : offs[-1]])
+        starts += (offs[:-1] - offs[0] + at).tolist()
+        at += int(offs[-1] - offs[0])
+    joined = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
+    return pa.py_buffer(joined), joined, starts
+
+
+def _prefix_views(buf: np.ndarray) -> dict[int, np.ndarray]:
+    """Unaligned little-endian views of ``buf`` by byte width: element
+    ``j`` of ``views[w]`` is the ``w``-byte integer at byte ``j``, so one
+    index reads a 1-, 2- or 4-byte length prefix at any offset."""
+    views = {1: buf}
+    for w, dtype in ((2, "<u2"), (4, "<u4")):
+        views[w] = np.ndarray((max(1, len(buf) - w + 1),), dtype, buffer=buf, strides=(1,))
+    return views
+
+
+def _walk_images(
+    views: dict[int, np.ndarray], pos: np.ndarray, st: "_TableState", record
+) -> tuple[np.ndarray, dict[int, tuple[np.ndarray, np.ndarray]]]:
+    """One row image of layout ``st`` from each offset in ``pos`` at
+    once: its null bitmap, then each column's :func:`cell_layout` width.
+    Returns the offsets past the images and, for each source column in
+    ``record``, every image's cell as ``(start, length)``, the length
+    counting any length prefix, -1 for NULL.  Reads are clipped to the
+    buffer, so a misaligned image cannot index past it (the caller
+    checks where the images end)."""
+    buf = views[1]
+    nb = [buf.take(pos + b, mode="clip") for b in range(len(st.not_null))]
+    # columns declared NOT NULL skip the null test unless an image sets
+    # one of their bits
+    trusted = not any((byte & m).any() for byte, m in zip(nb, st.not_null) if m)
+    p, acc = pos, len(nb)  # an image's offset is p + acc
+    out = {}
+    for i, (w, lb) in enumerate(st.cells):
+        null = None if trusted and st.not_null[i >> 3] >> (i & 7) & 1 else nb[i >> 3] & (1 << (i & 7))
+        if null is None and i not in record and not lb:
+            acc += w
+            continue
+        if acc:
+            p, acc = p + acc, 0
+        if not lb:
+            step = np.full(len(p), w, dtype=np.int64)
+        elif lb == 1:
+            step = np.add(buf.take(p, mode="clip"), 1, dtype=np.int64)
+        else:
+            view = views[2 if lb == 3 else lb]
+            step = np.add(view[np.minimum(p, len(view) - 1)], lb, dtype=np.int64)
+            if lb == 3:
+                step += buf.take(p + 2, mode="clip").astype(np.int64) << 16
+        if null is not None:
+            step = np.where(null, 0, step)
+        if i in record:
+            out[i] = (p, step if null is None else np.where(null, -1, step))
+        p = p + step
+    return p + acc if acc else p, out
+
+
+def _cell_view(base: pa.Buffer, lo: np.ndarray, hi: np.ndarray) -> pa.Array:
+    """A zero-copy binary array over ``base`` whose elements alternate
+    cell, gap, cell: cell ``j`` of the non-overlapping byte ranges
+    ``[lo, hi)``, sorted by ``lo``, is element ``2 * j``."""
+    offsets = np.empty(2 * len(lo), dtype=np.int64)
+    offsets[0::2], offsets[1::2] = lo, hi
+    if len(offsets) and offsets[-1] > np.iinfo(np.int32).max:
+        return pa.Array.from_buffers(pa.large_binary(), len(offsets) - 1, [None, pa.py_buffer(offsets), base])
+    offsets = offsets.astype(np.int32)
+    return pa.Array.from_buffers(pa.binary(), len(offsets) - 1, [None, pa.py_buffer(offsets), base])
+
+
+def _place(values: pa.Array, valid: np.ndarray) -> pa.Array:
+    """``values`` (one per valid slot, in order) spread over ``valid``'s
+    slots, null elsewhere."""
+    if valid.all():
+        return values
+    idx = np.cumsum(valid) - 1
+    return values.take(pa.array(idx, mask=~valid))
+
+
+def _decode_cells(
+    readers, i: int, col: ColumnDef, base: pa.Buffer, buf: np.ndarray, at: np.ndarray, ln: np.ndarray
+) -> pa.Array:
+    """The located cells ``(at, ln)`` of source column ``i`` (one per
+    output row, ``ln`` -1 for NULL) as an Arrow array of the column's
+    changefeed type, in that order.  Integers, FLOAT and DOUBLE are
+    assembled little-endian in numpy; utf-8 text is one take over a
+    :func:`_cell_view` of ``base`` and a cast (utf-8 validated in C);
+    every other type is read by the layout's ``readers[i]`` at the
+    located offsets."""
+    typ = changefeed_arrow_type(col)
+    valid = ln >= 0
+    start, n = at[valid], int(valid.sum())
+    if not n:
+        return pa.nulls(len(ln), typ)
+    t = col.type
+    w, lb = cell_layout(col)
+    if t in INTEGER_TYPES or t in (ColumnType.FLOAT, ColumnType.DOUBLE):
+        raw = buf[start[:, None] + np.arange(w)]
+        if w == 3:  # INT24: widen to 4 bytes, then sign-extend by hand
+            raw = np.concatenate([raw, np.zeros((n, 1), np.uint8)], axis=1)
+        kind = "f" if t in (ColumnType.FLOAT, ColumnType.DOUBLE) else ("i" if col.signed and w != 3 else "u")
+        vals = raw.view(f"<{kind}{raw.shape[1]}").ravel()
+        if w == 3 and col.signed:
+            vals = vals.astype(np.int64) - ((vals >= 1 << 23) << 24)
+        if t is ColumnType.FLOAT:
+            # rounded to the metadata's digits, as the reader does
+            vals = [round(v, col.size) for v in vals.astype(np.float64).tolist()]
+        values = pa.array(vals, typ)
+    elif t in (ColumnType.VARCHAR, ColumnType.STRING, ColumnType.BLOB) and collation_codec(col.charset) == "utf-8":
+        lo, hi = start + lb, start + ln[valid]
+        order = np.argsort(lo, kind="stable")
+        rank = np.empty(n, dtype=np.int64)
+        rank[order] = np.arange(0, 2 * n, 2)
+        idx = np.zeros(len(ln), dtype=np.int64)
+        idx[valid] = rank
+        cells = _cell_view(base, lo[order], hi[order]).take(pa.array(idx, mask=None if n == len(ln) else ~valid))
+        return cells.cast(pa.string())
+    else:
+        data = memoryview(base).cast("B")
+        values = pa.array([readers[i](data, off)[0] for off in start.tolist()], typ)
+    return _place(values, valid)
+
+
+class _Located:
+    """Pass 1 over one layout's ROWS events (:func:`_locate_images`):
+    every row image in (event, image) order with its event, its start
+    offset, its row in the event and its decoded merge keys; which
+    images are rows (all but update before-images) and which are
+    key-change tombstones (the before-images of rows whose key moved)."""
+
+    __slots__ = ("st", "events", "start", "row_of", "keys", "rows", "tombs")
+
+    def __init__(self, st, events, start, row_of, keys, rows, tombs) -> None:
+        self.st = st
+        self.events = events
+        self.start = start
+        self.row_of = row_of
+        self.keys = keys  # key source ordinal -> Arrow array over the images
+        self.rows = rows
+        self.tombs = tombs
+
+
+def _locate_images(
+    base: pa.Buffer,
+    buf: np.ndarray,
+    st: "_TableState",
+    events: np.ndarray,
+    update: np.ndarray,
+    pos: np.ndarray,
+    end: np.ndarray,
+    cap: np.ndarray,
+    seqs: np.ndarray,
+) -> _Located:
+    """Pass 1 of the located decode over layout ``st``'s ROWS events
+    (``events``, its lanes), each from its first row image at ``pos``.
+    Every numpy iteration walks one row image of each lane still short
+    of its ``end`` (:func:`_walk_images`), recording the image's start
+    and merge-key cells: memory is O(images x key columns).  A lane must
+    end exactly at ``end``, inside the event's bytes (``cap``), after an
+    even image count for an update; else ``ValueError`` names the table
+    and the event.  An update row is a key change when Arrow finds its
+    before and after key values different in any merge-key column (the
+    target's dropped ones too, ``key_trash_srcs``)."""
+    views = _prefix_views(buf)
+    pos = pos.copy()
+    record = set(st.key_list)
+    steps = []
+    while True:
+        live = np.flatnonzero(pos < end)
+        if not len(live):
+            break
+        at = pos[live]
+        pos[live], cells = _walk_images(views, at, st, record)
+        steps.append((live, at, cells))
+    n_img = np.zeros(len(pos), dtype=np.int64)
+    for live, _at, _cells in steps:
+        n_img[live] += 1
+    bad = np.flatnonzero((pos != end) | (end > cap) | (update & (n_img % 2 == 1)))
+    if len(bad):
+        tm = st.plan.table_map
+        raise ValueError(
+            f"ROWS event {int(seqs[bad[0]])} for table {tm.schema_name}.{tm.table_name}: "
+            "its row images do not end at the event's end"
+        )
+    # image k of lane l goes to first[l] + k: (event, image) order
+    first = np.cumsum(n_img) - n_img
+    total = int(n_img.sum())
+    start = np.empty(total, dtype=np.int64)
+    cells = {s: (np.empty(total, np.int64), np.empty(total, np.int64)) for s in st.key_list}
+    for k, (live, at, step_cells) in enumerate(steps):
+        dest = first[live] + k
+        start[dest] = at
+        for s, (c_at, c_ln) in step_cells.items():
+            cells[s][0][dest] = c_at
+            cells[s][1][dest] = c_ln
+    columns = st.plan.table_map.columns
+    keys = {s: _decode_cells(st.plan.readers, s, columns[s], base, buf, *cells[s]) for s in st.key_list}
+
+    lane = np.repeat(np.arange(len(pos)), n_img)
+    k = np.arange(total) - first[lane]
+    two = update[lane]
+    before = two & (k & 1 == 0)  # an update's images alternate before, after
+    bef = np.flatnonzero(before)
+    moved = np.zeros(len(bef), dtype=bool)
+    for arr in keys.values():
+        b, a = arr.take(bef), arr.take(bef + 1)
+        moved |= pc.fill_null(pc.not_equal(b, a), False).to_numpy(zero_copy_only=False)
+        moved |= b.is_null().to_numpy(zero_copy_only=False) != a.is_null().to_numpy(zero_copy_only=False)
+    row_of = np.where(two, k >> 1, k)
+    return _Located(st, events[lane], start, row_of, keys, np.flatnonzero(~before), bef[moved])
+
+
 class _TableState:
     """Per-table-map decode state: compiled plan + remap into the target
     column order (late-binding cast, null-fill for added columns).
@@ -195,6 +432,8 @@ class _TableState:
         "key_trash_srcs",
         "schema_ver",
         "key_src",
+        "cells",
+        "not_null",
         "codegen",
     )
 
@@ -230,8 +469,17 @@ class _TableState:
             s for s in self.key_list if self.src_to_tgt[s] is None
         )
         self.schema_ver = tm.schema_ver
-        # per-(table, op) code-generated row decoders: the typed modes'
-        # one row kernel, plus the key-only kernels of flat_combined
+        # each column's (width, length-prefix bytes): flat_combined's
+        # located decode walks row images by these
+        self.cells = tuple(cell_layout(c) for c in tm.columns)
+        # per null-bitmap byte, the bits of the columns declared NOT NULL
+        not_null = [0] * ((len(tm.columns) + 7) >> 3)
+        for i, c in enumerate(tm.columns):
+            if not c.nullable:
+                not_null[i >> 3] |= 1 << (i & 7)
+        self.not_null = tuple(not_null)
+        # per-(table, op) code-generated row decoders: the one row
+        # kernel of the changefeed mode and __call__'s flat mode
         from ..protocol.codegen import compile_flat_decoders
 
         self.codegen = compile_flat_decoders(self.plan, self.key_src)
@@ -722,9 +970,7 @@ class BinlogDecoder:
             if is_update
             else ()
         )
-        n_rows, _ = st.codegen[op](
-            payload, off, header.payload_size, out_lists, bcols, plan.readers, plan.skippers
-        )
+        n_rows, _ = st.codegen[op](payload, off, header.payload_size, out_lists, bcols, plan.readers)
         nones = [None] * n_rows
         # null-fill an absent image, and a present one's added columns
         for cols, absent in ((before_cols, op == "insert"), (after_cols, op == "delete")):
@@ -824,111 +1070,178 @@ class BinlogDecoder:
         combine keeps.  ``key_cols`` must be among the decoder's merge
         keys (``key_cols=`` / the table's primary key).
 
-        1. Key pass: the one walk, each event through its layout's
-           key-only kernel (``codegen[op + "_keys"]``), which decodes the
-           merge-key columns, byte-skips the rest, and records each
-           insert/update after-image's byte range.  Op, sequence columns
-           and key-change tombstones come out exactly as in
-           :meth:`_call_flat`.
-        2. Winners: ``merge._winner_indices`` over the key and sequence
+        A located decode: no per-row Python and no codegen kernel.
+
+        1. The one walk, :meth:`_row_events`, and per accepted ROWS event
+           the one prologue, ``rows_body_offset``: where its row images
+           start and end in :func:`_payload_base`'s buffer.
+        2. Pass 1, per layout: :func:`_locate_images` walks one row
+           image of every event per numpy iteration and records each
+           image's start and merge-key cells; the key cells decode once
+           per column (:func:`_decode_cells`).  A key-changing update
+           gets its tombstone when Arrow says the before and after key
+           values differ.  Rows come out in :meth:`_call_flat`'s order:
+           each event's rows, then its tombstones.
+        3. Winners: ``merge._winner_indices`` over the key and sequence
            columns, the function ``lww_partial`` runs.
-        3. Value pass: each winning insert/update after-image decoded
-           through the layout's ``codegen["insert"]`` over its recorded
-           range; deletes and tombstones carry only their key.
+        4. Pass 2: :func:`_walk_images` once over the winning after-images
+           of each layout, vectorized over the winners, locates their
+           value cells, which :func:`_decode_cells` gathers from the
+           payload buffer.  Deletes, tombstones and added columns are
+           null.
         """
         assert self.output == "flat"
         not_decoded = [k for k in key_cols if k in self.target_names and k not in self.key_names]
         if not_decoded:
             raise ValueError(f"merge keys {not_decoded} are not decoder merge keys {self.key_names}")
-        n_target = len(self.target_names)
-        key_tgts = [t for t, n in enumerate(self.target_names) if n in self.key_names]
-        # key pass: only key target columns get lists; the others share
-        # the trash, which the key-only kernel never appends cells to
-        cols: list[list] = [self._trash] * n_target
-        for t in key_tgts:
-            cols[t] = []
-        spans: list[int] = []
-        events: list[tuple[int, _TableState, Any]] = []
-        meta = self._flat_rows(batch, cols, spans, events)
-        if meta is None:
+        base, buf, starts = _payload_base(batch)
+        # the walk passes shard_id through untouched and the flat modes
+        # never read it: it carries each event's row in the batch here
+        tagged = pa.table(
+            {
+                "shard_id": np.arange(batch.num_rows),
+                "event_seq": batch.column("event_seq"),
+                "payload": batch.column("payload"),
+            }
+        )
+        # one commit stamp per event: an XID stamps all of an event's rows
+        commits: list[int] = []
+        layouts: dict[_TableState, int] = {}
+        ev_layout, ev_op, ev_seq, ev_pos, ev_end, ev_cap = [], [], [], [], [], []
+        for row, event_seq, etype, _tid, st, h, payload, ctx in self._row_events(tagged, commits):
+            off, _ = rows_body_offset(payload, etype, st.plan)
+            at = starts[row]
+            ev_layout.append(layouts.setdefault(st, len(layouts)))
+            ev_op.append(_OP_CODE_BY_TYPE[etype])
+            ev_seq.append(event_seq)
+            ev_pos.append(at + off)
+            ev_end.append(at + h.payload_size)
+            ev_cap.append(at + len(payload))
+            commits.append(ctx.cur_commit)
+        if not ev_op:
             return self._empty
-        ops, ev, row_seqs, commit_seqs = meta
+        ev_layout = np.asarray(ev_layout)
+        ev_op = np.asarray(ev_op, dtype=np.int8)
+        ev_seq = np.asarray(ev_seq, dtype=np.int64)
+        bounds = [np.asarray(v, dtype=np.int64) for v in (ev_pos, ev_end, ev_cap)]
+
+        located = []
+        for st, j in layouts.items():
+            lanes = np.flatnonzero(ev_layout == j)
+            update = ev_op[lanes] == _OP_UPDATE_CODE
+            pos, end, cap = (v[lanes] for v in bounds)
+            located.append(_locate_images(base, buf, st, lanes, update, pos, end, cap, ev_seq[lanes]))
+
+        # flat order: each event's rows, then its tombstones
+        rows_e = np.zeros(len(ev_op), dtype=np.int64)
+        tombs_e = np.zeros(len(ev_op), dtype=np.int64)
+        for loc in located:
+            rows_e += np.bincount(loc.events[loc.rows], minlength=len(ev_op))
+            tombs_e += np.bincount(loc.events[loc.tombs], minlength=len(ev_op))
+        self.n_rows += int(rows_e.sum())
+        counts = rows_e + tombs_e
+        n_flat = int(counts.sum())
+        if not n_flat:
+            return self._empty
+        first = np.cumsum(counts) - counts
+        ops = np.repeat(ev_op, counts)
+        flat_img = np.empty(n_flat, dtype=np.int64)  # each row's image, over all layouts
+        row_seqs = np.empty(n_flat, dtype=np.int32)
+        img_base = 0
+        for loc in located:
+            ev, rows, tombs = loc.events, loc.rows, loc.tombs
+            at = first[ev[rows]] + loc.row_of[rows]
+            flat_img[at] = img_base + rows
+            row_seqs[at] = loc.row_of[rows]
+            te = ev[tombs]  # ascending: images are in event order
+            at = first[te] + rows_e[te] + np.arange(len(tombs)) - np.searchsorted(te, te)
+            flat_img[at] = img_base + tombs
+            row_seqs[at] = loc.row_of[tombs]
+            ops[at] = _OP_DELETE_CODE
+            img_base += len(ev)
+        ev = np.repeat(ev_seq, counts)
+        commit_seqs = np.repeat(np.asarray(commits, dtype=np.int64), counts)
+
         st_type = self.struct_type
-        keys = {
-            self.target_names[t]: _build_child(cols[t], st_type.field(t).type) for t in key_tgts
-        }
-        if len(ops) <= 1:
-            win = np.arange(len(ops))
+        key_tgts = {t for t, n in enumerate(self.target_names) if n in self.key_names}
+        keys = {}
+        for t in sorted(key_tgts):
+            typ = st_type.field(t).type
+            pieces = []
+            for loc in located:
+                s = loc.st.remap[t]
+                arr = loc.keys[s] if s is not None else pa.nulls(len(loc.events), typ)
+                pieces.append(arr if arr.type == typ else arr.cast(typ))
+            joined = pieces[0] if len(pieces) == 1 else pa.concat_arrays(pieces)
+            keys[self.target_names[t]] = joined.take(pa.array(flat_img))
+        if n_flat <= 1:
+            win = np.arange(n_flat)
         else:
             seq = {"event_seq": ev, "row_seq": row_seqs}
             win = _winner_indices(pa.table({**keys, **seq}), key_cols)
-        vals = self._decode_winner_values(win, ops, spans, events, key_tgts)
+        values = self._winner_values(located, flat_img[win], ops[win] != _OP_DELETE_CODE, key_tgts, base, buf)
         arrays = [
-            keys[n].take(win) if t in key_tgts else _build_child(vals[t], st_type.field(t).type)
-            for t, n in enumerate(self.target_names)
+            keys[n].take(win) if t in key_tgts else values[t] for t, n in enumerate(self.target_names)
         ] + _meta_arrays(ops[win], ev[win], row_seqs[win], commit_seqs[win])
         return pa.Table.from_arrays(arrays, schema=self.out_schema)
 
-    def _decode_winner_values(
+    def _winner_values(
         self,
-        win: np.ndarray,
-        ops: np.ndarray,
-        spans: list[int],
-        events: list[tuple[int, _TableState, Any]],
-        key_tgts: list[int],
-    ) -> list[list]:
-        """The value pass of :meth:`flat_combined`: the non-key target
-        columns of rows ``win``, in that order.  An insert/update row's
-        after-image is decoded by its layout's ``codegen["insert"]`` over
-        the byte range the key pass recorded (span ``j`` of the flat rows
-        is the ``j``-th insert/update row); a delete or tombstone row, and
-        an added column, gets None."""
-        n_target = len(self.target_names)
-        vals: list[list] = [[] for _ in range(n_target)]
-        non_key = [t for t in range(n_target) if t not in key_tgts]
-        is_image = ops != _OP_DELETE_CODE
-        span_of = np.cumsum(is_image) - 1
-        win_span = span_of[win]
-        firsts = np.asarray([e[0] for e in events], dtype=np.int64)
-        win_event = np.searchsorted(firsts, win_span, side="right") - 1
-        trash = self._trash
-        trash.clear()
-        layouts: dict[_TableState, tuple[list[list], list[int]]] = {}
-        for image, j, e in zip(is_image[win].tolist(), win_span.tolist(), win_event.tolist()):
-            if not image:
-                for t in non_key:
-                    vals[t].append(None)
+        located: list[_Located],
+        win_img: np.ndarray,
+        is_image: np.ndarray,
+        key_tgts: set[int],
+        base: pa.Buffer,
+        buf: np.ndarray,
+    ) -> dict[int, pa.Array]:
+        """Pass 2 of :meth:`flat_combined`: the non-key target columns
+        of the winners, whose images (over all layouts, in ``located``'s
+        order) are ``win_img``.  :func:`_walk_images` walks the winning
+        after-images (``is_image``) of each layout once, vectorized over
+        them, and :func:`_decode_cells` gathers each column's cells; a
+        delete or tombstone, and a column the image's layout lacks, is
+        null.  Cells of layouts that share a column definition decode
+        together."""
+        n = len(win_img)
+        ends = np.cumsum([len(loc.events) for loc in located])
+        layout_of = np.searchsorted(ends, win_img, side="right")
+        views = _prefix_views(buf)
+        groups: dict[tuple[int, ColumnDef], tuple] = {}
+        for j, loc in enumerate(located):
+            sel = np.flatnonzero(is_image & (layout_of == j))
+            if not len(sel):
                 continue
-            _first, st, payload = events[e]
-            lay = layouts.get(st)
-            if lay is None:
-                # key columns come from the key pass: their cells go to the trash
-                out_lists = [
-                    vals[t] if t is not None and t not in key_tgts else trash
-                    for t in st.src_to_tgt
-                ]
-                lay = layouts[st] = (out_lists, [t for t in st.null_fill_tgts if t not in key_tgts])
-            out_lists, fill = lay
-            st.codegen["insert"](
-                payload, spans[2 * j], spans[2 * j + 1], out_lists, (), st.plan.readers, st.plan.skippers
-            )
-            for t in fill:
-                vals[t].append(None)
-        trash.clear()
-        return vals
+            st = loc.st
+            record = {s for s, t in enumerate(st.src_to_tgt) if t is not None and t not in key_tgts}
+            at = loc.start[win_img[sel] - (ends[j - 1] if j else 0)]
+            _end, cells = _walk_images(views, at, st, record)
+            for s, (c_at, c_ln) in cells.items():
+                key = (st.src_to_tgt[s], st.plan.table_map.columns[s])
+                if key not in groups:
+                    groups[key] = (st.plan.readers, s, np.zeros(n, np.int64), np.full(n, -1, np.int64))
+                g = groups[key]
+                g[2][sel], g[3][sel] = c_at, c_ln
+        out = {}
+        for t, f in enumerate(self.struct_type):
+            if t in key_tgts:
+                continue
+            vals = [
+                _decode_cells(readers, s, col, base, buf, at, ln).cast(f.type)
+                for (tt, col), (readers, s, at, ln) in groups.items()
+                if tt == t
+            ]
+            if not vals:
+                out[t] = pa.nulls(n, f.type)
+            else:
+                out[t] = vals[0] if len(vals) == 1 else pc.coalesce(*vals)
+        return out
 
     def _flat_rows(
-        self,
-        batch: pa.Table,
-        cols: list[list],
-        spans: list[int] | None = None,
-        events: list | None = None,
+        self, batch: pa.Table, cols: list[list]
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """The flat modes' pass over :meth:`_row_events`: each ROWS event
-        decoded into the target-order ``cols`` (by the full kernels, or
-        with ``spans`` the key-only ones, which also note
-        ``(first span, state, payload)`` of each insert/update event in
-        ``events``).  Returns the per-row op code, event_seq, row_seq and
+        """:meth:`_call_flat`'s pass over :meth:`_row_events`: each ROWS
+        event decoded into the target-order ``cols`` by its layout's
+        kernel.  Returns the per-row op code, event_seq, row_seq and
         commit_seq as numpy arrays, or None when the batch has no row."""
         # metadata columns are run-length encoded per event and expanded
         # ONCE with numpy at the end: [op]*n / [seq]*n temp lists and the
@@ -945,9 +1258,7 @@ class BinlogDecoder:
         for _shard_id, event_seq, etype, _table_id, st, h, payload, ctx in self._row_events(
             batch, commit_seqs
         ):
-            if spans is not None and _OP_CODE_BY_TYPE[etype] != _OP_DELETE_CODE:
-                events.append((len(spans) >> 1, st, payload))
-            n_rows, tomb_rows = self._decode_rows_flat(payload, h, etype, st, cols, spans)
+            n_rows, tomb_rows = self._decode_rows_flat(payload, h, etype, st, cols)
             if n_rows:
                 op_codes.append(_OP_CODE_BY_TYPE[etype])
                 run_counts.append(n_rows)
@@ -987,11 +1298,9 @@ class BinlogDecoder:
         etype: int,
         st: _TableState,
         cols: list[list],
-        spans: list[int] | None = None,
     ) -> tuple[int, list[int]]:
         """One ROWS event into the target-order ``cols`` through the
-        layout's full kernel, or with ``spans`` its key-only kernel.
-        Returns the row count and the source row of each key-change
+        layout's kernel.  Returns the row count and the source row of each key-change
         tombstone, whose rows it appends after the event's rows."""
         op = _OP_BY_TYPE[etype]
         plan = st.plan
@@ -1033,9 +1342,7 @@ class BinlogDecoder:
                 bcols.append([])
             for k in key_list:
                 bcols[k].clear()
-        n_rows, off = st.codegen[op if spans is None else op + "_keys"](
-            payload, off, end, out_lists, bcols, plan.readers, plan.skippers, spans
-        )
+        n_rows, off = st.codegen[op](payload, off, end, out_lists, bcols, plan.readers)
         for t_i in st.null_fill_tgts:  # added columns: no source bytes
             cols[t_i].extend([None] * n_rows)
         if not is_update or not key_list:

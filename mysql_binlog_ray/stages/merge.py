@@ -18,9 +18,10 @@ Scale design (the part the single-threaded reference never needed):
    updated (hot) keys ship one row per batch, not one per update.  The
    spill tasks of every shard replay (``run_to_lake``,
    ``run_to_dataset``, ``state_as_of``) combine inside the decode
-   (``BinlogDecoder.flat_combined``: merge keys first, then
-   :func:`_winner_indices`, then value cells for the winners only, with
-   a result Arrow-equal to ``lww_partial`` over the flat rows);
+   (``BinlogDecoder.flat_combined``: a located decode finds every row
+   image's merge-key cells with numpy, then :func:`_winner_indices`,
+   then gathers value cells for the winners only, with a result
+   Arrow-equal to ``lww_partial`` over the flat rows);
    ``lww_partial`` itself runs only on flat Datasets that do not come
    from shards (``cdc.merge_lww``).
 3. partition column        — deterministic hash of the primary key mod
@@ -58,8 +59,8 @@ def flatten_changefeed(batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Table:
     """
     if batch.num_rows == 0:
         # column order must match the non-empty branch exactly — Ray Data
-        # concatenates blocks by schema and _rows_as_inserts (cdc.py)
-        # depends on [...values, op, event_seq, row_seq, commit_seq]
+        # concatenates blocks by schema: [...values, op, event_seq,
+        # row_seq, commit_seq]
         after = batch.schema.field("after").type
         cols = {f.name: pa.array([], f.type) for f in after}
         cols["op"] = pa.array([], pa.string())

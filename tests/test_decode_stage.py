@@ -988,6 +988,7 @@ class TestOneDecodeWalk:
             (decode, "parse_rows_event"),
             (os.path.join("stages", "decode_stage.py"), "_decode_rows_into"),
             (os.path.join("stages", "decode_stage.py"), "_decode_rows_flat"),
+            (os.path.join("stages", "decode_stage.py"), "flat_combined"),
         }
 
     def test_json_rows_decode_through_parse_rows_event(self):
@@ -1003,8 +1004,11 @@ class TestOneDecodeWalk:
 
     def test_typed_modes_decode_through_one_kernel(self):
         """The changefeed and flat modes decode rows only through the
-        layout's code-generated kernel (``st.codegen[op]``); no per-cell
-        closure walk (``readers[i](...)``) is left in the stage."""
+        layout's code-generated kernel (``st.codegen[op]``), and
+        ``flat_combined`` calls none: its located decode reads the cells
+        no numpy or Arrow gather covers through ``readers[i](...)`` at
+        one call site, ``_decode_cells``; no per-cell closure walk is
+        left in the stage."""
         import ast
 
         kernel_calls, reader_calls = [], []
@@ -1029,12 +1033,8 @@ class TestOneDecodeWalk:
                 self.generic_visit(node)
 
         V().visit(ast.parse(open(self._stage()).read()))
-        assert reader_calls == []
-        assert sorted(kernel_calls) == [
-            "_decode_rows_flat",
-            "_decode_rows_into",
-            "_decode_winner_values",
-        ]
+        assert reader_calls == ["_decode_cells"]
+        assert sorted(kernel_calls) == ["_decode_rows_flat", "_decode_rows_into"]
 
 
 class TestTableStateCache:
@@ -1089,6 +1089,176 @@ class TestTableStateCache:
         ]
         assert callers == ["_table_state"]
         assert "_state_cache" not in src
+
+
+# -- generated layouts for the located decode: one column per
+# ``protocol.decode.cell_layout`` family --------------------------------
+
+_INT_BITS = {
+    ColumnType.TINY: 8,
+    ColumnType.SHORT: 16,
+    ColumnType.INT24: 24,
+    ColumnType.LONG: 32,
+    ColumnType.LONGLONG: 64,
+}
+
+
+def _layout_columns():
+    """Every other column is declared NOT NULL, yet the generated rows
+    hold NULLs in every column: the decode must follow the bitmap."""
+    import dataclasses
+
+    from mysql_binlog_ray.protocol.constants import COLLATION_BINARY, COLLATION_LATIN1
+
+    ints = [
+        ColumnDef(f"{'i' if signed else 'u'}{bits}", t, signed=signed)
+        for t, bits in _INT_BITS.items()
+        for signed in (True, False)
+    ]
+    blobs = [ColumnDef(f"b{lb}", ColumnType.BLOB, length_bytes=lb) for lb in (1, 2, 3, 4)]
+    cols = tuple(
+        [
+            ColumnDef("k", ColumnType.VARCHAR, max_length=60),  # 1-byte length
+            ColumnDef("k2", ColumnType.LONG, signed=False),
+            *ints,
+            ColumnDef("f32", ColumnType.FLOAT, size=4),
+            ColumnDef("f64", ColumnType.DOUBLE, size=8),
+            ColumnDef("dec", ColumnType.NEWDECIMAL, precision=12, scale=3),
+            ColumnDef("dt", ColumnType.DATETIME2, fsp=3),
+            ColumnDef("ts", ColumnType.TIMESTAMP2, fsp=6),
+            ColumnDef("tm", ColumnType.TIME2, fsp=2),
+            ColumnDef("date", ColumnType.DATE),
+            ColumnDef("bit", ColumnType.BIT, bits=10),
+            ColumnDef("en", ColumnType.ENUM, size=1, values=("a", "b", "c")),
+            ColumnDef("st", ColumnType.SET, size=1, values=("x", "y", "z")),
+            ColumnDef("yr", ColumnType.YEAR),
+            ColumnDef("vc2", ColumnType.VARCHAR, max_length=600),  # 2-byte length
+            *blobs,
+            ColumnDef("js", ColumnType.JSON, length_bytes=4),
+            ColumnDef("geo", ColumnType.GEOMETRY, length_bytes=4),
+            ColumnDef("lat", ColumnType.VARCHAR, max_length=40, charset=COLLATION_LATIN1),
+            ColumnDef("bin", ColumnType.BLOB, length_bytes=2, charset=COLLATION_BINARY),
+        ]
+    )
+    return tuple(dataclasses.replace(c, nullable=i % 2 == 0) for i, c in enumerate(cols))
+
+
+def _layout_value(col, rng):
+    import struct
+
+    t = col.type
+    if t in _INT_BITS:
+        bits = _INT_BITS[t]
+        lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if col.signed else (0, (1 << bits) - 1)
+        return rng.choice([lo, hi, 0, rng.randint(lo, hi), hi // 2 + 1])
+    if t in (ColumnType.FLOAT, ColumnType.DOUBLE):
+        return rng.choice([0.0, -0.0, 1.25, -3.5e7, rng.uniform(-1e3, 1e3)])
+    if t is ColumnType.NEWDECIMAL:
+        return f"{rng.choice(['-', ''])}{rng.randint(0, 10**9 - 1)}.{rng.randint(0, 999):03d}"
+    if t is ColumnType.DATETIME2:
+        return f"20{rng.randint(10, 30)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d} 0{rng.randint(0, 9)}:1{rng.randint(0, 9)}:2{rng.randint(0, 9)}.{rng.randint(0, 999)}"
+    if t is ColumnType.TIMESTAMP2:
+        return f"{rng.choice([0, 1, 2**31 + 5, rng.randint(0, 2**32 - 1)])}.{rng.randint(0, 999999)}"
+    if t is ColumnType.TIME2:
+        return f"{rng.choice(['', '-'])}{rng.randint(0, 838):02d}:{rng.randint(0, 59):02d}:{rng.randint(0, 59):02d}.{rng.randint(0, 99)}"
+    if t is ColumnType.DATE:
+        return rng.choice(["0000-00-00", f"{rng.randint(1000, 9999)}-{rng.randint(1, 12):02d}-{rng.randint(1, 28):02d}"])
+    if t is ColumnType.BIT:
+        return format(rng.getrandbits(col.bits), "b")
+    if t is ColumnType.ENUM:
+        return rng.choice(col.values)
+    if t is ColumnType.SET:
+        return ",".join(v for v in col.values if rng.random() < 0.5)
+    if t is ColumnType.YEAR:
+        return rng.choice([0, 1901, 2024, 2155])
+    if t is ColumnType.JSON:
+        return {"a": rng.randint(0, 9), "s": rng.choice(["x", "é"]), "l": [1, None, True]}
+    if t is ColumnType.GEOMETRY:
+        return struct.pack("<IBIdd", 4326, 1, 1, rng.uniform(-90, 90), rng.uniform(-90, 90))
+    if col.charset == 63:  # binary
+        return rng.randbytes(rng.randint(0, 40))
+    if col.charset == 8:  # latin1
+        return "".join(rng.choice("abcé€ü ") for _ in range(rng.randint(0, 12)))
+    # utf-8 text: short, long and multi-byte; BLOB lengths span the prefix
+    n = {1: 200, 2: 3000, 3: 70_000, 4: 300}.get(col.length_bytes, 0) if t is ColumnType.BLOB else 0
+    n = n or (300 if col.max_length > 255 else 20)
+    if rng.random() < 0.1:  # a cell past the 1- or 2-byte length limit
+        return "é" * (n // 2)
+    return "".join(rng.choice("ab漢é ") for _ in range(rng.randint(0, min(n, 60))))
+
+
+def _layout_rows_events(tm, key_cols, seed, n_events=40):
+    """``[(op, rows), ...]`` over ``tm``: every column NULL now and then
+    (key columns included), keys drawn from small pools so inserts,
+    updates (some key-changing) and deletes collide."""
+    import random
+
+    rng = random.Random(seed)
+    pools = {k: [_layout_value(c, rng) for _ in range(4)] + [None] for c in tm.columns for k in [c.name] if k in key_cols}
+
+    def image():
+        row = {c.name: None if rng.random() < 0.15 else _layout_value(c, rng) for c in tm.columns}
+        row.update({k: rng.choice(p) for k, p in pools.items()})
+        return row
+
+    events = []
+    for _ in range(n_events):
+        op = rng.choice(["insert", "insert", "update", "update", "delete"])
+        n = rng.choice([1, 1, 2, 5, 9])
+        if op != "update":
+            events.append((op, [image() for _ in range(n)]))
+            continue
+        pairs = []
+        for _ in range(n):
+            before, after = image(), image()
+            if rng.random() < 0.7:  # keep the key
+                after.update({k: before[k] for k in pools})
+            pairs.append({"before": before, "after": after})
+        events.append(("update", pairs))
+    return events
+
+
+def _payload_variants(block):
+    """``block`` as decoders may receive it: whole, sliced (the stream's
+    FORMAT_DESCRIPTION and TABLE_MAP cut off), its payload in two
+    chunks over one buffer, in chunks over two buffers, and as
+    ``large_binary``."""
+    payload = block.column("payload").combine_chunks()
+    k = block.num_rows // 2
+
+    def with_payload(col):
+        return block.set_column(2, "payload", col)
+
+    return {
+        "whole": block,
+        "sliced": block.slice(2),
+        "one_buffer_chunks": with_payload(pa.chunked_array([payload.slice(0, k), payload.slice(k)])),
+        "two_buffer_chunks": with_payload(
+            pa.chunked_array([pa.array(payload.slice(0, k).to_pylist(), pa.binary()), pa.array(payload.slice(k).to_pylist(), pa.binary())])
+        ),
+        "large_binary": with_payload(payload.cast(pa.large_binary())),
+    }
+
+
+LAYOUT_KEYS = [
+    ("k", "k2"),
+    ("i8",),
+    ("u8", "i16"),
+    ("u16", "i24", "u24"),
+    ("i32",),
+    ("u32", "i64"),
+    ("u64",),
+    ("f32",),
+    ("f64",),
+    ("dec", "dt"),
+    ("ts", "tm", "date"),
+    ("bit", "en", "st", "yr"),
+    ("vc2",),
+    ("b1", "b2"),
+    ("b3", "b4"),
+    ("js", "geo"),
+    ("lat", "bin"),
+]
 
 
 class TestFusedCombine:
@@ -1268,21 +1438,22 @@ class TestFusedCombine:
         shard = str(tmp_path / "shard.parquet")
         pq.write_table(_batch(evs), shard)
         built = []
-        real = decode_stage._build_child
+        real = decode_stage._decode_cells
 
-        def spy(values, typ):
-            built.append(len(values))
-            return real(values, typ)
+        def spy(readers, i, col, base, buf, at, ln):
+            built.append(int((ln >= 0).sum()))
+            return real(readers, i, col, base, buf, at, ln)
 
-        monkeypatch.setattr(decode_stage, "_build_child", spy)
+        monkeypatch.setattr(decode_stage, "_decode_cells", spy)
         cfg = cdc.CdcConfig(num_partitions=4)
         dk = cdc._decoder_kwargs([TM.to_dict()], cdc._with_flat_decode(cfg), None)
         entries, counts = cdc._spill_task._function(
             [((shard, 1), dk)], str(tmp_path / "spill"), cfg.key_cols, cfg.num_partitions
         )
-        # the two key columns over every row image, the three value
-        # columns over the one winner
-        assert sorted(built) == [1, 1, 1, n + 1, n + 1]
+        # the two key columns over every row image (each update has a
+        # before- and an after-image), the three value columns over the
+        # one winner
+        assert sorted(built) == [1, 1, 1, 2 * n + 1, 2 * n + 1]
         assert counts["row_images"] == n + 1
         ((_part, path, i),) = entries
         with pa.OSFile(path) as f:
@@ -1326,3 +1497,131 @@ class TestFusedCombine:
         cdc_py = os.path.join(TestOneDecodeWalk.PKG, "pipelines", "cdc.py")
         assert "_spill_task" not in TestOneDecodeWalk._calls(cdc_py, "lww_partial")
         assert list(TestOneDecodeWalk._calls(cdc_py, "flat_combined")) == ["_spill_task"]
+
+    # -- the located decode over every cell layout --
+
+    @staticmethod
+    def _layout_table(table_id=61, columns=None, schema_ver=1):
+        return TableMapDef(
+            table_id=table_id,
+            schema_name="code",
+            table_name="layouts",
+            columns=columns or _layout_columns(),
+            schema_ver=schema_ver,
+        )
+
+    @pytest.mark.parametrize("keys", LAYOUT_KEYS, ids="-".join)
+    def test_every_cell_layout(self, keys):
+        """Generated rows over one column per ``cell_layout`` family,
+        NULLs in every column: ``flat_combined`` equals ``lww_partial``
+        over the codegen flat decode for merge keys of every family (two
+        columns and more, uint64 past 2^63, FLOAT/DOUBLE with +-0.0)."""
+        tm = self._layout_table()
+        evs = _simple_stream(tm, _layout_rows_events(tm, keys, seed=len(keys) * 31 + ord(keys[0][0])))
+        got, dec = self._assert_fused(
+            [_batch(evs)], keys, registry_snapshot=[tm.to_dict()], target_table=("code", "layouts")
+        )
+        assert 0 < got.num_rows <= dec.n_rows
+
+    @pytest.mark.parametrize("variant", ["whole", "sliced", "one_buffer_chunks", "two_buffer_chunks", "large_binary"])
+    def test_mid_block_ddl_and_payload_shapes(self, variant):
+        """One block holds both layouts of a DDL that drops two columns
+        and adds one; the payload column arrives whole, sliced, in
+        chunks and as ``large_binary``."""
+        tm1 = self._layout_table()
+        cols2 = tuple(c for c in tm1.columns if c.name not in ("i16", "lat")) + (
+            ColumnDef("added", ColumnType.LONGLONG),
+        )
+        tm2 = self._layout_table(table_id=62, columns=cols2, schema_ver=2)
+        keys = ("k", "k2")
+        w = E.BinlogWriter()
+        evs = [
+            w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body()),
+            w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm1)),
+            *_rows_events(tm1, _layout_rows_events(tm1, keys, seed=5, n_events=25), w),
+            w.packet(EventType.XID, E.encode_xid_body(7)),
+            w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm2)),
+            *_rows_events(tm2, _layout_rows_events(tm2, keys, seed=6, n_events=25), w),
+            w.packet(EventType.XID, E.encode_xid_body(8)),
+        ]
+        block = _payload_variants(_batch(evs))[variant]
+        got, dec = self._assert_fused(
+            [block], keys, registry_snapshot=[tm1.to_dict(), tm2.to_dict()], target_table=("code", "layouts")
+        )
+        assert len(dec.states) == 2 and "added" in got.column_names and "lat" not in got.column_names
+        assert got.column("added").null_count < got.num_rows
+
+    def test_small_stream_payload_shapes(self, small_stream):
+        _spec, _out, m = small_stream
+        for block in self._blocks(m, 700):
+            for variant in _payload_variants(block).values():
+                self._assert_fused([variant], ("repo", "path"), registry_snapshot=m["table_maps"])
+
+    def test_misaligned_event_raises(self):
+        """A CRC-valid event whose last row image overruns the event (its
+        body cut by one byte before the checksum was computed) raises,
+        naming the table and the event, even without checksum checks."""
+        w = E.BinlogWriter()
+        body = E.encode_rows_body(TM, [_mk_row(1), _mk_row(2)], "insert")
+        evs = [
+            w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body()),
+            w.packet(EventType.TABLE_MAP, E.encode_table_map_body(TM)),
+            w.packet(EventType.WRITE_ROWS_V2, body[:-1]),
+        ]
+        dec = BinlogDecoder(
+            registry_snapshot=[TM.to_dict()], output="flat", key_cols=("repo", "path"), verify_checksums=False
+        )
+        with pytest.raises(ValueError, match=r"ROWS event 3 for table code\.repos"):
+            dec.flat_combined(_batch(evs), ("repo", "path"))
+
+    def test_cell_views_are_valid_arrays(self, monkeypatch):
+        """Every zero-copy cell view (cell, gap, cell over the payload
+        buffer) passes Arrow's full validation, for every payload shape."""
+        from mysql_binlog_ray.stages import decode_stage
+
+        views = []
+        real = decode_stage._cell_view
+
+        def spy(base, lo, hi):
+            v = real(base, lo, hi)
+            v.validate(full=True)
+            views.append(v)
+            return v
+
+        monkeypatch.setattr(decode_stage, "_cell_view", spy)
+        tm = self._layout_table()
+        evs = _simple_stream(tm, _layout_rows_events(tm, ("k", "k2"), seed=11))
+        for block in _payload_variants(_batch(evs)).values():
+            self._assert_fused([block], ("k", "k2"), registry_snapshot=[tm.to_dict()])
+        assert len(views) >= 5 * 2 and any(pa.types.is_binary(v.type) for v in views)
+
+    def test_wide_table_pass_one_memory(self, monkeypatch):
+        """Pass 1 over a 200-column table of small rows keeps O(images x
+        key columns) memory: its traced numpy allocations stay under 256
+        bytes per row image (about 140 measured), where one int64 per
+        image and column alone would be 1600."""
+        import tracemalloc
+
+        from mysql_binlog_ray.stages import decode_stage
+
+        cols = (ColumnDef("k", ColumnType.LONG),) + tuple(
+            ColumnDef(f"c{i}", ColumnType.TINY) for i in range(199)
+        )
+        tm = TableMapDef(table_id=63, schema_name="code", table_name="wide", columns=cols, primary_key=(0,))
+        rows = [{"k": i % 500, **{f"c{j}": None if (i + j) % 7 == 0 else j % 100 for j in range(199)}} for i in range(4000)]
+        evs = _simple_stream(tm, [("insert", rows[i : i + 20]) for i in range(0, len(rows), 20)])
+        peaks = []
+        real = decode_stage._locate_images
+
+        def traced(*a):
+            tracemalloc.start()
+            try:
+                return real(*a)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        monkeypatch.setattr(decode_stage, "_locate_images", traced)
+        got, _ = self._assert_fused([_batch(evs)], ("k",), registry_snapshot=[tm.to_dict()])
+        assert got.num_rows == 500
+        assert peaks and max(peaks) < 256 * len(rows)

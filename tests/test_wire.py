@@ -866,6 +866,35 @@ class TestWireSession:
         # a lake at the purge line resumes
         assert follow(purged, lake, cfg)["watermark"] > wm
 
+    def test_manifest_from_spool_shards_fails_closed_after_purge(self, small_stream, tmp_path):
+        """A spool tailed without ``manifest_extra`` has no
+        ``manifest.json``; a manifest assembled from ``spool_shards``
+        after ``purge_spool`` carries the purge line on its first entry,
+        so a fresh replay raises instead of committing the retained
+        shards' partial state, and a lake at the line still resumes."""
+        import os
+
+        from mysql_binlog_ray.pipelines.cdc import CdcConfig, follow, run_to_lake
+        from mysql_binlog_ray.sources.wire import purge_spool, spool_shards
+        from mysql_binlog_ray.state.checkpoint import read_manifest
+
+        _spec, _out, manifest = small_stream
+        meta = {k: v for k, v in manifest.items() if k != "shards"}
+        spool, lake, fresh = (str(tmp_path / d) for d in ("spool", "lake", "fresh"))
+        cfg = CdcConfig(num_partitions=4)
+        _tail_session(spool, _stream_payloads(manifest), shard_events=32)
+        assert not os.path.exists(f"{spool}/manifest.json")
+        shards = spool_shards(spool)
+        assert all("purged_through" not in e for e in shards)
+        wm = run_to_lake(dict(meta, shards=shards[: len(shards) // 2]), lake, cfg)["watermark"]
+        assert purge_spool(spool, wm)["purged"] > 0
+        after = dict(meta, shards=spool_shards(spool))
+        assert after["shards"][0]["purged_through"] == wm
+        with pytest.raises(ValueError, match=f"purged through event_seq {wm}"):
+            run_to_lake(after, fresh, cfg)
+        assert read_manifest(fresh) is None
+        assert follow(after, lake, cfg)["watermark"] > wm
+
     def test_resumed_tail_keeps_publishing_prior_manifest(
         self, small_stream, tmp_path
     ):
@@ -978,7 +1007,10 @@ class TestSpoolDurability:
 
 def _column_spool_shards(out_dir):
     """Reference listing: every shard's ``event_seq`` column read in
-    full (the definition before footers replaced it)."""
+    full (the definition before footers replaced it), the first entry
+    carrying a purged spool's ``_purge.json`` watermark as
+    ``purged_through``."""
+    import json
     import os
 
     import pyarrow.compute as pc
@@ -1003,6 +1035,10 @@ def _column_spool_shards(out_dir):
                 "last_event_seq": int(pc.max(t.column("event_seq")).as_py()),
             }
         )
+    purge = os.path.join(out_dir, "_purge.json")
+    if out and os.path.exists(purge):
+        with open(purge) as f:
+            out[0]["purged_through"] = json.load(f)["purge_watermark"]
     return out
 
 
