@@ -48,6 +48,7 @@ from ..protocol.encode import (
     encode_xid_body,
 )
 from ..protocol.model import ColumnDef, TableMapDef
+from ..sources.wire import SHARD_FORMAT, write_event_shard
 
 REPOS_TABLE_ID_V1 = 101
 REPOS_TABLE_ID_V2 = 102  # after DDL: + stars BIGINT
@@ -403,7 +404,6 @@ def encode_shard(
 
     assert eseq - eseq_base <= window, "sequence window overflow; raise `window`"
 
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"events-{shard_id:05d}.parquet")
     table = pa.table(
         {
@@ -412,7 +412,7 @@ def encode_shard(
             "payload": pa.array(payloads, pa.binary()),
         }
     )
-    pq.write_table(table, path, compression="zstd")
+    write_event_shard(table, path)
 
     # oplog: event_seq of the ROWS event each op landed in
     # reconstruct: we appended oplog rows right after emitting the event;
@@ -500,15 +500,17 @@ def generate_stream(
     spec: StreamSpec, out_dir: str, force: bool = False, processes: int | None = None
 ) -> dict[str, Any]:
     """Generate all shards + manifest (idempotent: returns the existing
-    manifest when present and parameter-identical).  Shards are pure
+    manifest when present, parameter-identical and written in this
+    version's ``SHARD_FORMAT``, else regenerates).  Shards are pure
     functions of (spec, shard_id) and encode in parallel worker
     processes when the stream is large."""
     manifest_path = os.path.join(out_dir, "manifest.json")
     if not force and os.path.exists(manifest_path):
         with open(manifest_path) as f:
             m = json.load(f)
-        if m.get("spec") == asdict(spec):
+        if m.get("spec") == asdict(spec) and m.get("shard_format") == SHARD_FORMAT:
             return m
+        force = True  # replace the other stream, never reuse it
     # concurrent-safe cache fill: build in a private tmp dir, then rename
     # into place; a losing racer just adopts the winner's output
     build_dir = f"{out_dir}.tmp.{os.getpid()}"
@@ -530,6 +532,7 @@ def generate_stream(
         e.pop("_oplog")
     manifest = {
         "spec": asdict(spec),
+        "shard_format": SHARD_FORMAT,
         "shards": entries,
         "oplog": oplog_path,
         "table_maps": (

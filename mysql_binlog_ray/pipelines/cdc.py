@@ -602,7 +602,9 @@ def _merge_spilled_partition(
     for part in sorted(p for p, c in chunks.items() if c):
         new = []
         for path, i in chunks[part]:
-            with pa.OSFile(path) as f:
+            # mapped, not read: the batches point at the page cache, so
+            # lww_final's take makes the only copy
+            with pa.memory_map(path) as f:
                 new.append(pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)]))
         out.append(
             _merge_write_partition(new, part, lake_dir, key_cols, prior_rows.get(part, 0), zorder)

@@ -21,7 +21,7 @@ Generated function shape (op="update"):
             # key column: inline read or readers[i] call; else skip
             ...                             # after image: read all
             n_rows += 1
-        return n_rows, off
+        return n_rows, off                  # callers raise unless off == end
 
 Skips are inline, their widths :func:`decode.cell_layout`'s.  The
 lake's fused decode (``BinlogDecoder.flat_combined``) does not run these

@@ -766,12 +766,27 @@ def _read_row(payload: bytes, off: int, plan: DecodePlan) -> tuple[dict[str, Any
     return row, off
 
 
+def rows_overrun(table_map: TableMapDef, event_seq: int | None = None) -> ValueError:
+    """The error of a ROWS event whose row images do not end exactly at
+    the event's end (its last image ran into the checksum or past it):
+    every decode mode raises it rather than return cells read from
+    bytes that are not the row's."""
+    at = "" if event_seq is None else f"{event_seq} "
+    return ValueError(
+        f"ROWS event {at}for table {table_map.schema_name}.{table_map.table_name}: "
+        "its row images do not end at the event's end"
+    )
+
+
 def parse_rows_event(
     payload: bytes,
     header: EventHeader,
     plans: dict[int, DecodePlan],
+    event_seq: int | None = None,
 ) -> RowsEvent:
-    """WRITE/UPDATE/DELETE_ROWS v1/v2 (`EventsIterator.php:370-506`)."""
+    """WRITE/UPDATE/DELETE_ROWS v1/v2 (`EventsIterator.php:370-506`).
+    Row images that do not end at the event's end raise
+    :func:`rows_overrun`, naming ``event_seq`` when given."""
     table_id = int.from_bytes(payload[20:26], "little")
     plan = plans[table_id]
     off, has_after = rows_body_offset(payload, header.type, plan)
@@ -786,6 +801,8 @@ def parse_rows_event(
         while off < end:
             row, off = _read_row(payload, off, plan)
             rows.append(row)
+    if off != end:
+        raise rows_overrun(plan.table_map, event_seq)
     return RowsEvent(
         op=_ROWS_OP[header.type][0], table_id=table_id, table_map=plan.table_map, rows=rows
     )
@@ -861,5 +878,6 @@ __all__ = [
     "parse_xid",
     "read_coded_binary",
     "rows_body_offset",
+    "rows_overrun",
     "verify_checksum",
 ]

@@ -956,6 +956,33 @@ def _shard_id(name: str) -> int:
     return int(name[len("events-") : -len(".parquet")])
 
 
+# The Parquet options of every event shard, recorded in each generated
+# stream's manifest so that a stream written with other options is
+# regenerated, never reused.  A replay reads every shard in full, and
+# LZ4 pages (pyarrow writes LZ4_RAW) read in about 60% of zstd's time
+# at about 3x its bytes on disk; retention (``purge_spool``) bounds the
+# spool, while lake files, the long-lived table, stay zstd.  Binlog
+# events do not repeat, so
+# ``payload`` gets no dictionary and no statistics; the ``event_seq``
+# statistics are what :func:`_shard_entry` reads.
+SHARD_FORMAT = {
+    "compression": "lz4",
+    "use_dictionary": ["shard_id"],
+    "write_statistics": ["shard_id", "event_seq"],
+}
+
+
+def write_event_shard(table, path: str) -> int:
+    """Write one ``(shard_id, event_seq, payload)`` event shard to
+    ``path`` atomically and durably (``atomic_write_parquet``: fsync'd
+    tmp + rename + dir fsync) in :data:`SHARD_FORMAT`; returns its
+    bytes.  The one writer of ``events-*.parquet``: the fixture
+    generator's and the wire spool's shards are the same format."""
+    from ..state.checkpoint import atomic_write_parquet
+
+    return atomic_write_parquet(table, path, **SHARD_FORMAT)
+
+
 def _shard_entry(out_dir: str, name: str) -> dict | None:
     """The manifest entry of one spooled shard from its parquet footer:
     the row count and the ``event_seq`` row-group min/max statistics.
@@ -1158,8 +1185,8 @@ def tail_to_shards(
     standard ``(shard_id, event_seq, payload)`` parquet shards — the
     handoff point where the wire edge ends and the distributed pipeline
     (decode -> merge -> lake) begins.  Files appear atomically and
-    durably (``atomic_write_parquet``: fsync'd tmp + rename + dir
-    fsync), one per ``shard_events`` window, so a follower can ingest
+    durably (:func:`write_event_shard`), one per ``shard_events``
+    window, so a follower can ingest
     completed shards while the tail is still running, and a lake
     watermark past a shard never outlives the shard across a power
     loss.
@@ -1180,12 +1207,12 @@ def tail_to_shards(
     manifest another writer left) it lists them from their footers
     (:func:`spool_shards`).
 
-    Shards are written zstd-compressed with no dictionary for
-    ``payload`` (binlog events do not repeat), as the generator's are,
-    with the ``event_seq`` statistics the footer resume reads."""
+    Shards are written by :func:`write_event_shard` (LZ4 pages, no
+    dictionary for ``payload``, the ``event_seq`` statistics the footer
+    resume reads), the fixture generator's one shard writer too."""
     import pyarrow as pa
 
-    from ..state.checkpoint import atomic_write_json, atomic_write_parquet
+    from ..state.checkpoint import atomic_write_json
 
     os.makedirs(out_dir, exist_ok=True)
     client.handshake()
@@ -1293,9 +1320,7 @@ def tail_to_shards(
             }
         )
         path = os.path.join(out_dir, f"events-{shard_id:05d}.parquet")
-        atomic_write_parquet(
-            t, path, compression="zstd", use_dictionary=["shard_id", "event_seq"]
-        )
+        write_event_shard(t, path)
         shards.append(
             {
                 "shard_id": shard_id,

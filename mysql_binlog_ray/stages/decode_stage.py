@@ -66,6 +66,7 @@ from ..protocol.decode import (
     parse_table_map,
     parse_xid,
     rows_body_offset,
+    rows_overrun,
     verify_checksum,
 )
 from ..protocol.model import ColumnDef, TableMapDef
@@ -384,11 +385,7 @@ def _locate_images(
         n_img[live] += 1
     bad = np.flatnonzero((pos != end) | (end > cap) | (update & (n_img % 2 == 1)))
     if len(bad):
-        tm = st.plan.table_map
-        raise ValueError(
-            f"ROWS event {int(seqs[bad[0]])} for table {tm.schema_name}.{tm.table_name}: "
-            "its row images do not end at the event's end"
-        )
+        raise rows_overrun(st.plan.table_map, int(seqs[bad[0]]))
     # image k of lane l goes to first[l] + k: (event, image) order
     first = np.cumsum(n_img) - n_img
     total = int(n_img.sum())
@@ -890,6 +887,7 @@ class BinlogDecoder:
             n_rows = self._decode_rows_into(
                 payload,
                 h,
+                event_seq,
                 etype,
                 st,
                 before_cols,
@@ -946,6 +944,7 @@ class BinlogDecoder:
         self,
         payload,
         header,
+        event_seq: int,
         etype: int,
         st: _TableState,
         before_cols: list[list],
@@ -955,7 +954,9 @@ class BinlogDecoder:
     ) -> int:
         """Decode a ROWS event with the layout's kernel, ``st.codegen``,
         straight into the target-order struct children; dropped columns
-        go to the trash (`EventsIterator.php:370-506` + `RowFactory.php:28-182`)."""
+        go to the trash (`EventsIterator.php:370-506` + `RowFactory.php:28-182`).
+        Row images that do not end at the event's end raise
+        :func:`rows_overrun`."""
         op = _OP_BY_TYPE[etype]
         plan = st.plan
         off, is_update = rows_body_offset(payload, etype, plan)
@@ -970,7 +971,9 @@ class BinlogDecoder:
             if is_update
             else ()
         )
-        n_rows, _ = st.codegen[op](payload, off, header.payload_size, out_lists, bcols, plan.readers)
+        n_rows, off = st.codegen[op](payload, off, header.payload_size, out_lists, bcols, plan.readers)
+        if off != header.payload_size:
+            raise rows_overrun(plan.table_map, int(event_seq))
         nones = [None] * n_rows
         # null-fill an absent image, and a present one's added columns
         for cols, absent in ((before_cols, op == "insert"), (after_cols, op == "delete")):
@@ -1006,7 +1009,7 @@ class BinlogDecoder:
         for _shard_id, event_seq, _etype, table_id, st, h, payload, ctx in self._row_events(
             batch, commit_seqs
         ):
-            ev = parse_rows_event(payload, h, {table_id: st.plan})
+            ev = parse_rows_event(payload, h, {table_id: st.plan}, int(event_seq))
             n_rows = len(ev.rows)
             if ev.op == "update":
                 befores.extend(dump(r["before"]) for r in ev.rows)
@@ -1258,7 +1261,7 @@ class BinlogDecoder:
         for _shard_id, event_seq, etype, _table_id, st, h, payload, ctx in self._row_events(
             batch, commit_seqs
         ):
-            n_rows, tomb_rows = self._decode_rows_flat(payload, h, etype, st, cols)
+            n_rows, tomb_rows = self._decode_rows_flat(payload, h, event_seq, etype, st, cols)
             if n_rows:
                 op_codes.append(_OP_CODE_BY_TYPE[etype])
                 run_counts.append(n_rows)
@@ -1295,13 +1298,16 @@ class BinlogDecoder:
         self,
         payload,
         header,
+        event_seq: int,
         etype: int,
         st: _TableState,
         cols: list[list],
     ) -> tuple[int, list[int]]:
         """One ROWS event into the target-order ``cols`` through the
         layout's kernel.  Returns the row count and the source row of each key-change
-        tombstone, whose rows it appends after the event's rows."""
+        tombstone, whose rows it appends after the event's rows.  Row
+        images that do not end at the event's end raise
+        :func:`rows_overrun`."""
         op = _OP_BY_TYPE[etype]
         plan = st.plan
         off, is_update = rows_body_offset(payload, etype, plan)
@@ -1343,6 +1349,8 @@ class BinlogDecoder:
             for k in key_list:
                 bcols[k].clear()
         n_rows, off = st.codegen[op](payload, off, end, out_lists, bcols, plan.readers)
+        if off != end:
+            raise rows_overrun(plan.table_map, int(event_seq))
         for t_i in st.null_fill_tgts:  # added columns: no source bytes
             cols[t_i].extend([None] * n_rows)
         if not is_update or not key_list:

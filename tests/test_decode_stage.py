@@ -789,6 +789,48 @@ class TestRowsColumnCountMismatch:
             D.parse_rows_event(wr, D.parse_header(wr, 4), {tm.table_id: D.DecodePlan.compile(tm)})
 
 
+class TestRowsOverrun:
+    """A CRC-valid ROWS event whose last row image overruns the event
+    (its body cut by one byte before the checksum was computed) must
+    fail closed in every decode mode, as ``flat_combined`` does, never
+    return a cell read partly from the checksum."""
+
+    KV = TableMapDef(
+        table_id=61,
+        schema_name="code",
+        table_name="kv",
+        columns=(
+            ColumnDef("k", ColumnType.LONG, nullable=False, signed=True),
+            ColumnDef("v", ColumnType.LONG, nullable=False, signed=True),
+        ),
+        primary_key=(0,),
+    )
+
+    def _events(self, op):
+        w = E.BinlogWriter()
+        etype = {"insert": EventType.WRITE_ROWS_V2, "update": EventType.UPDATE_ROWS_V2}[op]
+        rows = [{"k": 1, "v": 7}, {"k": 2, "v": 8}]
+        if op == "update":
+            rows = [{"before": {"k": r["k"], "v": 0}, "after": r} for r in rows]
+        body = E.encode_rows_body(self.KV, rows, op)
+        return [
+            w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body()),
+            w.packet(EventType.TABLE_MAP, E.encode_table_map_body(self.KV)),
+            w.packet(etype, body[:-1]),
+            w.packet(EventType.XID, E.encode_xid_body(5)),
+        ]
+
+    @pytest.mark.parametrize("op", ["insert", "update"])
+    @pytest.mark.parametrize("output", ["changefeed", "flat", "json", "flat_combined"])
+    def test_decoder_modes_raise(self, output, op):
+        kw = {} if output == "json" else {"target_table": ("code", "kv")}
+        dec = BinlogDecoder(registry_snapshot=[self.KV.to_dict()], output=output.split("_")[0], **kw)
+        decode = (lambda b: dec.flat_combined(b, ("k",))) if output == "flat_combined" else dec
+        with pytest.raises(ValueError, match=r"ROWS event 3 for table code\.kv: its row images"):
+            decode(_batch(self._events(op)))
+        assert dec.n_checksum_failures == 0
+
+
 class TestCrossModeParity:
     """The three output modes walk one event loop, so one block must give
     the same counters and the same target-table rows in each."""

@@ -1597,6 +1597,192 @@ class TestOneLakeWriter:
         assert calls == {"_merge_write_partition": 1}
 
 
+# The two shard writers' options before they shared ``write_event_shard``:
+# streams and spools already on disk are written so.
+_PRIOR_SHARD_OPTIONS = {
+    "generator": {"compression": "zstd"},
+    "wire": {"compression": "zstd", "use_dictionary": ["shard_id", "event_seq"]},
+}
+
+
+def _rewrite_shards(manifest, out, **options):
+    """The stream's event shards rewritten under ``out`` with the Parquet
+    writer ``options``; returns the manifest that points at them."""
+    import pyarrow.parquet as pq
+
+    m = json.loads(json.dumps(manifest))
+    os.makedirs(out)
+    for s in m["shards"]:
+        path = os.path.join(out, os.path.basename(s["path"]))
+        pq.write_table(pq.read_table(s["path"]), path, **options)
+        s["path"] = path
+    return m
+
+
+class TestOneShardWriter:
+    """The fixture generator and the wire spool write their event shards
+    through one function, ``sources.wire.write_event_shard``, and a
+    reader does not depend on the shard codec: shards written with the
+    writers' prior options replay to the same lake bytes."""
+
+    PACKAGE = os.path.join(os.path.dirname(__file__), os.pardir, "mysql_binlog_ray")
+    PARQUET_WRITERS = {"write_table", "atomic_write_parquet", "ParquetWriter", "write_dataset"}
+
+    def _functions(self):
+        """(module path relative to the package, function node) for
+        every top-level function and method of the package."""
+        import ast
+
+        for path in sorted(glob.glob(os.path.join(self.PACKAGE, "**", "*.py"), recursive=True)):
+            rel = os.path.relpath(path, self.PACKAGE)
+            for top in ast.parse(open(path).read()).body:
+                body = top.body if isinstance(top, ast.ClassDef) else [top]
+                for fn in body:
+                    if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                        yield rel, fn
+
+    def test_write_event_shard_is_the_one_shard_writer(self):
+        """The functions that name ``events-`` files write them only
+        through ``write_event_shard``: none calls a Parquet writer
+        itself, and the generator's and the spool's shard writers call
+        it."""
+        import ast
+
+        raw_writers, callers = [], {}
+        for rel, fn in self._functions():
+            doc = fn.body[0].value if ast.get_docstring(fn) is not None else None
+            names_shards = any(
+                isinstance(n, ast.Constant) and isinstance(n.value, str) and "events-" in n.value
+                for n in ast.walk(fn)
+                if n is not doc
+            )
+            called = {
+                getattr(n.func, "id", None) or getattr(n.func, "attr", None)
+                for n in ast.walk(fn)
+                if isinstance(n, ast.Call)
+            }
+            if names_shards and called & self.PARQUET_WRITERS:
+                raw_writers.append(f"{rel}:{fn.name}")
+            if "write_event_shard" in called:
+                callers.setdefault(rel, []).append(fn.name)
+        assert raw_writers == []
+        assert callers == {
+            os.path.join("fixtures", "generator.py"): ["encode_shard"],
+            os.path.join("sources", "wire.py"): ["tail_to_shards"],
+        }
+
+    def test_generated_shards_are_lz4_without_payload_dictionary(self, small_stream):
+        import pyarrow.parquet as pq
+
+        _spec, _out, manifest = small_stream
+        for s in manifest["shards"]:
+            md = pq.ParquetFile(s["path"]).metadata
+            cols = {md.row_group(0).column(i).path_in_schema: md.row_group(0).column(i) for i in range(3)}
+            assert {c.compression for c in cols.values()} == {"LZ4"}
+            assert not cols["payload"].has_dictionary_page
+            assert cols["event_seq"].statistics.has_min_max
+
+    def test_prior_shard_formats_replay_to_identical_lakes(self, small_stream, tmp_path, ray_session):
+        """Shards written as the generator (zstd, default dictionaries)
+        and the wire spool (zstd, dictionaries on ``shard_id`` /
+        ``event_seq``) wrote them before: a fresh ``run_to_lake``, a
+        3-step ``follow`` and ``state_as_of`` give the LZ4 stream's lake
+        bytes and rows, and the spool listing reads equal entries."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+        import ray
+
+        from mysql_binlog_ray.pipelines.cdc import follow, state_as_of
+        from mysql_binlog_ray.sources.wire import spool_shards, spool_state
+
+        _spec, out, manifest = small_stream
+        streams = {"lz4": manifest}
+        for writer, options in _PRIOR_SHARD_OPTIONS.items():
+            streams[writer] = _rewrite_shards(manifest, str(tmp_path / writer / "stream"), **options)
+            md = pq.ParquetFile(streams[writer]["shards"][0]["path"]).metadata
+            assert md.row_group(0).column(2).compression == "ZSTD"
+        cut = manifest["shards"][1]["first_event_seq"] + 7  # inside shard 1
+        got = {}
+        for name, m in streams.items():
+            fresh, steps = str(tmp_path / name / "fresh"), str(tmp_path / name / "follow")
+            run_to_lake(m, fresh, CdcConfig(num_partitions=8))
+            for upto in (1, 2, 3):
+                follow(_prefix(m, upto), steps, CdcConfig(num_partitions=8))
+            ds = state_as_of(m, cut, CdcConfig(num_partitions=4))
+            rows = pa.concat_tables(ray.get(ds.to_arrow_refs())).sort_by([("repo", "ascending"), ("path", "ascending")])
+            got[name] = (_part_files(fresh), _part_files(steps), rows)
+        def entries(spool):
+            return [{k: v for k, v in e.items() if k != "path"} for e in spool_shards(spool)]
+
+        for writer in _PRIOR_SHARD_OPTIONS:
+            assert got[writer][0] == got["lz4"][0] and len(got["lz4"][0]) == 8
+            assert got[writer][1] == got["lz4"][1]
+            assert got[writer][2].equals(got["lz4"][2]) and got["lz4"][2].num_rows > 0
+            spool = os.path.dirname(streams[writer]["shards"][0]["path"])
+            assert entries(spool) == entries(out) != []
+            assert spool_state(spool) == spool_state(out)
+
+
+class TestStreamCacheFormat:
+    """``generate_stream`` reuses a stream only when its manifest records
+    both the spec and this version's ``SHARD_FORMAT``: a stream another
+    shard writer wrote is regenerated, never measured as this one."""
+
+    SPEC = StreamSpec(n_keys=40, n_ops=160, n_shards=2)
+
+    def _spy(self, monkeypatch):
+        from mysql_binlog_ray.fixtures import generator
+
+        calls = []
+        real = generator.encode_shard
+
+        def spy(*a, **kw):
+            calls.append(a[2])
+            return real(*a, **kw)
+
+        monkeypatch.setattr(generator, "encode_shard", spy)
+        return calls
+
+    def test_same_spec_and_format_is_reused(self, tmp_path, monkeypatch):
+        from mysql_binlog_ray.sources.wire import SHARD_FORMAT
+
+        out = str(tmp_path / "s")
+        m = generate_stream(self.SPEC, out)
+        assert m["shard_format"] == SHARD_FORMAT
+        calls = self._spy(monkeypatch)
+        assert generate_stream(self.SPEC, out) == m and calls == []
+
+    @pytest.mark.parametrize("recorded", ["missing", "zstd"])
+    def test_other_shard_format_is_regenerated(self, tmp_path, monkeypatch, recorded):
+        """A manifest without ``shard_format`` (written before it was
+        recorded) or with another one: the stream is generated again,
+        in ``SHARD_FORMAT``."""
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.sources.wire import SHARD_FORMAT
+
+        out = str(tmp_path / "s")
+        generate_stream(self.SPEC, out)
+        mpath = os.path.join(out, "manifest.json")
+        with open(mpath) as f:
+            m = json.load(f)
+        for s in m["shards"]:
+            pq.write_table(pq.read_table(s["path"]), s["path"], compression="zstd")
+        if recorded == "missing":
+            del m["shard_format"]
+        else:
+            m["shard_format"] = _PRIOR_SHARD_OPTIONS["generator"]
+        with open(mpath, "w") as f:
+            json.dump(m, f)
+        calls = self._spy(monkeypatch)
+        again = generate_stream(self.SPEC, out)
+        assert calls == [0, 1] and again["shard_format"] == SHARD_FORMAT
+        with open(mpath) as f:
+            assert json.load(f) == again
+        for s in again["shards"]:
+            assert pq.ParquetFile(s["path"]).metadata.row_group(0).column(2).compression == "LZ4"
+
+
 class TestSpillFormat:
     """The keyed exchange spills each block as one uncompressed Arrow IPC
     file with one record batch per touched partition (Ray-free: the
