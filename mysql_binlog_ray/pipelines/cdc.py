@@ -140,7 +140,7 @@ def read_event_stream(manifest: dict[str, Any], start_after_seq: int | None = No
 def _map_decoder(events: rd.Dataset, decoder_kwargs: dict[str, Any]) -> rd.Dataset:
     """Shared decode-stage dispatch: stateless tasks over whole blocks
     with a per-worker cached decoder.  Decoder setup is ~0.5 ms once a
-    worker compiled the layouts, so an actor pool buys nothing and its
+    worker built the layouts' table states, so an actor pool buys nothing and its
     ramp-up adds seconds of variance (measured); registry-actor mode reaches its actor from the cached
     decoder via ``decoder_kwargs["registry_actor_name"]``."""
     cache: dict[str, BinlogDecoder] = {}

@@ -386,8 +386,6 @@ def make_cell_reader(col: ColumnDef) -> CellReader:
     raise ValueError(f"unsupported column type {t!r}")  # JSON/GEOMETRY per RowFactory.php:163-165
 
 
-CellSkipper = Callable[[bytes, int], int]
-
 _FIXED_WIDTH: dict[ColumnType, int] = {
     ColumnType.TINY: 1,
     ColumnType.SHORT: 2,
@@ -406,8 +404,8 @@ def cell_layout(col: ColumnDef) -> tuple[int, int]:
     """The ONE byte-layout rule of a non-NULL cell, mirroring
     `make_cell_reader`: ``(width, 0)`` for a fixed-width type, ``(0,
     length_bytes)`` for a little-endian length prefix of 1-4 bytes
-    followed by that many bytes.  The skippers, the code-generated
-    kernels' skips and the stage's located decode all derive from it."""
+    followed by that many bytes.  The stage's located decode walks row
+    images by it."""
     t = col.type
     if t in _FIXED_WIDTH:
         return _FIXED_WIDTH[t], 0
@@ -428,19 +426,6 @@ def cell_layout(col: ColumnDef) -> tuple[int, int]:
     raise ValueError(f"unsupported column type {t!r}")
 
 
-def make_cell_skipper(col: ColumnDef) -> CellSkipper:
-    """Compile a skipper that advances past one cell WITHOUT constructing
-    its value — used for row images the pipeline does not need (e.g.
-    update before-images when only the after state is merged).  Its
-    widths are :func:`cell_layout`'s."""
-    w, lb = cell_layout(col)
-    if not lb:
-        return lambda data, off, _w=w: off + _w
-    if lb == 1:
-        return lambda data, off: off + 1 + data[off]
-    return lambda data, off, _lb=lb: off + _lb + int.from_bytes(data[off : off + _lb], "little")
-
-
 @dataclass
 class DecodePlan:
     """Compiled row-decode plan for one TableMapDef."""
@@ -448,7 +433,6 @@ class DecodePlan:
     table_map: TableMapDef
     names: tuple[str, ...]
     readers: tuple[CellReader, ...]
-    skippers: tuple[CellSkipper, ...]
     full_bitmap: bytes = b""  # columns-present bitmap with every column sent
 
     @staticmethod
@@ -461,7 +445,6 @@ class DecodePlan:
             table_map=tm,
             names=tuple(c.name for c in tm.columns),
             readers=tuple(make_cell_reader(c) for c in tm.columns),
-            skippers=tuple(make_cell_skipper(c) for c in tm.columns),
             full_bitmap=bytes(full),
         )
 
@@ -868,7 +851,6 @@ __all__ = [
     "SKIP_EVENT_TYPES",
     "cell_layout",
     "make_cell_reader",
-    "make_cell_skipper",
     "parse_format_description",
     "parse_header",
     "parse_query",

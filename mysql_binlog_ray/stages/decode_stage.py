@@ -3,29 +3,30 @@
 SURVEY.md §2.7 M2/M3/M4: ``BinlogDecoder`` is a stateful callable over
 pyarrow batches ``(shard_id, event_seq, payload)``.  All expensive setup
 happens before ``__call__``, so it only walks payload bytes: per-table
-decode plans, their code-generated row decoders and the column remap
-for late-binding casts are compiled once per table layout per process
-(``_table_state``), and the target schema is resolved once per decoder
-in ``__init__``.  The exchange's ``_spill_task`` (every shard replay)
-builds one decoder per shard and ``_map_decoder`` (the changefeed
-consumers) caches one per worker.
+decode plans, cell layouts and the column remap for late-binding casts
+are built once per table layout per process (``_table_state``), and the
+target schema is resolved once per decoder in ``__init__``.  The
+exchange's ``_spill_task`` (every shard replay) builds one decoder per
+shard and ``_map_decoder`` (the changefeed consumers) caches one per
+worker.
 
 The three output modes (changefeed, flat, json) share ONE event walk,
 ``_row_events`` — the reference's single ``EventsIterator`` loop
 (`EventsIterator.php:73-88`) — and ONE ROWS-event prologue,
 ``protocol.decode.rows_body_offset``; a mode only chooses how it emits
-the rows of each accepted ROWS event.  The changefeed mode and
-``__call__``'s flat mode decode rows through ONE kernel per op, the
-layout's code-generated row decoder (``_TableState.codegen``); json
-mode uses ``parse_rows_event``.  ``flat_combined`` (the lake's spill
-tasks) runs no kernel: a located decode finds the cells of every row
-image with one numpy pass per layout (``_locate_images``, all events at
-once, one row image of each per iteration, widths from
-``protocol.decode.cell_layout``), picks each key's newest row, walks
-only those after-images again to find their value cells, and gathers
-the cells it keeps from the block's payload buffer with numpy and Arrow
+the rows of each accepted ROWS event.  Json mode decodes rows through
+``parse_rows_event``, the conformance reference.  The changefeed mode,
+``__call__``'s flat mode and ``flat_combined`` (the lake's spill tasks)
+run ONE row decoder, a located decode with no per-row Python: it finds
+the cells of every row image with one numpy pass per layout
+(``_locate_images``, all events at once, one row image of each per
+iteration, widths from ``protocol.decode.cell_layout``) and gathers the
+cells it keeps from the block's payload buffer with numpy and Arrow
 takes (``_decode_cells``), reading only the types no gather covers
-through the layout's cell readers.
+through the layout's cell readers.  The flat modes decode merge keys in
+that pass and walk only the after-images they keep again for their
+value cells (``flat_combined`` keeps each key's newest row, ``__call__``
+every row); the changefeed decodes every target column in that pass.
 
 Semantics reproduced from the reference (citations in protocol/decode.py):
 
@@ -73,17 +74,10 @@ from ..protocol.model import ColumnDef, TableMapDef
 from .merge import _winner_indices
 
 _ROWS_TYPES = {0x17, 0x18, 0x19, 0x1E, 0x1F, 0x20}
-_OP_BY_TYPE = {
-    0x17: "insert",
-    0x1E: "insert",
-    0x18: "update",
-    0x1F: "update",
-    0x19: "delete",
-    0x20: "delete",
-}
-# run-length op encoding for the flat path (expanded via np.repeat)
+# op codes into _OP_NAMES_ARROW, one per event (expanded via np.repeat)
 _OP_NAMES_ARROW = pa.array(["insert", "update", "delete"], pa.string())
 _OP_CODE_BY_TYPE = {0x17: 0, 0x1E: 0, 0x18: 1, 0x1F: 1, 0x19: 2, 0x20: 2}
+_OP_INSERT_CODE = 0
 _OP_UPDATE_CODE = 1
 _OP_DELETE_CODE = 2
 
@@ -143,41 +137,12 @@ def _stamp_xid(commit_seqs: list, txn_start: int, xid: int) -> int:
     return len(commit_seqs)
 
 
-def _build_child(values: list, typ: pa.DataType) -> pa.Array:
-    """pa.array with two quirks handled:
-
-    - u64 parity: the decoder emits values >= 2^63 as decimal strings
-      (reference GMP fallback, `UIntLeReadTrait.php:133-138`); a
-      uint64-typed Arrow column takes them back as integers.
-    - utf-8 text fast path: the codegen row kernel appends RAW BYTES
-      for utf-8-charset text cells; build as binary and cast, so utf-8
-      validation happens once in C (never a per-cell Python decode).
-    """
-    if pa.types.is_uint64(typ):
-        # optimistic C-path first: the decimal-string fallback only
-        # exists for values >= 2^63, so scanning/converting every cell
-        # up front costs ~20% of the whole flat decode for nothing on
-        # typical batches — convert only when pa.array actually trips
-        try:
-            return pa.array(values, type=typ)
-        except (pa.ArrowInvalid, pa.ArrowTypeError, OverflowError):
-            values = [int(v) if isinstance(v, str) else v for v in values]
-    elif pa.types.is_string(typ):
-        for v in values:
-            if v is None:
-                continue
-            if isinstance(v, bytes):
-                return pa.array(values, type=pa.binary()).cast(pa.string())
-            break
-    return pa.array(values, type=typ)
-
-
 def _meta_arrays(
     ops: np.ndarray, ev: np.ndarray, row_seqs: np.ndarray, commit_seqs: np.ndarray
 ) -> list[pa.Array]:
-    """The flat rows' ``op``, ``event_seq``, ``row_seq`` and
-    ``commit_seq`` columns from their numpy forms (``ops`` holds codes
-    into ``_OP_NAMES_ARROW``)."""
+    """The rows' ``op``, ``event_seq``, ``row_seq`` and ``commit_seq``
+    columns from their numpy forms (``ops`` holds codes into
+    ``_OP_NAMES_ARROW``)."""
     return [
         pa.DictionaryArray.from_arrays(pa.array(ops), _OP_NAMES_ARROW).dictionary_decode(),
         pa.array(ev),
@@ -332,20 +297,20 @@ def _decode_cells(
 class _Located:
     """Pass 1 over one layout's ROWS events (:func:`_locate_images`):
     every row image in (event, image) order with its event, its start
-    offset, its row in the event and its decoded merge keys; which
-    images are rows (all but update before-images) and which are
-    key-change tombstones (the before-images of rows whose key moved)."""
+    offset, its row in the event and its decoded key cells; which images
+    are rows (all but update before-images) and which are update
+    before-images (``bef``, each followed by its row's after-image)."""
 
-    __slots__ = ("st", "events", "start", "row_of", "keys", "rows", "tombs")
+    __slots__ = ("st", "events", "start", "row_of", "keys", "rows", "bef")
 
-    def __init__(self, st, events, start, row_of, keys, rows, tombs) -> None:
+    def __init__(self, st, events, start, row_of, keys, rows, bef) -> None:
         self.st = st
         self.events = events
         self.start = start
         self.row_of = row_of
         self.keys = keys  # key source ordinal -> Arrow array over the images
         self.rows = rows
-        self.tombs = tombs
+        self.bef = bef
 
 
 def _locate_images(
@@ -363,12 +328,10 @@ def _locate_images(
     (``events``, its lanes), each from its first row image at ``pos``.
     Every numpy iteration walks one row image of each lane still short
     of its ``end`` (:func:`_walk_images`), recording the image's start
-    and merge-key cells: memory is O(images x key columns).  A lane must
-    end exactly at ``end``, inside the event's bytes (``cap``), after an
-    even image count for an update; else ``ValueError`` names the table
-    and the event.  An update row is a key change when Arrow finds its
-    before and after key values different in any merge-key column (the
-    target's dropped ones too, ``key_trash_srcs``)."""
+    and key cells (``st.key_list``): memory is O(images x key columns).
+    A lane must end exactly at ``end``, inside the event's bytes
+    (``cap``), after an even image count for an update; else
+    ``ValueError`` names the table and the event."""
     views = _prefix_views(buf)
     pos = pos.copy()
     record = set(st.key_list)
@@ -404,35 +367,43 @@ def _locate_images(
     k = np.arange(total) - first[lane]
     two = update[lane]
     before = two & (k & 1 == 0)  # an update's images alternate before, after
-    bef = np.flatnonzero(before)
+    row_of = np.where(two, k >> 1, k)
+    return _Located(st, events[lane], start, row_of, keys, np.flatnonzero(~before), np.flatnonzero(before))
+
+
+def _key_moved(loc: _Located) -> np.ndarray:
+    """The before-images of ``loc``'s key-changing update rows: Arrow
+    finds the before and after values different in a key column (the
+    target's dropped ones too)."""
+    bef = loc.bef
     moved = np.zeros(len(bef), dtype=bool)
-    for arr in keys.values():
+    for arr in loc.keys.values():
         b, a = arr.take(bef), arr.take(bef + 1)
         moved |= pc.fill_null(pc.not_equal(b, a), False).to_numpy(zero_copy_only=False)
         moved |= b.is_null().to_numpy(zero_copy_only=False) != a.is_null().to_numpy(zero_copy_only=False)
-    row_of = np.where(two, k >> 1, k)
-    return _Located(st, events[lane], start, row_of, keys, np.flatnonzero(~before), bef[moved])
+    return bef[moved]
+
+
+def _target_column(located: list[_Located], t: int, typ: pa.DataType) -> pa.Array:
+    """Target column ``t`` over every located row image (all layouts, in
+    ``located``'s order): each layout's decoded key cells of the column,
+    cast to ``typ``, or nulls where the layout lacks it."""
+    pieces = []
+    for loc in located:
+        s = loc.st.remap[t]
+        arr = loc.keys[s] if s is not None else pa.nulls(len(loc.events), typ)
+        pieces.append(arr if arr.type == typ else arr.cast(typ))
+    return pieces[0] if len(pieces) == 1 else pa.concat_arrays(pieces)
 
 
 class _TableState:
-    """Per-table-map decode state: compiled plan + remap into the target
-    column order (late-binding cast, null-fill for added columns).
-    Never mutated after construction, so every decoder in a process
-    shares one instance per layout and target (:func:`_table_state`)."""
+    """Per-table-map decode state: compiled plan, cell layouts and remap
+    into the target column order (late-binding cast, null-fill for added
+    columns).  Never mutated after construction, so every decoder in a
+    process shares one instance per layout and target
+    (:func:`_table_state`)."""
 
-    __slots__ = (
-        "plan",
-        "remap",
-        "src_to_tgt",
-        "null_fill_tgts",
-        "key_list",
-        "key_trash_srcs",
-        "schema_ver",
-        "key_src",
-        "cells",
-        "not_null",
-        "codegen",
-    )
+    __slots__ = ("plan", "remap", "src_to_tgt", "key_list", "schema_ver", "cells", "not_null")
 
     def __init__(
         self,
@@ -442,32 +413,18 @@ class _TableState:
     ) -> None:
         self.plan = DecodePlan.compile(tm)
         name_to_src = {n: i for i, n in enumerate(self.plan.names)}
+        # target ordinal -> source ordinal (None = added column, null);
+        # source ordinal -> target ordinal (None = dropped column)
         self.remap = tuple(name_to_src.get(n) for n in target_names)
-        # inverse map for the flat path's direct-write decode: source
-        # ordinal -> target ordinal (None = dropped column, goes to a
-        # per-decoder trash list), plus the target ordinals with no
-        # source (added columns, null-filled per event)
         tgt_of = {s: t for t, s in enumerate(self.remap) if s is not None}
         self.src_to_tgt = tuple(tgt_of.get(s) for s in range(len(self.plan.names)))
-        self.null_fill_tgts = tuple(
-            t for t, s in enumerate(self.remap) if s is None
-        )
-        # source ordinals of the merge-key columns (delete before-images
-        # only need these decoded; everything else is skipped)
-        self.key_src = frozenset(
-            name_to_src[k] for k in key_names if k in name_to_src
-        )
-        self.key_list = sorted(self.key_src)
-        # merge-key source columns with NO target slot (a DDL dropped
-        # them from the latest layout): their after-images must go to
-        # dedicated per-event lists, never the shared trash — the
-        # key-change tombstone compare reads them back
-        self.key_trash_srcs = tuple(
-            s for s in self.key_list if self.src_to_tgt[s] is None
-        )
+        # source ordinals of the key columns, decoded over every row
+        # image in pass 1 (a merge-key column the target dropped too: it
+        # still drives the key-change compare)
+        self.key_list = sorted(name_to_src[k] for k in set(key_names) if k in name_to_src)
         self.schema_ver = tm.schema_ver
-        # each column's (width, length-prefix bytes): flat_combined's
-        # located decode walks row images by these
+        # each column's (width, length-prefix bytes): the located decode
+        # walks row images by these
         self.cells = tuple(cell_layout(c) for c in tm.columns)
         # per null-bitmap byte, the bits of the columns declared NOT NULL
         not_null = [0] * ((len(tm.columns) + 7) >> 3)
@@ -475,11 +432,6 @@ class _TableState:
             if not c.nullable:
                 not_null[i >> 3] |= 1 << (i & 7)
         self.not_null = tuple(not_null)
-        # per-(table, op) code-generated row decoders: the one row
-        # kernel of the changefeed mode and __call__'s flat mode
-        from ..protocol.codegen import compile_flat_decoders
-
-        self.codegen = compile_flat_decoders(self.plan, self.key_src)
 
 
 @lru_cache(maxsize=1024)
@@ -487,8 +439,8 @@ def _table_state(
     tm: TableMapDef, target_names: tuple[str, ...], key_names: tuple[str, ...]
 ) -> _TableState:
     """The one constructor of :class:`_TableState`: each layout's plan
-    and code-generated row decoders are compiled once per process, not
-    once per decoder (``_spill_task`` builds a decoder per task).  All
+    and cell layouts are built once per process, not once per decoder
+    (``_spill_task`` builds a decoder per task).  All
     three keys are frozen; the bound keeps a long-lived worker's cache
     small when table ids keep changing."""
     return _TableState(tm, target_names, key_names)
@@ -574,7 +526,7 @@ class BinlogDecoder:
             self.struct_type = target_struct_type(self.target_map)
         # merge-key columns: default = the table's SIMPLE_PRIMARY_KEY from
         # the TABLE_MAP metadata (ColumnMetadataFactory.php:290-296); the
-        # changefeed keys on every column, so both images decode in full
+        # changefeed keys on every column, so pass 1 decodes every cell
         if output == "changefeed":
             self.key_names = self.target_names
         elif key_cols:
@@ -642,11 +594,6 @@ class BinlogDecoder:
         self.n_rows = 0
         self.n_bytes = 0
         self.n_checksum_failures = 0
-        # kernel buffers: dropped-column sink (cleared per event) and
-        # flat mode's before-image key lists (cleared per update event)
-        self._trash: list = []
-        self._bkey_lists: list[list] = []
-        self._akey_lists: list[list] = []  # dropped-key after-images
 
     # -- reference F1 semantics (`EventsIterator.php:103-130`) --
     def _filtered(self, tm: TableMapDef) -> bool:
@@ -820,20 +767,20 @@ class BinlogDecoder:
     def _row_events(self, batch: pa.Table, commit_seqs: list):
         """The ONE event walk shared by the three output modes (the
         reference's single `EventsIterator` loop, `EventsIterator.php:73-88`).
-        Yields each accepted ROWS event as ``(shard_id, event_seq, etype,
-        table_id, state, header, payload, ctx)``; every other event goes
-        through ``_handle_marker``, which stamps ``commit_seqs`` (the
-        caller's per-row list) in place — so a caller reads
+        Yields each accepted ROWS event as ``(row, event_seq, etype,
+        table_id, state, header, payload, ctx)``, ``row`` being its row in
+        ``batch``; every other event goes through ``_handle_marker``,
+        which stamps ``commit_seqs`` (the caller's list, one entry per
+        output row or per event) in place — so a caller reads
         ``ctx.cur_commit`` after each yield, never before.  Json mode has
         no target table, so it skips the target check."""
-        shard_ids = batch.column("shard_id").to_numpy(zero_copy_only=False)
         event_seqs = batch.column("event_seq").to_numpy(zero_copy_only=False)
         payloads = self._payload_views(batch)
         self._begin_block()
         start_after = self.start_after_seq
         target = self.target_table
         ctx = _BlockCtx(self.checksum_size)
-        for shard_id, event_seq, payload in zip(shard_ids, event_seqs, payloads):
+        for row, (event_seq, payload) in enumerate(zip(event_seqs, payloads)):
             if start_after is not None and event_seq <= start_after:
                 continue  # F2 replay-skip (`EventsIterator.php:207-215`)
             etype = payload[5]
@@ -858,130 +805,117 @@ class BinlogDecoder:
                 self.n_checksum_failures += 1
                 continue
             h = parse_header(payload, ctx.checksum_size)
-            yield shard_id, event_seq, etype, table_id, st, h, payload, ctx
+            yield row, event_seq, etype, table_id, st, h, payload, ctx
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.output == "flat":
             return self._call_flat(batch)
         if self.output == "json":
             return self._call_json(batch)
+        return self._call_changefeed(batch)
 
-        n_target = len(self.target_names)
-        # accumulators (columnar; struct children + null masks)
-        ops: list[str] = []
-        tm_ids: list[int] = []
-        schema_vers: list[int] = []
-        file_seqs: list[int] = []
-        ev_seqs: list[int] = []
-        row_seqs: list[int] = []
-        tss: list[int] = []
-        before_cols: list[list] = [[] for _ in range(n_target)]
-        after_cols: list[list] = [[] for _ in range(n_target)]
-        before_null: list[bool] = []
-        after_null: list[bool] = []
-        commit_seqs: list[int] = []
-
-        for shard_id, event_seq, etype, table_id, st, h, payload, ctx in self._row_events(
-            batch, commit_seqs
-        ):
-            n_rows = self._decode_rows_into(
-                payload,
-                h,
-                event_seq,
-                etype,
-                st,
-                before_cols,
-                after_cols,
-                before_null,
-                after_null,
+    def _locate(
+        self, batch: pa.Table
+    ) -> tuple[dict[str, np.ndarray], list[_Located], pa.Buffer, np.ndarray] | None:
+        """The walk and pass 1 of the located decode, shared by the
+        changefeed and flat modes.  :meth:`_row_events` and, per accepted
+        ROWS event, the one prologue, ``rows_body_offset``, give where
+        its row images start and end in :func:`_payload_base`'s buffer;
+        :func:`_locate_images` then walks each layout's events at once.
+        Returns the events' columns (``row`` in the batch, ``layout``
+        into the located list, ``op`` code, ``seq``, ``table_id``,
+        ``ts``, ``commit``), the located layouts and the payload buffer,
+        or None when the walk accepted no ROWS event."""
+        base, buf, starts = _payload_base(batch)
+        # one commit stamp per event: an XID stamps all of an event's rows
+        commits: list[int] = []
+        layouts: dict[_TableState, int] = {}
+        events = []
+        for row, event_seq, etype, tid, st, h, payload, ctx in self._row_events(batch, commits):
+            off, _ = rows_body_offset(payload, etype, st.plan)
+            at = starts[row]
+            events.append(
+                (row, layouts.setdefault(st, len(layouts)), _OP_CODE_BY_TYPE[etype], event_seq, tid,
+                 h.timestamp, at + off, at + h.payload_size, at + len(payload))
             )
-            op = _OP_BY_TYPE[etype]
-            ops.extend([op] * n_rows)
-            tm_ids.extend([table_id] * n_rows)
-            schema_vers.extend([st.schema_ver] * n_rows)
-            file_seqs.extend([int(shard_id)] * n_rows)
-            ev_seqs.extend([int(event_seq)] * n_rows)
-            row_seqs.extend(range(n_rows))
-            tss.extend([h.timestamp] * n_rows)
-            commit_seqs.extend([ctx.cur_commit] * n_rows)
-            self.n_rows += n_rows
+            commits.append(ctx.cur_commit)
+        if not events:
+            return None
+        row, layout, op, seq, tid, ts, pos, end, cap = np.array(events, dtype=np.int64).T
+        located = []
+        for st, j in layouts.items():
+            lanes = np.flatnonzero(layout == j)
+            update = op[lanes] == _OP_UPDATE_CODE
+            bounds = pos[lanes], end[lanes], cap[lanes]
+            located.append(_locate_images(base, buf, st, lanes, update, *bounds, seq[lanes]))
+        commit = np.asarray(commits, dtype=np.int64)
+        ev = {"row": row, "layout": layout, "op": op, "seq": seq, "table_id": tid, "ts": ts, "commit": commit}
+        return ev, located, base, buf
 
-        if not ops:
+    def _call_changefeed(self, batch: pa.Table) -> pa.Table:
+        """Changefeed rows through the located decode (:meth:`_locate`):
+        the decoder's keys are every target column, so pass 1 decoded
+        every target cell of every row image, and each row's ``before``
+        and ``after`` structs are takes of those columns by the row's
+        images (`EventsIterator.php:370-506` + `RowFactory.php:28-182`).
+        An insert has no before-image and a delete no after-image; a
+        column the row's layout lacks is null."""
+        p = self._locate(batch)
+        if p is None:
             return self._empty
+        ev, located, _base, _buf = p
+        n_ev = len(ev["op"])
+        rows_e = np.zeros(n_ev, dtype=np.int64)
+        for loc in located:
+            rows_e += np.bincount(loc.events[loc.rows], minlength=n_ev)
+        n = int(rows_e.sum())
+        self.n_rows += n
+        if not n:
+            return self._empty
+        first = np.cumsum(rows_e) - rows_e
+        ops = np.repeat(ev["op"], rows_e)
+        before_img = np.empty(n, dtype=np.int64)  # each row's images, over all layouts
+        after_img = np.empty(n, dtype=np.int64)
+        row_seqs = np.empty(n, dtype=np.int32)
+        img_base = 0
+        for loc in located:
+            rows = loc.rows
+            at = first[loc.events[rows]] + loc.row_of[rows]
+            row_seqs[at] = loc.row_of[rows]
+            after_img[at] = before_img[at] = img_base + rows
+            img_base += len(loc.events)
+        before_img[ops == _OP_UPDATE_CODE] -= 1  # an update's before-image precedes its after-image
+        fields = list(self.struct_type)
+        cols = [_target_column(located, t, f.type) for t, f in enumerate(fields)]
 
-        fields = self.struct_type
-        b_children = [
-            _build_child(before_cols[i], fields.field(i).type) for i in range(n_target)
-        ]
-        a_children = [
-            _build_child(after_cols[i], fields.field(i).type) for i in range(n_target)
-        ]
-        before_arr = pa.StructArray.from_arrays(
-            b_children, fields=list(fields), mask=pa.array(before_null, pa.bool_())
+        def image(img: np.ndarray, absent: np.ndarray) -> pa.StructArray:
+            idx = pa.array(img, mask=absent)
+            return pa.StructArray.from_arrays(
+                [c.take(idx) for c in cols], fields=fields, mask=pa.array(absent, pa.bool_())
+            )
+
+        ver = np.array([loc.st.schema_ver for loc in located], dtype=np.int32)
+        shard_ids = batch.column("shard_id").to_numpy(zero_copy_only=False)
+        op_arr, ev_arr, rs_arr, commit_arr = _meta_arrays(
+            ops, np.repeat(ev["seq"], rows_e), row_seqs, np.repeat(ev["commit"], rows_e)
         )
-        after_arr = pa.StructArray.from_arrays(
-            a_children, fields=list(fields), mask=pa.array(after_null, pa.bool_())
-        )
-        return pa.table(
-            {
-                "op": pa.array(ops, pa.string()),
-                "schema_name": pa.array([self.target_table[0]] * len(ops), pa.string()),
-                "table_name": pa.array([self.target_table[1]] * len(ops), pa.string()),
-                "table_map_id": pa.array(tm_ids, pa.int64()),
-                "schema_ver": pa.array(schema_vers, pa.int32()),
-                "file_seq": pa.array(file_seqs, pa.int32()),
-                "event_seq": pa.array(ev_seqs, pa.int64()),
-                "row_seq": pa.array(row_seqs, pa.int32()),
-                "commit_seq": pa.array(commit_seqs, pa.int64()),
-                "ts": pa.array(tss, pa.int64()),
-                "before": before_arr,
-                "after": after_arr,
-            },
+        return pa.Table.from_arrays(
+            [
+                op_arr,
+                pa.array([self.target_table[0]] * n, pa.string()),
+                pa.array([self.target_table[1]] * n, pa.string()),
+                pa.array(np.repeat(ev["table_id"], rows_e)),
+                pa.array(np.repeat(ver[ev["layout"]], rows_e)),
+                pa.array(np.repeat(shard_ids[ev["row"]].astype(np.int32), rows_e)),
+                ev_arr,
+                rs_arr,
+                commit_arr,
+                pa.array(np.repeat(ev["ts"], rows_e)),
+                image(before_img, ops == _OP_INSERT_CODE),
+                image(after_img, ops == _OP_DELETE_CODE),
+            ],
             schema=self.out_schema,
         )
-
-    def _decode_rows_into(
-        self,
-        payload,
-        header,
-        event_seq: int,
-        etype: int,
-        st: _TableState,
-        before_cols: list[list],
-        after_cols: list[list],
-        before_null: list[bool],
-        after_null: list[bool],
-    ) -> int:
-        """Decode a ROWS event with the layout's kernel, ``st.codegen``,
-        straight into the target-order struct children; dropped columns
-        go to the trash (`EventsIterator.php:370-506` + `RowFactory.php:28-182`).
-        Row images that do not end at the event's end raise
-        :func:`rows_overrun`."""
-        op = _OP_BY_TYPE[etype]
-        plan = st.plan
-        off, is_update = rows_body_offset(payload, etype, plan)
-        trash = self._trash
-        if trash:
-            trash.clear()
-        src_to_tgt = st.src_to_tgt
-        image = before_cols if op == "delete" else after_cols
-        out_lists = [image[t] if t is not None else trash for t in src_to_tgt]
-        bcols = (
-            [before_cols[t] if t is not None else trash for t in src_to_tgt]
-            if is_update
-            else ()
-        )
-        n_rows, off = st.codegen[op](payload, off, header.payload_size, out_lists, bcols, plan.readers)
-        if off != header.payload_size:
-            raise rows_overrun(plan.table_map, int(event_seq))
-        nones = [None] * n_rows
-        # null-fill an absent image, and a present one's added columns
-        for cols, absent in ((before_cols, op == "insert"), (after_cols, op == "delete")):
-            for t_i in range(len(cols)) if absent else st.null_fill_tgts:
-                cols[t_i].extend(nones)
-        before_null.extend([op == "insert"] * n_rows)
-        after_null.extend([op == "delete"] * n_rows)
-        return n_rows
 
     def _call_json(self, batch: pa.Table) -> pa.Table:
         """Multi-table single-pass decode: EVERY non-filtered table's row
@@ -1006,7 +940,7 @@ class BinlogDecoder:
         befores: list[str | None] = []
         afters: list[str | None] = []
 
-        for _shard_id, event_seq, _etype, table_id, st, h, payload, ctx in self._row_events(
+        for _row, event_seq, _etype, table_id, st, h, payload, ctx in self._row_events(
             batch, commit_seqs
         ):
             ev = parse_rows_event(payload, h, {table_id: st.plan}, int(event_seq))
@@ -1048,22 +982,69 @@ class BinlogDecoder:
             schema=self.out_schema,
         )
 
-    def _call_flat(self, batch: pa.Table) -> pa.Table:
-        """Flat decode path for the merge pipeline: one pass, no struct
-        images.  Update before-images decode ONLY the merge-key columns
-        (so key-changing updates tombstone the old key) and byte-skip the
-        rest; delete before-images decode only the merge-key columns —
-        the dominant memory-bandwidth saving at scale."""
-        n_target = len(self.target_names)
-        cols: list[list] = [[] for _ in range(n_target)]
-        meta = self._flat_rows(batch, cols)
-        if meta is None:
+    def _call_flat(self, batch: pa.Table, key_cols: tuple[str, ...] | None = None) -> pa.Table:
+        """Flat decode for the merge pipeline, through the located decode
+        (:meth:`_locate`): one row per row image, no struct images.  An
+        update's row is its after-image, and a key-changing update also
+        gets a tombstone (op ``delete``, its before-image's keys); a
+        delete's row holds only the merge keys; an added column is null.
+        Each event's rows come first, then its tombstones.
+
+        With ``key_cols`` only each key's newest row is kept, as
+        :meth:`flat_combined` documents; without, every row is.  Value
+        cells are built only for the rows kept (:meth:`_kept_values`)."""
+        p = self._locate(batch)
+        if p is None:
             return self._empty
-        ops, ev, row_seqs, commit_seqs = meta
-        st_type = self.struct_type
+        ev, located, base, buf = p
+        n_ev = len(ev["op"])
+        tombs = [_key_moved(loc) for loc in located]
+        # flat order: each event's rows, then its tombstones
+        rows_e = np.zeros(n_ev, dtype=np.int64)
+        tombs_e = np.zeros(n_ev, dtype=np.int64)
+        for loc, tb in zip(located, tombs):
+            rows_e += np.bincount(loc.events[loc.rows], minlength=n_ev)
+            tombs_e += np.bincount(loc.events[tb], minlength=n_ev)
+        self.n_rows += int(rows_e.sum())
+        counts = rows_e + tombs_e
+        n_flat = int(counts.sum())
+        if not n_flat:
+            return self._empty
+        first = np.cumsum(counts) - counts
+        ops = np.repeat(ev["op"], counts)
+        flat_img = np.empty(n_flat, dtype=np.int64)  # each row's image, over all layouts
+        row_seqs = np.empty(n_flat, dtype=np.int32)
+        img_base = 0
+        for loc, tb in zip(located, tombs):
+            ev_of, rows = loc.events, loc.rows
+            at = first[ev_of[rows]] + loc.row_of[rows]
+            flat_img[at] = img_base + rows
+            row_seqs[at] = loc.row_of[rows]
+            # a tombstone reuses its row's row_seq: a later row of the same
+            # event may re-fill the vacated key and must outrank it
+            te = ev_of[tb]  # ascending: images are in event order
+            at = first[te] + rows_e[te] + np.arange(len(tb)) - np.searchsorted(te, te)
+            flat_img[at] = img_base + tb
+            row_seqs[at] = loc.row_of[tb]
+            ops[at] = _OP_DELETE_CODE
+            img_base += len(ev_of)
+        seqs = np.repeat(ev["seq"], counts)
+        commit_seqs = np.repeat(ev["commit"], counts)
+
+        key_tgts = {t for t, n in enumerate(self.target_names) if n in self.key_names}
+        idx = pa.array(flat_img)
+        keys = {
+            self.target_names[t]: _target_column(located, t, self.struct_type.field(t).type).take(idx)
+            for t in sorted(key_tgts)
+        }
+        if key_cols is None or n_flat <= 1:
+            win = np.arange(n_flat)
+        else:
+            win = _winner_indices(pa.table({**keys, "event_seq": seqs, "row_seq": row_seqs}), key_cols)
+        values = self._kept_values(located, flat_img[win], ops[win] != _OP_DELETE_CODE, key_tgts, base, buf)
         arrays = [
-            _build_child(cols[i], st_type.field(i).type) for i in range(n_target)
-        ] + _meta_arrays(ops, ev, row_seqs, commit_seqs)
+            keys[n].take(win) if t in key_tgts else values[t] for t, n in enumerate(self.target_names)
+        ] + _meta_arrays(ops[win], seqs[win], row_seqs[win], commit_seqs[win])
         return pa.Table.from_arrays(arrays, schema=self.out_schema)
 
     def flat_combined(self, batch: pa.Table, key_cols: tuple[str, ...]) -> pa.Table:
@@ -1073,122 +1054,28 @@ class BinlogDecoder:
         combine keeps.  ``key_cols`` must be among the decoder's merge
         keys (``key_cols=`` / the table's primary key).
 
-        A located decode: no per-row Python and no codegen kernel.
-
-        1. The one walk, :meth:`_row_events`, and per accepted ROWS event
-           the one prologue, ``rows_body_offset``: where its row images
-           start and end in :func:`_payload_base`'s buffer.
-        2. Pass 1, per layout: :func:`_locate_images` walks one row
-           image of every event per numpy iteration and records each
-           image's start and merge-key cells; the key cells decode once
-           per column (:func:`_decode_cells`).  A key-changing update
-           gets its tombstone when Arrow says the before and after key
-           values differ.  Rows come out in :meth:`_call_flat`'s order:
-           each event's rows, then its tombstones.
-        3. Winners: ``merge._winner_indices`` over the key and sequence
+        1. The walk and pass 1, :meth:`_locate`: per layout,
+           :func:`_locate_images` walks one row image of every event per
+           numpy iteration and records each image's start and merge-key
+           cells; the key cells decode once per column
+           (:func:`_decode_cells`).  A key-changing update gets its
+           tombstone when Arrow says the before and after key values
+           differ (:func:`_key_moved`).
+        2. Winners: ``merge._winner_indices`` over the key and sequence
            columns, the function ``lww_partial`` runs.
-        4. Pass 2: :func:`_walk_images` once over the winning after-images
-           of each layout, vectorized over the winners, locates their
-           value cells, which :func:`_decode_cells` gathers from the
-           payload buffer.  Deletes, tombstones and added columns are
-           null.
+        3. Pass 2, :meth:`_kept_values`: :func:`_walk_images` once over
+           the winning after-images of each layout, vectorized over the
+           winners, locates their value cells, which :func:`_decode_cells`
+           gathers from the payload buffer.  Deletes, tombstones and
+           added columns are null.
         """
         assert self.output == "flat"
         not_decoded = [k for k in key_cols if k in self.target_names and k not in self.key_names]
         if not_decoded:
             raise ValueError(f"merge keys {not_decoded} are not decoder merge keys {self.key_names}")
-        base, buf, starts = _payload_base(batch)
-        # the walk passes shard_id through untouched and the flat modes
-        # never read it: it carries each event's row in the batch here
-        tagged = pa.table(
-            {
-                "shard_id": np.arange(batch.num_rows),
-                "event_seq": batch.column("event_seq"),
-                "payload": batch.column("payload"),
-            }
-        )
-        # one commit stamp per event: an XID stamps all of an event's rows
-        commits: list[int] = []
-        layouts: dict[_TableState, int] = {}
-        ev_layout, ev_op, ev_seq, ev_pos, ev_end, ev_cap = [], [], [], [], [], []
-        for row, event_seq, etype, _tid, st, h, payload, ctx in self._row_events(tagged, commits):
-            off, _ = rows_body_offset(payload, etype, st.plan)
-            at = starts[row]
-            ev_layout.append(layouts.setdefault(st, len(layouts)))
-            ev_op.append(_OP_CODE_BY_TYPE[etype])
-            ev_seq.append(event_seq)
-            ev_pos.append(at + off)
-            ev_end.append(at + h.payload_size)
-            ev_cap.append(at + len(payload))
-            commits.append(ctx.cur_commit)
-        if not ev_op:
-            return self._empty
-        ev_layout = np.asarray(ev_layout)
-        ev_op = np.asarray(ev_op, dtype=np.int8)
-        ev_seq = np.asarray(ev_seq, dtype=np.int64)
-        bounds = [np.asarray(v, dtype=np.int64) for v in (ev_pos, ev_end, ev_cap)]
+        return self._call_flat(batch, key_cols)
 
-        located = []
-        for st, j in layouts.items():
-            lanes = np.flatnonzero(ev_layout == j)
-            update = ev_op[lanes] == _OP_UPDATE_CODE
-            pos, end, cap = (v[lanes] for v in bounds)
-            located.append(_locate_images(base, buf, st, lanes, update, pos, end, cap, ev_seq[lanes]))
-
-        # flat order: each event's rows, then its tombstones
-        rows_e = np.zeros(len(ev_op), dtype=np.int64)
-        tombs_e = np.zeros(len(ev_op), dtype=np.int64)
-        for loc in located:
-            rows_e += np.bincount(loc.events[loc.rows], minlength=len(ev_op))
-            tombs_e += np.bincount(loc.events[loc.tombs], minlength=len(ev_op))
-        self.n_rows += int(rows_e.sum())
-        counts = rows_e + tombs_e
-        n_flat = int(counts.sum())
-        if not n_flat:
-            return self._empty
-        first = np.cumsum(counts) - counts
-        ops = np.repeat(ev_op, counts)
-        flat_img = np.empty(n_flat, dtype=np.int64)  # each row's image, over all layouts
-        row_seqs = np.empty(n_flat, dtype=np.int32)
-        img_base = 0
-        for loc in located:
-            ev, rows, tombs = loc.events, loc.rows, loc.tombs
-            at = first[ev[rows]] + loc.row_of[rows]
-            flat_img[at] = img_base + rows
-            row_seqs[at] = loc.row_of[rows]
-            te = ev[tombs]  # ascending: images are in event order
-            at = first[te] + rows_e[te] + np.arange(len(tombs)) - np.searchsorted(te, te)
-            flat_img[at] = img_base + tombs
-            row_seqs[at] = loc.row_of[tombs]
-            ops[at] = _OP_DELETE_CODE
-            img_base += len(ev)
-        ev = np.repeat(ev_seq, counts)
-        commit_seqs = np.repeat(np.asarray(commits, dtype=np.int64), counts)
-
-        st_type = self.struct_type
-        key_tgts = {t for t, n in enumerate(self.target_names) if n in self.key_names}
-        keys = {}
-        for t in sorted(key_tgts):
-            typ = st_type.field(t).type
-            pieces = []
-            for loc in located:
-                s = loc.st.remap[t]
-                arr = loc.keys[s] if s is not None else pa.nulls(len(loc.events), typ)
-                pieces.append(arr if arr.type == typ else arr.cast(typ))
-            joined = pieces[0] if len(pieces) == 1 else pa.concat_arrays(pieces)
-            keys[self.target_names[t]] = joined.take(pa.array(flat_img))
-        if n_flat <= 1:
-            win = np.arange(n_flat)
-        else:
-            seq = {"event_seq": ev, "row_seq": row_seqs}
-            win = _winner_indices(pa.table({**keys, **seq}), key_cols)
-        values = self._winner_values(located, flat_img[win], ops[win] != _OP_DELETE_CODE, key_tgts, base, buf)
-        arrays = [
-            keys[n].take(win) if t in key_tgts else values[t] for t, n in enumerate(self.target_names)
-        ] + _meta_arrays(ops[win], ev[win], row_seqs[win], commit_seqs[win])
-        return pa.Table.from_arrays(arrays, schema=self.out_schema)
-
-    def _winner_values(
+    def _kept_values(
         self,
         located: list[_Located],
         win_img: np.ndarray,
@@ -1197,9 +1084,9 @@ class BinlogDecoder:
         base: pa.Buffer,
         buf: np.ndarray,
     ) -> dict[int, pa.Array]:
-        """Pass 2 of :meth:`flat_combined`: the non-key target columns
-        of the winners, whose images (over all layouts, in ``located``'s
-        order) are ``win_img``.  :func:`_walk_images` walks the winning
+        """Pass 2 of the flat modes: the non-key target columns of the
+        rows kept, whose images (over all layouts, in ``located``'s
+        order) are ``win_img``.  :func:`_walk_images` walks the kept
         after-images (``is_image``) of each layout once, vectorized over
         them, and :func:`_decode_cells` gathers each column's cells; a
         delete or tombstone, and a column the image's layout lacks, is
@@ -1238,156 +1125,3 @@ class BinlogDecoder:
             else:
                 out[t] = vals[0] if len(vals) == 1 else pc.coalesce(*vals)
         return out
-
-    def _flat_rows(
-        self, batch: pa.Table, cols: list[list]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-        """:meth:`_call_flat`'s pass over :meth:`_row_events`: each ROWS
-        event decoded into the target-order ``cols`` by its layout's
-        kernel.  Returns the per-row op code, event_seq, row_seq and
-        commit_seq as numpy arrays, or None when the batch has no row."""
-        # metadata columns are run-length encoded per event and expanded
-        # ONCE with numpy at the end: [op]*n / [seq]*n temp lists and the
-        # per-element appends were ~10% of the kernel (measured)
-        op_codes: list[int] = []  # index into _OP_NAMES_ARROW
-        run_counts: list[int] = []
-        ev_vals: list[int] = []
-        row_seqs: list[int] = []
-        # commit stamping mutates a per-row list in place (_handle_marker
-        # XID backfill rewrites earlier rows), so commit_seqs stays a
-        # plain per-row list
-        commit_seqs: list[int] = []
-
-        for _shard_id, event_seq, etype, _table_id, st, h, payload, ctx in self._row_events(
-            batch, commit_seqs
-        ):
-            n_rows, tomb_rows = self._decode_rows_flat(payload, h, event_seq, etype, st, cols)
-            if n_rows:
-                op_codes.append(_OP_CODE_BY_TYPE[etype])
-                run_counts.append(n_rows)
-                ev_vals.append(int(event_seq))
-            # tombstones for key-changing updates reuse their SOURCE row's
-            # row_seq (as flatten_changefeed does): a later row in the same
-            # UPDATE event may re-fill the vacated key, and its after-image
-            # must outrank the tombstone in the merge's (event_seq, row_seq)
-            # lexsort.  No tie is possible: a tombstone's key always differs
-            # from its own row's after-image key, and row_seq is unique per
-            # row within the event.
-            if tomb_rows:
-                op_codes.append(_OP_DELETE_CODE)
-                run_counts.append(len(tomb_rows))
-                ev_vals.append(int(event_seq))
-            total = n_rows + len(tomb_rows)
-            row_seqs.extend(range(n_rows))
-            row_seqs.extend(tomb_rows)
-            if total:
-                commit_seqs.extend([ctx.cur_commit] * total)
-            self.n_rows += n_rows
-
-        if not run_counts:
-            return None
-        counts = np.asarray(run_counts, dtype=np.int64)
-        return (
-            np.repeat(np.asarray(op_codes, dtype=np.int8), counts),
-            np.repeat(np.asarray(ev_vals, dtype=np.int64), counts),
-            np.asarray(row_seqs, dtype=np.int32),
-            np.asarray(commit_seqs, dtype=np.int64),
-        )
-
-    def _decode_rows_flat(
-        self,
-        payload,
-        header,
-        event_seq: int,
-        etype: int,
-        st: _TableState,
-        cols: list[list],
-    ) -> tuple[int, list[int]]:
-        """One ROWS event into the target-order ``cols`` through the
-        layout's kernel.  Returns the row count and the source row of each key-change
-        tombstone, whose rows it appends after the event's rows.  Row
-        images that do not end at the event's end raise
-        :func:`rows_overrun`."""
-        op = _OP_BY_TYPE[etype]
-        plan = st.plan
-        off, is_update = rows_body_offset(payload, etype, plan)
-        end = header.payload_size
-
-        # DIRECT WRITE: codegen appends straight into the batch output
-        # lists (source ordinal -> target list; dropped columns go to a
-        # shared trash list) — the per-event scratch allocation + full
-        # extend-copy was ~10% of the kernel (measured).  A decode error
-        # aborts the whole call either way, so partial appends can never
-        # leak into a returned table.
-        src_to_tgt = st.src_to_tgt
-        trash = self._trash
-        if st.key_trash_srcs:
-            # a merge-key column was dropped from the target layout: its
-            # after-image feeds the tombstone compare, so it gets a
-            # dedicated per-event list instead of the shared trash
-            akey = self._akey_lists
-            while len(akey) < len(src_to_tgt):
-                akey.append([])
-            for s in st.key_trash_srcs:
-                akey[s].clear()
-            key_src_set = st.key_src
-            out_lists = [
-                cols[t] if t is not None else (akey[s] if s in key_src_set else trash)
-                for s, t in enumerate(src_to_tgt)
-            ]
-        else:
-            out_lists = [
-                cols[t] if t is not None else trash for t in src_to_tgt
-            ]
-        if trash:
-            trash.clear()
-        bcols = self._bkey_lists
-        key_list = st.key_list
-        if is_update and key_list:
-            while len(bcols) < len(src_to_tgt):
-                bcols.append([])
-            for k in key_list:
-                bcols[k].clear()
-        n_rows, off = st.codegen[op](payload, off, end, out_lists, bcols, plan.readers)
-        if off != end:
-            raise rows_overrun(plan.table_map, int(event_seq))
-        for t_i in st.null_fill_tgts:  # added columns: no source bytes
-            cols[t_i].extend([None] * n_rows)
-        if not is_update or not key_list:
-            return n_rows, []
-        # key-CHANGING updates: the OLD key needs a tombstone row or its
-        # stale image survives the merge (codegen decoded before-image
-        # key columns into bcols).  Returns the SOURCE row index of each
-        # tombstone so the caller can reuse that row's row_seq.
-        if len(key_list) == 1:
-            # dominant case (SIMPLE_PRIMARY_KEY is one column): a direct
-            # pairwise compare against this event's tail of the output
-            # column, no per-row any()/genexpr frames
-            k0 = key_list[0]
-            bs, asc = bcols[k0], out_lists[k0]
-            base = len(asc) - n_rows
-            moved = [r for r in range(n_rows) if bs[r] != asc[base + r]]
-        else:
-            # zip-based per-column masks: C-level iteration, no per-row
-            # any()/genexpr frames (measured ~2x on multi-column keys)
-            s0 = key_list[0]
-            a0 = out_lists[s0]
-            mask = [x != y for x, y in zip(bcols[s0], a0[len(a0) - n_rows :])]
-            for s in key_list[1:]:
-                a_s = out_lists[s]
-                mask = [
-                    a or (x != y)
-                    for a, x, y in zip(
-                        mask, bcols[s], a_s[len(a_s) - n_rows :]
-                    )
-                ]
-            moved = [r for r, f in enumerate(mask) if f]
-        if not moved:
-            return n_rows, []
-        key_src = st.key_src
-        for t_i, s_i in enumerate(st.remap):
-            if s_i is not None and s_i in key_src:
-                cols[t_i].extend(bcols[s_i][r] for r in moved)
-            else:
-                cols[t_i].extend([None] * len(moved))
-        return n_rows, moved

@@ -52,6 +52,88 @@ def _simple_stream(tm, rows_events):
 TM = repos_table_map(False)
 
 
+def _reference_rows(dec, batch):
+    """What ``dec(batch)`` returns in the changefeed or flat mode, built
+    without the located decode: ``dec``'s event walk (``_row_events``:
+    replay skip, filters, checksums, in-band maps, commit stamps) yields
+    each ROWS event, ``parse_rows_event`` (the conformance reference)
+    decodes its rows, and Python applies the typed modes' rules: target
+    remap with added columns null and dropped ones gone, and in flat mode
+    a delete holding only the merge keys and a tombstone after the
+    event's rows for each key-changing update.  Counts rows on ``dec``
+    as the modes do."""
+    from mysql_binlog_ray.protocol.decode import parse_rows_event
+
+    types = {f.name: f.type for f in dec.struct_type}
+
+    def remap(img):
+        if img is None:
+            return None
+        # a u64 past 2^63 is a decimal string (the reference's GMP fallback)
+        return {
+            n: int(img[n]) if pa.types.is_uint64(t) and isinstance(img.get(n), str) else img.get(n)
+            for n, t in types.items()
+        }
+
+    shard_ids = batch.column("shard_id").to_pylist()
+    commits, rows = [], []
+    for row, event_seq, _etype, table_id, st, h, payload, ctx in dec._row_events(batch, commits):
+        ev = parse_rows_event(payload, h, {table_id: st.plan}, int(event_seq))
+        dec.n_rows += len(ev.rows)
+        images = {
+            "insert": lambda r: (None, r),
+            "update": lambda r: (r["before"], r["after"]),
+            "delete": lambda r: (r, None),
+        }[ev.op]
+        seq = {"event_seq": int(event_seq)}
+        if dec.output == "changefeed":
+            for i, (before, after) in enumerate(map(images, ev.rows)):
+                rows.append(
+                    {
+                        "op": ev.op,
+                        "schema_name": dec.target_table[0],
+                        "table_name": dec.target_table[1],
+                        "table_map_id": table_id,
+                        "schema_ver": st.schema_ver,
+                        "file_seq": shard_ids[row],
+                        **seq,
+                        "row_seq": i,
+                        "ts": h.timestamp,
+                        "before": remap(before),
+                        "after": remap(after),
+                    }
+                )
+                commits.append(ctx.cur_commit)
+            continue
+        keys = [k for k in dec.key_names if k in st.plan.names]
+        tombs = []
+        for i, (before, after) in enumerate(map(images, ev.rows)):
+            image = after if after is not None else {k: before[k] for k in keys}
+            rows.append({**remap(image), "op": ev.op, **seq, "row_seq": i})
+            if before is not None and after is not None and any(before[k] != after[k] for k in keys):
+                tombs.append({**remap({k: before[k] for k in keys}), "op": "delete", **seq, "row_seq": i})
+        rows += tombs
+        commits += [ctx.cur_commit] * (len(ev.rows) + len(tombs))
+    for r, c in zip(rows, commits):
+        r["commit_seq"] = c
+    return pa.Table.from_pylist(rows, schema=dec.out_schema)
+
+
+def _assert_modes_match_reference(blocks, **kw):
+    """The changefeed and flat modes equal :func:`_reference_rows` on
+    every block (schema and row order included), with equal counters."""
+    for output in ("changefeed", "flat"):
+        dec, ref = BinlogDecoder(output=output, **kw), BinlogDecoder(output=output, **kw)
+        for blk in blocks:
+            got, want = dec(blk), _reference_rows(ref, blk)
+            assert got.schema.equals(want.schema, check_metadata=True)
+            assert got.equals(want), (output, got.to_pylist()[:2], want.to_pylist()[:2])
+        counters = ("n_events", "n_rows", "n_checksum_failures")
+        assert [getattr(dec, c) for c in counters] == [getattr(ref, c) for c in counters]
+
+
+
+
 def _mk_row(i):
     return {
         "repo": f"org0/repo{i}",
@@ -968,9 +1050,11 @@ class TestOneDecodeWalk:
                 if (
                     isinstance(node, ast.For)
                     and isinstance(node.iter, ast.Call)
-                    and getattr(node.iter.func, "id", None) == "zip"
-                    and [getattr(a, "id", None) for a in node.iter.args]
-                    == ["shard_ids", "event_seqs", "payloads"]
+                    and getattr(node.iter.func, "id", None) == "enumerate"
+                    and isinstance(node.iter.args[0], ast.Call)
+                    and getattr(node.iter.args[0].func, "id", None) == "zip"
+                    and [getattr(a, "id", None) for a in node.iter.args[0].args]
+                    == ["event_seqs", "payloads"]
                 ):
                     loops.append(fn.name)
         assert loops == ["_row_events"]
@@ -1028,9 +1112,7 @@ class TestOneDecodeWalk:
         }
         assert callers("rows_body_offset") == {
             (decode, "parse_rows_event"),
-            (os.path.join("stages", "decode_stage.py"), "_decode_rows_into"),
-            (os.path.join("stages", "decode_stage.py"), "_decode_rows_flat"),
-            (os.path.join("stages", "decode_stage.py"), "flat_combined"),
+            (os.path.join("stages", "decode_stage.py"), "_locate"),
         }
 
     def test_json_rows_decode_through_parse_rows_event(self):
@@ -1045,14 +1127,18 @@ class TestOneDecodeWalk:
         assert list(self._calls(self._stage(), "parse_rows_event")) == ["_call_json"]
 
     def test_typed_modes_decode_through_one_kernel(self):
-        """The changefeed and flat modes decode rows only through the
-        layout's code-generated kernel (``st.codegen[op]``), and
-        ``flat_combined`` calls none: its located decode reads the cells
-        no numpy or Arrow gather covers through ``readers[i](...)`` at
-        one call site, ``_decode_cells``; no per-cell closure walk is
-        left in the stage."""
+        """The changefeed and flat modes and ``flat_combined`` decode rows
+        through one located decode: no code-generated kernel is left
+        (``protocol/codegen.py`` is gone and the package runs no
+        ``exec``), and the cells no numpy or Arrow gather covers are read
+        through ``readers[i](...)`` at one call site, ``_decode_cells``;
+        no per-cell closure walk is left in the stage."""
         import ast
+        import glob as _glob
 
+        assert not os.path.exists(os.path.join(self.PKG, "protocol", "codegen.py"))
+        for path in _glob.glob(os.path.join(self.PKG, "**", "*.py"), recursive=True):
+            assert not self._calls(path, "exec"), path
         kernel_calls, reader_calls = [], []
 
         class V(ast.NodeVisitor):
@@ -1076,13 +1162,15 @@ class TestOneDecodeWalk:
 
         V().visit(ast.parse(open(self._stage()).read()))
         assert reader_calls == ["_decode_cells"]
-        assert sorted(kernel_calls) == ["_decode_rows_flat", "_decode_rows_into"]
+        assert kernel_calls == []
+        # the changefeed and both flat modes share the walk and pass 1
+        assert sorted(self._calls(self._stage(), "_locate")) == ["_call_changefeed", "_call_flat"]
 
 
 class TestTableStateCache:
-    """Each table layout's plan and code-generated row decoders are
-    compiled once per process (``decode_stage._table_state``) and shared
-    by every decoder built for the same target and merge keys."""
+    """Each table layout's plan and cell layouts are built once per
+    process (``decode_stage._table_state``) and shared by every decoder
+    built for the same target and merge keys."""
 
     @staticmethod
     def _flat(maps, **kw):
@@ -1095,7 +1183,7 @@ class TestTableStateCache:
         assert all(a.states[t] is b.states[t] for t in a.states)
         # the post-DDL layout is a state of its own
         v1, v2 = (a.states[t] for t in sorted(a.states))
-        assert v1 is not v2 and v1.codegen is not v2.codegen
+        assert v1 is not v2
         assert "stars" not in v1.plan.names and "stars" in v2.plan.names
         # another merge key is another state
         c = self._flat(m["table_maps"], key_cols=("repo",))
@@ -1305,23 +1393,28 @@ LAYOUT_KEYS = [
 
 class TestFusedCombine:
     """``BinlogDecoder.flat_combined`` (the lake's spill tasks decode
-    through it) is Arrow-equal to ``lww_partial`` over the flat decode:
-    same schema, rows and row order, and the same decoder counters."""
+    through it) is Arrow-equal to ``lww_partial`` over the flat rows:
+    same schema, rows and row order, and the same decoder counters.  The
+    flat rows come from :func:`_reference_rows` (``parse_rows_event``),
+    and ``__call__``'s flat mode must equal them too."""
 
     @staticmethod
     def _assert_fused(blocks, key_cols, dec_keys=None, **kw):
         from mysql_binlog_ray.stages.merge import lww_partial
 
         kw = dict(output="flat", key_cols=dec_keys or key_cols, **kw)
-        flat, fused = BinlogDecoder(**kw), BinlogDecoder(**kw)
+        ref, flat, fused = BinlogDecoder(**kw), BinlogDecoder(**kw), BinlogDecoder(**kw)
         outs = []
         for blk in blocks:
-            want = lww_partial(flat(blk), key_cols)
+            rows = _reference_rows(ref, blk)
+            assert flat(blk).equals(rows)
+            want = lww_partial(rows, key_cols)
             outs.append(fused.flat_combined(blk, key_cols))
             assert outs[-1].schema.equals(want.schema, check_metadata=True)
             assert outs[-1].equals(want), (outs[-1].to_pylist()[:3], want.to_pylist()[:3])
         counters = ("n_events", "n_rows", "n_checksum_failures")
-        assert [getattr(fused, c) for c in counters] == [getattr(flat, c) for c in counters]
+        assert [getattr(fused, c) for c in counters] == [getattr(ref, c) for c in counters]
+        assert [getattr(flat, c) for c in counters] == [getattr(ref, c) for c in counters]
         return pa.concat_tables(outs), fused
 
     @staticmethod
@@ -1395,8 +1488,8 @@ class TestFusedCombine:
 
     def test_merge_key_dropped_by_ddl(self):
         """A merge-key column the latest layout dropped still drives the
-        tombstone compare (``key_trash_srcs``); the combine keys on the
-        surviving target key."""
+        tombstone compare (it is in the old layout's ``key_list`` with no
+        target slot); the combine keys on the surviving target key."""
         tm0 = repos_table_map(False)
         tm1 = TableMapDef(
             table_id=tm0.table_id + 1,
@@ -1421,7 +1514,8 @@ class TestFusedCombine:
             dec_keys=("repo", "path"),
             registry_snapshot=[tm0.to_dict(), tm1.to_dict()],
         )
-        assert got.num_rows == 2 and next(iter(dec.states.values())).key_trash_srcs
+        st = dec.states[tm0.table_id]
+        assert got.num_rows == 2 and any(st.src_to_tgt[k] is None for k in st.key_list)
 
     def test_u64_at_and_above_2_63(self):
         cols = (
@@ -1556,14 +1650,15 @@ class TestFusedCombine:
     def test_every_cell_layout(self, keys):
         """Generated rows over one column per ``cell_layout`` family,
         NULLs in every column: ``flat_combined`` equals ``lww_partial``
-        over the codegen flat decode for merge keys of every family (two
-        columns and more, uint64 past 2^63, FLOAT/DOUBLE with +-0.0)."""
+        over the reference flat rows for merge keys of every family (two
+        columns and more, uint64 past 2^63, FLOAT/DOUBLE with +-0.0), and
+        the flat and changefeed modes equal the reference rows."""
         tm = self._layout_table()
         evs = _simple_stream(tm, _layout_rows_events(tm, keys, seed=len(keys) * 31 + ord(keys[0][0])))
-        got, dec = self._assert_fused(
-            [_batch(evs)], keys, registry_snapshot=[tm.to_dict()], target_table=("code", "layouts")
-        )
+        kw = dict(registry_snapshot=[tm.to_dict()], target_table=("code", "layouts"))
+        got, dec = self._assert_fused([_batch(evs)], keys, **kw)
         assert 0 < got.num_rows <= dec.n_rows
+        _assert_modes_match_reference([_batch(evs)], key_cols=keys, **kw)
 
     @pytest.mark.parametrize("variant", ["whole", "sliced", "one_buffer_chunks", "two_buffer_chunks", "large_binary"])
     def test_mid_block_ddl_and_payload_shapes(self, variant):
@@ -1587,11 +1682,11 @@ class TestFusedCombine:
             w.packet(EventType.XID, E.encode_xid_body(8)),
         ]
         block = _payload_variants(_batch(evs))[variant]
-        got, dec = self._assert_fused(
-            [block], keys, registry_snapshot=[tm1.to_dict(), tm2.to_dict()], target_table=("code", "layouts")
-        )
+        kw = dict(registry_snapshot=[tm1.to_dict(), tm2.to_dict()], target_table=("code", "layouts"))
+        got, dec = self._assert_fused([block], keys, **kw)
         assert len(dec.states) == 2 and "added" in got.column_names and "lat" not in got.column_names
         assert got.column("added").null_count < got.num_rows
+        _assert_modes_match_reference([block], key_cols=keys, **kw)
 
     def test_small_stream_payload_shapes(self, small_stream):
         _spec, _out, m = small_stream

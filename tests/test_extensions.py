@@ -321,26 +321,6 @@ class TestConnectedComponents:
         assert by[20] == by[21] == 20
 
 
-class TestBuildChild:
-    def test_u64_decimal_string_fallback(self):
-        # the optimistic C-path must still fall back to per-value
-        # conversion when the decoder emitted >=2^63 values as decimal
-        # strings (reference GMP fallback)
-        import pyarrow as pa
-
-        from mysql_binlog_ray.stages.decode_stage import _build_child
-
-        vals = [1, "18446744073709551615", None, 2**63]
-        assert _build_child(vals, pa.uint64()).to_pylist() == [
-            1,
-            18446744073709551615,
-            None,
-            2**63,
-        ]
-        # pure-int batches take the no-scan path and round-trip exactly
-        assert _build_child([0, 5, None], pa.uint64()).to_pylist() == [0, 5, None]
-
-
 class TestArrowNative:
     def test_native_casts(self):
         from mysql_binlog_ray.stages.arrow_native import to_arrow_native

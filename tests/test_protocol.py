@@ -28,7 +28,8 @@ from mysql_binlog_ray.stages.decode_stage import BinlogDecoder
 
 def kernel_rows(tm, packets, mode):
     """Decode ``packets`` with ``BinlogDecoder`` in a typed mode, i.e.
-    through the table's code-generated row kernel, as Python rows."""
+    through the located decode (numpy cell walk, Arrow gathers and the
+    layout's cell readers), as Python rows."""
     batch = pa.table(
         {
             "shard_id": pa.array([0] * len(packets), pa.int32()),
@@ -73,8 +74,8 @@ def one_row_roundtrip(cols, row, expect=None):
     got = ev.rows[0]
     for k, v in (expect or row).items():
         assert got[k] == v, (k, got[k], v)
-    # the typed modes decode through the code-generated kernel: every
-    # column must match the conformance decoder's row
+    # the typed modes decode through the located decode: every column
+    # must match the conformance decoder's row
     (cf,) = kernel_rows(tm2, [fd, tmev, wr], "changefeed")
     assert cf["op"] == "insert" and cf["before"] is None
     assert_same_image(cf["after"], got)
@@ -418,18 +419,19 @@ class TestJsonColumns:
         assert [r["name"] for r in got] == ["x", "y", "w"]
 
     def test_json_skipper_advances_correctly(self):
-        """Flat mode byte-skips before-images: the JSON skipper must land
-        exactly after the cell."""
+        """The located decode walks past cells it does not keep by
+        ``cell_layout``: a JSON cell is a 4-byte length prefix and that
+        many bytes, so the walk lands exactly after the cell."""
         from mysql_binlog_ray.protocol import decode as D
         from mysql_binlog_ray.protocol.jsonb import encode_jsonb
 
         tm = self._tm()
-        plan = D.DecodePlan.compile(tm)
         doc = encode_jsonb({"a": [1, 2, 3], "b": "xyz"})
         cell = len(doc).to_bytes(4, "little") + doc
         data = b"\x00" * 7 + cell + b"\xff"
-        skipper = plan.skippers[1]
-        assert skipper(data, 7) == 7 + len(cell)
+        w, lb = D.cell_layout(tm.columns[1])
+        assert (w, lb) == (0, 4)
+        assert 7 + lb + int.from_bytes(data[7 : 7 + lb], "little") == 7 + len(cell)
 
 
 class TestAdviceFixes:
@@ -520,11 +522,12 @@ class TestGeometryColumn:
         ev = D.parse_rows_event(wr, D.parse_header(wr, 4), {tm2.table_id: D.DecodePlan.compile(tm2)})
         assert ev.rows[0]["geom"] == BINARY_TAG + base64.b64encode(wkb).decode("ascii")
         assert ev.rows[1]["geom"] is None
-        # skipper parity
-        plan = D.DecodePlan.compile(tm2)
+        # the walk's width rule: a 4-byte length prefix, then the WKB
         cell = len(wkb).to_bytes(4, "little") + wkb
         data = b"\x00" * 3 + cell + b"\xff"
-        assert plan.skippers[1](data, 3) == 3 + len(cell)
+        w, lb = D.cell_layout(tm2.columns[1])
+        assert (w, lb) == (0, 4)
+        assert 3 + lb + int.from_bytes(data[3 : 3 + lb], "little") == 3 + len(cell)
 
     def test_wkb_point_both_byte_orders(self):
         from mysql_binlog_ray.protocol.geometry import ewkt_point, wkb_to_ewkt
