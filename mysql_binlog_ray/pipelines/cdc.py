@@ -31,11 +31,12 @@ partition files) and write through the same merge task; the lake has
 one writer, :func:`_merge_write_partition`, and one write path: every
 commit stages its files and :func:`_exchange` moves them into place, so
 a failed merge task leaves every committed file as it was.  The
-Dataset-returning paths (``run_to_dataset``, ``state_as_of``,
-``audit_lake``'s replay side) take ``run_to_lake``'s event sources
-(:func:`_event_sources`, the one source plan and the one decode), run
-the same exchange into a scratch dir and read the partition files back
-(:func:`_exchange_to_dataset`).
+Dataset-returning paths (``run_to_dataset``, ``state_as_of``) and
+``audit_lake``'s replay side take ``run_to_lake``'s event sources
+(:func:`_event_sources`, the one source plan and the one decode) and
+run the same exchange into a scratch dir.  Every reader of partition
+files, committed or scratch, gets their paths from one resolver,
+:func:`_partition_files`.
 """
 
 from __future__ import annotations
@@ -332,30 +333,22 @@ def merge_lww(flat: rd.Dataset, cfg: CdcConfig) -> rd.Dataset:
 def _exchange_to_dataset(sources: Iterable[tuple], cfg: CdcConfig) -> rd.Dataset:
     """The Dataset paths' one tail: :func:`_exchange` of ``sources``
     into a ``tempfile.mkdtemp()`` scratch dir as in a lake commit, then
-    the partition files read back by one small Ray task each
-    (:func:`_read_partition_file`; Ray Data's ``read_parquet`` set-up
-    was nearly all of the read-back's time), every read finished before
-    the scratch dir is removed.  Merge tasks write the scratch dir on
-    whichever worker runs them, so on a multi-node cluster ``TMPDIR``
+    the partition files (:func:`_partition_files`) read back by one
+    small Ray task each (:func:`_file_task`; Ray Data's ``read_parquet``
+    set-up was nearly all of the read-back's time), every read finished
+    before the scratch dir is removed.  Merge tasks write the scratch dir
+    on whichever worker runs them, so on a multi-node cluster ``TMPDIR``
     has to be a shared filesystem, like the lake."""
     scratch = tempfile.mkdtemp()
     try:
         parts, _ = _exchange(sources, scratch, cfg, {})
-        paths = _live_partition_paths(scratch, {"partitions": parts})
-        if not paths:
+        refs = [_file_task.remote(path) for path in _partition_files(scratch, parts).values()]
+        if not refs:
             return rd.from_items([])
-        refs = [_read_partition_file.remote(path) for path in paths]
         ray.wait(refs, num_returns=len(refs), fetch_local=False)
         return rd.from_arrow_refs(refs)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-
-@ray.remote
-def _read_partition_file(path: str) -> pa.Table:
-    """One partition file as Arrow (``ParquetFile`` infers no hive
-    ``part`` column)."""
-    return pq.ParquetFile(path).read()
 
 
 def _with_flat_decode(cfg: CdcConfig) -> CdcConfig:
@@ -484,16 +477,28 @@ def _commit_lake(
     return m
 
 
-def _live_partition_paths(lake_dir: str, m: dict[str, Any]) -> list[str]:
-    """The committed partition files that hold rows."""
-    return [_lake_partition_path(lake_dir, p["part"]) for p in m["partitions"] if p["rows"] > 0]
+def _partition_files(lake_dir: str, entries: Iterable[dict[str, Any]]) -> dict[int, str]:
+    """The one resolver of partition files: ``{part: path}`` for the
+    partition entries (a manifest's ``partitions`` or :func:`_exchange`'s
+    result, in a lake or a scratch dir) that hold rows, in entry order.
+    Every reader of partition files gets its paths here; only this and
+    the writer spell the file layout (:func:`_lake_partition_path`)."""
+    return {p["part"]: _lake_partition_path(lake_dir, p["part"]) for p in entries if p["rows"] > 0}
 
 
-def _read_live_partitions(lake_dir: str, m: dict[str, Any]) -> rd.Dataset:
-    """Hive read of :func:`_live_partition_paths` (``part`` column
-    included); ``read_parquet`` refuses an empty path list."""
-    paths = _live_partition_paths(lake_dir, m)
-    return rd.read_parquet(paths) if paths else rd.from_items([])
+def _read_lake_file(path: str) -> pa.Table:
+    """One partition file as Arrow (``ParquetFile`` infers no hive
+    ``part`` column)."""
+    return pq.ParquetFile(path).read()
+
+
+@ray.remote
+def _file_task(path: str, fn: Any = None, *args: Any) -> Any:
+    """One small Ray task per partition file: :func:`_read_lake_file`,
+    then ``fn(table, *args)`` when ``fn`` is given (a point lookup's
+    semi-join, the audit's :func:`_file_digest`)."""
+    tab = _read_lake_file(path)
+    return tab if fn is None else fn(tab, *args)
 
 
 def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table:
@@ -533,13 +538,13 @@ def _merge_write_partition(
     part: int,
     lake_dir: str,
     key_cols: tuple[str, ...],
-    prior_rows: int,
+    prior_file: str | None,
     zorder: tuple[list[str], int] | None,
 ) -> dict[str, Any]:
     """The lake's one writer, the per-partition final merge of the keyed
-    exchange: the increment's rows for ``part``, then (selective resume,
-    ``prior_rows > 0``) the partition's committed lake rows, read back
-    here from the live file rather than shipped through the exchange;
+    exchange: the increment's rows for ``part``, then (selective resume)
+    the partition's committed lake rows, read back here from
+    ``prior_file`` rather than shipped through the exchange;
     final LWW, row order, one atomic zstd write (plain pages, statistics
     kept) into ``lake_dir/_compact``, which :func:`_exchange` moves into
     place.
@@ -555,10 +560,11 @@ def _merge_write_partition(
     """
     from ..stages.layout import zorder_sort_indices
 
-    path = _lake_partition_path(lake_dir, part)
-    if prior_rows:
-        # ParquetFile, not read_table: no hive `part` column is inferred
-        new = [*new, _rows_as_inserts(pq.ParquetFile(path).read())]
+    prior_rows = 0
+    if prior_file:
+        prior = _read_lake_file(prior_file)
+        prior_rows = prior.num_rows
+        new = [*new, _rows_as_inserts(prior)]
     final = lww_final(pa.concat_tables(new, promote_options="default"), key_cols)
     if zorder:
         final = final.take(zorder_sort_indices(final, *zorder, key_cols))
@@ -581,7 +587,7 @@ def _merge_spilled_partition(
     parts: list[int],
     lake_dir: str,
     key_cols: tuple[str, ...],
-    prior_rows: dict[int, int],
+    prior_files: dict[int, str],
     zorder: tuple[list[str], int] | None,
     *spilled: tuple[list[tuple[int, str, int]], dict[str, int]],
 ) -> list[dict[str, Any]]:
@@ -591,7 +597,7 @@ def _merge_spilled_partition(
     ``parts`` that the spill files hold rows of, in ascending order:
     read its record batches, one ``(path, batch)`` per spill file that
     holds its rows, in spill order, then :func:`_merge_write_partition`
-    (which reads back the partitions ``prior_rows`` lists).  Returns
+    (which reads back the files ``prior_files`` lists).  Returns
     their manifest entries."""
     chunks: dict[int, list[tuple[str, int]]] = {p: [] for p in parts}
     for entries, _counts in spilled:
@@ -607,7 +613,7 @@ def _merge_spilled_partition(
             with pa.memory_map(path) as f:
                 new.append(pa.Table.from_batches([pa.ipc.open_file(f).get_batch(i)]))
         out.append(
-            _merge_write_partition(new, part, lake_dir, key_cols, prior_rows.get(part, 0), zorder)
+            _merge_write_partition(new, part, lake_dir, key_cols, prior_files.get(part), zorder)
         )
     return out
 
@@ -698,7 +704,7 @@ def _spill_task(
         dec = None
         if decoder_kwargs is None:
             if isinstance(src, str):
-                blocks = [_rows_as_inserts(pq.ParquetFile(src).read())]
+                blocks = [_rows_as_inserts(_read_lake_file(src))]
             else:
                 blocks = [_as_arrow(ray.get(src))]
         else:
@@ -733,7 +739,7 @@ def _exchange(
     sources: Iterable[tuple[Any, dict[str, Any] | None]],
     lake_dir: str,
     cfg: CdcConfig,
-    prior_rows: dict[int, int],
+    prior_files: dict[int, str],
     zorder: tuple[list[str], int] | None = None,
 ) -> tuple[list[dict[str, Any]], dict[str, int]]:
     """The engine's one keyed exchange (Spark-external-shuffle shape) in
@@ -759,7 +765,8 @@ def _exchange(
     results' refs, so Ray starts them as the last spill task ends with
     no driver round trip in between; each writes
     ``_compact/part=NNNNN/data.parquet`` for its touched partitions (and
-    reads back the live file when ``prior_rows`` lists the partition).
+    reads back the committed file that ``prior_files``, the resolver's
+    ``{part: path}`` of a selective resume, lists for the partition).
     The driver waits on the merge results and then reads the counters
     from the spill results.
 
@@ -770,7 +777,8 @@ def _exchange(
     too once every submitted task has ended (a running task would
     re-create it).  Returns the manifest entries of the rewritten
     partitions and the summed counters: ``spill_bytes``,
-    ``readback_rows`` and ``partitions_rewritten`` always, the decode
+    ``readback_rows`` (the prior rows the merge tasks read) and
+    ``partitions_rewritten`` always, the decode
     counters when events were decoded.
 
     The staging dir lives under the lake, so a multi-node cluster needs
@@ -806,7 +814,7 @@ def _exchange(
                 list(range(j, cfg.num_partitions, n)),
                 lake_dir,
                 cfg.key_cols,
-                prior_rows,
+                prior_files,
                 zorder,
                 *spills,
             )
@@ -864,22 +872,22 @@ def run_to_lake(
     # layout to be reproducible: same partition count AND same hash
     # algorithm.  Then resume reads back only touched partitions, inside
     # the merge task: each task that rewrites a partition reads its
-    # committed file itself (``prior_rows`` says how many rows it holds),
-    # and untouched partitions keep their files and manifest rows.
-    # Otherwise fall back to a full re-merge of prior state, re-hashed
-    # into the new layout — prior partition files/manifest rows must NOT
-    # be carried over then (carrying them would duplicate keys on
-    # read_lake; their orphaned files are cleaned after the commit).
+    # committed file itself (``prior_files``), and untouched partitions
+    # keep their files and manifest rows.  Otherwise fall back to a full
+    # re-merge of prior state, re-hashed into the new layout — prior
+    # partition files/manifest rows must NOT be carried over then
+    # (carrying them would duplicate keys on read_lake; their orphaned
+    # files are cleaned after the commit).
     selective = (
         prior is not None
         and prior.get("num_partitions") == cfg.num_partitions
         and prior.get("hash_algo") == PARTITION_HASH_ALGO
     )
     sources = _event_sources(manifest, cfg, start_after)
-    prior_rows = {p["part"]: p["rows"] for p in prior["partitions"]} if selective else {}
-    if prior and not selective:
-        sources += [(path, None) for path in _live_partition_paths(lake_dir, prior)]
-    parts, counters = _exchange(sources, lake_dir, cfg, prior_rows)
+    committed = _partition_files(lake_dir, prior["partitions"]) if prior else {}
+    if not selective:
+        sources += [(path, None) for path in committed.values()]
+    parts, counters = _exchange(sources, lake_dir, cfg, committed if selective else {})
     if selective:
         have = {p["part"] for p in parts}
         parts.extend(p for p in prior["partitions"] if p["part"] not in have)
@@ -1007,30 +1015,32 @@ def run_tables_to_lakes(
 
 
 def read_lake(lake_dir: str) -> rd.Dataset:
-    """The committed lake rows (:func:`_read_live_partitions` without
-    the hive ``part`` column)."""
+    """The committed lake rows: the files :func:`_partition_files`
+    resolves from the manifest, read with ``partitioning=None`` so no
+    hive ``part`` column comes from the ``part=`` dirs.  A partition
+    untouched since an ``ALTER`` lacks the added columns; its blocks
+    carry the schema it was written with."""
     m = read_manifest(lake_dir)
     if m is None:
         raise FileNotFoundError(f"no manifest in {lake_dir}")
-
-    def _strip_hive(batch: pa.Table) -> pa.Table:
-        return batch.drop_columns(["part"]) if "part" in batch.column_names else batch
-
-    return _read_live_partitions(lake_dir, m).map_batches(_strip_hive, batch_format="pyarrow")
+    paths = list(_partition_files(lake_dir, m["partitions"]).values())
+    # read_parquet refuses an empty path list
+    return rd.read_parquet(paths, partitioning=None) if paths else rd.from_items([])
 
 
 def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
     """Partition-pruned point lookup over the exactly-once lake: hash the
     requested keys with the manifest's recorded algorithm and read ONLY
-    the ``part=NNNNN`` files they map to, then keep exactly the requested
-    keys (semi-join).  O(distinct requested partitions) I/O — the
-    query-side payoff of the hash-clustered layout at 100 TB: a single-key
-    audit touches one file, never the lake.
+    the partition files they map to (:func:`_partition_files`), then keep
+    exactly the requested keys (semi-join).  O(distinct requested
+    partitions) I/O — the query-side payoff of the hash-clustered layout
+    at 100 TB: a single-key audit touches one file, never the lake.
 
     ``keys`` is a ``pa.Table`` carrying the lake's key columns (manifest
     ``key_cols``), or a list of scalars for a single-column key.  Returns
     the matching live rows as one Arrow table (point lookups are small by
-    contract; use ``read_lake`` for scans).
+    contract; use ``read_lake`` for scans).  A partition untouched since
+    an ``ALTER`` lacks the added columns: its rows hold nulls there.
     """
     from ..stages.bucketed import _type_family, normalize_probe, probe_semi_join
     from ..stages.merge import partition_codes
@@ -1044,39 +1054,31 @@ def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
             f"{PARTITION_HASH_ALGO!r} — compact_lake() rewrites the layout"
         )
     key_cols = tuple(m["key_cols"])
-    any_part = next((p["part"] for p in m["partitions"] if p["rows"] > 0), None)
-    if any_part is None:
+    files = _partition_files(lake_dir, m["partitions"])
+    if not files:
         return pa.table({k: pa.array([], pa.null()) for k in key_cols})
     # family guard BEFORE pruning: the lake manifest predates families,
     # so derive them from the stored partition schema — a float probe of
     # an int-keyed lake would hash to the wrong partition and miss
-    schema = pq.read_schema(_lake_partition_path(lake_dir, any_part))
+    schema = pq.read_schema(next(iter(files.values())))
     families = {
         k: _type_family(schema.field(k).type) for k in key_cols if k in schema.names
     }
     keys = normalize_probe(keys, key_cols, families)
-    live = {p["part"] for p in m["partitions"] if p["rows"] > 0}
     codes = partition_codes(keys, key_cols, int(m["num_partitions"]))
-    wanted = sorted(set(int(c) for c in np.unique(codes)) & live)
+    wanted = sorted(set(int(c) for c in np.unique(codes)) & files.keys())
     if not wanted:
         return schema.empty_table()
     if len(wanted) <= 8:
         # a handful of files: driver-side reads beat task overhead
-        out = []
-        for part in wanted:
-            t = pq.read_table(_lake_partition_path(lake_dir, part))
-            out.append(probe_semi_join(t, keys, key_cols))
-        return pa.concat_tables(out)
-    # wide probe set: one Ray task per partition, probe broadcast once
-    keys_ref = ray.put(keys)
-
-    @ray.remote
-    def _lookup(part: int):
-        probe = ray.get(keys_ref)
-        t = pq.read_table(_lake_partition_path(lake_dir, part))
-        return probe_semi_join(t, probe, key_cols)
-
-    return pa.concat_tables(ray.get([_lookup.remote(p) for p in wanted]))
+        out = [probe_semi_join(_read_lake_file(files[p]), keys, key_cols) for p in wanted]
+    else:
+        # wide probe set: one Ray task per partition, probe broadcast once
+        keys_ref = ray.put(keys)
+        out = ray.get(
+            [_file_task.remote(files[p], probe_semi_join, keys_ref, key_cols) for p in wanted]
+        )
+    return pa.concat_tables(out, promote_options="default")
 
 
 def follow(
@@ -1130,10 +1132,31 @@ def compact_lake(
         raise FileNotFoundError(f"no manifest in {lake_dir}")
     key_cols = tuple(m.get("key_cols") or cfg.key_cols)
     cfg = replace(cfg, key_cols=key_cols, num_partitions=new_num_partitions)
-    sources = [(path, None) for path in _live_partition_paths(lake_dir, m)]
+    sources = [(path, None) for path in _partition_files(lake_dir, m["partitions"]).values()]
     zorder = (zorder_cols, zorder_bits) if zorder_cols else None
     parts, counters = _exchange(sources, lake_dir, cfg, {}, zorder)
     return _commit_lake(lake_dir, m["watermark"], parts, key_cols, new_num_partitions, **counters)
+
+
+def _file_digest(tab: pa.Table, fields: list[pa.Field]) -> tuple[int, int]:
+    """A partition file's row count and order-independent content digest
+    over ``fields``: the sum mod 2^64 of per-row hashes
+    (``hash_pandas_object`` over the fields in order).  Numeric columns
+    are normalized to float64 so parquet nullable-int round trips hash
+    like the replay; a field the file lacks (a partition untouched since
+    an ``ALTER``) hashes as an all-null column of its type."""
+    import pandas as pd
+
+    n = tab.num_rows
+    pdf = pa.table(
+        [tab.column(f.name) if f.name in tab.column_names else pa.nulls(n, f.type) for f in fields],
+        names=[f.name for f in fields],
+    ).to_pandas()
+    for c in pdf.columns:
+        if pd.api.types.is_numeric_dtype(pdf[c]):
+            pdf[c] = pdf[c].astype("float64")
+    h = pd.util.hash_pandas_object(pdf, index=False).to_numpy().astype(np.uint64)
+    return n, int(h.sum(dtype=np.uint64))  # uint64 wraps mod 2^64
 
 
 def audit_lake(
@@ -1144,28 +1167,28 @@ def audit_lake(
     """Anti-entropy audit of the exactly-once lake: re-derive the
     expected final state by log replay and compare per PARTITION against
     the committed files — row count plus an order-independent content
-    digest (sum mod 2^64 of vectorized row hashes), so a single flipped
-    value, duplicated row, or lost row pinpoints its partition.
+    digest (:func:`_file_digest`), so a single flipped value, duplicated
+    row, or lost row pinpoints its partition.
 
-    The LAKE side buckets each row by the ``part=`` directory it was
-    physically read from (not by re-hashing its key), so a row stored in
-    the WRONG partition file — the misplacement class a partition-pruned
-    lookup would silently miss — shows up as a digest mismatch in both
-    the partition it left and the one it invaded.  The replay side
-    buckets by the expected key hash.
+    The replay is :func:`_exchange` of ``run_to_lake``'s event sources
+    into a scratch dir, merged and partitioned by the lake manifest's
+    ``key_cols`` and ``num_partitions`` (not ``cfg``'s), so each scratch
+    file holds exactly the rows its partition should.  The LAKE side
+    digests each committed file :func:`_partition_files` resolves, so a
+    row stored in the WRONG partition file — the misplacement class a
+    partition-pruned lookup would silently miss — shows up as a digest
+    mismatch in both the partition it left and the one it invaded.  The
+    compared columns are the replay's columns that some lake file holds
+    (a side with no file adds no constraint); a file that lacks one
+    hashes it as all-null.
 
-    Scale shape: both sides reduce inside ``map_batches`` to per-
-    (batch, partition) partial rows of (part, rows, digest); the driver
-    folds O(batches x touched-partitions) slim rows with a numpy
-    groupby.  The replay rows come back from the keyed exchange
-    materialized (:func:`run_to_dataset`), so the column intersection reads
-    their schema without a second run — the audit holds one copy of the
-    final table in the object store while it runs.
+    Scale shape: one plain Ray task per file on each side, each
+    returning ``(rows, digest)``; the driver reads only the files'
+    schemas.  No Ray Data execution runs and no copy of the final table
+    enters the object store.
 
     Returns a pandas frame (part, expected_rows, actual_rows, match)
     sorted by part, one row per partition holding data on either side.
-    Numeric columns are normalized to float64 before hashing so parquet
-    nullable-int round-trips hash identically to the in-memory replay.
     """
     import pandas as pd
 
@@ -1174,84 +1197,34 @@ def audit_lake(
     if m is None:
         raise FileNotFoundError(f"no manifest in {lake_dir}")
     key_cols = tuple(m.get("key_cols") or cfg.key_cols)
-    nparts = int(m["num_partitions"])
-
-    expected = run_to_dataset(manifest, cfg)
-    # hive-partitioned read keeps the physical `part` column
-    actual = _read_live_partitions(lake_dir, m)
-    # a side with no rows may have no schema (a lake with no live row
-    # reads as an empty, schemaless Dataset): it adds no column constraint
-    # and folds to nothing
-    names = [set(sc.names) for sc in (expected.schema(), actual.schema()) if sc is not None]
-    common = sorted(set.intersection(*names) - {"part"}) if names else []
-
-    def digest_partials(tab: pa.Table) -> pa.Table:
-        if "part" in tab.column_names:
-            # lake side: the directory the row physically lives in
-            part = tab.column("part").to_numpy(zero_copy_only=False).astype(np.int64)
-        else:
-            # replay side: where the row SHOULD live
-            tab = add_partition_column(tab, key_cols, nparts)
-            part = tab.column("_part").to_numpy()
-        pdf = tab.select(common).to_pandas()
-        for c in common:
-            if pd.api.types.is_numeric_dtype(pdf[c]):
-                pdf[c] = pdf[c].astype("float64")
-        h = (
-            pd.util.hash_pandas_object(pdf, index=False)
-            .to_numpy()
-            .astype(np.uint64)
-        )
-        order = np.argsort(part, kind="stable")
-        part_s, h_s = part[order], h[order]
-        starts = np.flatnonzero(np.diff(part_s, prepend=-1))
-        sums = np.add.reduceat(h_s, starts)  # uint64 wraps mod 2^64
-        counts = np.diff(np.append(starts, len(part_s)))
-        return pa.table(
-            {
-                "part": pa.array(part_s[starts].astype(np.int64)),
-                "rows": pa.array(counts.astype(np.int64)),
-                "digest": pa.array(sums.view(np.int64)),
-            }
-        )
-
-    def fold(ds: rd.Dataset) -> pd.DataFrame:
-        pdf = ds.map_batches(digest_partials, batch_format="pyarrow").to_pandas()
-        if pdf.empty:
-            return pd.DataFrame({"part": [], "rows": [], "digest": []})
-        part = pdf["part"].to_numpy()
-        order = np.argsort(part, kind="stable")
-        parts, starts = np.unique(part[order], return_index=True)
-        # digest fold wraps mod 2^64, order-independent by construction
-        digests = pdf["digest"].to_numpy().view(np.uint64)[order]
-        return pd.DataFrame(
-            {
-                "part": parts,
-                "rows": np.add.reduceat(pdf["rows"].to_numpy()[order], starts),
-                "digest": np.add.reduceat(digests, starts).view(np.int64),
-            }
-        )
-
-    exp = fold(expected)
-    act = fold(actual)
-    out = exp.merge(act, on="part", how="outer", suffixes=("_exp", "_act"))
-    # nullable Int64 keeps the 64-bit digests exact through the outer
-    # merge — a float64 promotion would compare at 53-bit precision and
-    # a subtle corruption near 2^63 could falsely match
-    for c in ("rows_exp", "rows_act", "digest_exp", "digest_act"):
-        out[c] = out[c].astype("Int64")
-    out["match"] = (
-        (out["rows_exp"] == out["rows_act"])
-        & (out["digest_exp"] == out["digest_act"])
-    ).fillna(False).astype(bool)
+    cfg = replace(cfg, key_cols=key_cols, num_partitions=int(m["num_partitions"]))
+    lake = _partition_files(lake_dir, m["partitions"])
+    scratch = tempfile.mkdtemp()
+    try:
+        parts, _ = _exchange(_event_sources(manifest, cfg), scratch, cfg, {})
+        sides = (_partition_files(scratch, parts), lake)
+        # the replay's columns that some lake file holds, typed as the
+        # replay has them
+        schemas = [[pq.read_schema(path) for path in side.values()] for side in sides]
+        names = [set().union(*(sc.names for sc in side)) for side in schemas if side]
+        types = {f.name: f.type for side in reversed(schemas) for sc in side for f in sc}
+        common = sorted(set.intersection(*names)) if names else []
+        fields = [pa.field(c, types[c]) for c in common]
+        refs = [[_file_task.remote(p, _file_digest, fields) for p in s.values()] for s in sides]
+        # every replay digest is read before the scratch dir goes; a
+        # file with no rows holds no data
+        exp, act = [{p: d for p, d in zip(s, ray.get(r)) if d[0]} for s, r in zip(sides, refs)]
+    finally:
+        shutil.rmtree(scratch, ignore_errors=True)
+    parts = sorted(exp.keys() | act.keys())
     return pd.DataFrame(
         {
-            "part": out["part"].astype(np.int64),
-            "expected_rows": out["rows_exp"].fillna(0).astype(np.int64),
-            "actual_rows": out["rows_act"].fillna(0).astype(np.int64),
-            "match": out["match"],
+            "part": np.array(parts, dtype=np.int64),
+            "expected_rows": np.array([exp.get(p, (0,))[0] for p in parts], dtype=np.int64),
+            "actual_rows": np.array([act.get(p, (0,))[0] for p in parts], dtype=np.int64),
+            "match": np.array([exp.get(p) == act.get(p) for p in parts], dtype=bool),
         }
-    ).sort_values("part").reset_index(drop=True)
+    )
 
 
 def schema_history(

@@ -158,8 +158,9 @@ def write_training_shards(
 
 def read_training_shards(out_dir: str) -> rd.Dataset:
     """Read a shard lake back in global shuffle order per shard (files
-    carry ``shuffle_key``; hive partitioning adds ``shard`` — stripped,
-    mirroring ``read_lake``)."""
+    carry ``shuffle_key``; hive partitioning adds ``shard``, which is
+    stripped here; ``cdc.read_lake`` instead reads the files its
+    manifest resolves with ``partitioning=None``)."""
     ds = rd.read_parquet(out_dir)
 
     def strip(b: pa.Table) -> pa.Table:

@@ -1469,6 +1469,94 @@ class TestSnapshotBootstrap:
             )
 
 
+@pytest.fixture(scope="module")
+def mixed_schema_lake(ray_session, tmp_path_factory):
+    """A lake the engine writes with two file schemas: shards 1-3
+    followed with only the pre-ALTER table map (as a wire tail sees
+    them), then the whole stream, whose ALTER adds ``stars`` in shard 4.
+    The partitions that shard 4 does not touch keep files without
+    ``stars``.  Returns the stream, the lake and its files by kind."""
+    import pyarrow.parquet as pq
+
+    from mysql_binlog_ray.pipelines.cdc import follow
+
+    spec = StreamSpec(n_keys=3000, n_ops=4000, n_shards=4, ddl_at=0.95)
+    out = str(tmp_path_factory.mktemp("mixed_stream"))
+    manifest = generate_stream(spec, out)
+    lake = str(tmp_path_factory.mktemp("mixed_lake"))
+    cfg = CdcConfig(num_partitions=64)
+    follow(_prefix(manifest, 3, manifest["table_maps"][:1]), lake, cfg)
+    follow(manifest, lake, cfg)
+    kinds = {False: [], True: []}
+    for path in sorted(glob.glob(f"{lake}/part=*/data.parquet")):
+        kinds["stars" in pq.read_schema(path).names].append(path)
+    return spec, out, manifest, lake, kinds[False], kinds[True]
+
+
+@pytest.mark.usefixtures("ray_session")
+class TestMixedSchemaLake:
+    """Every reader of committed files reads a lake whose files disagree
+    on the columns: a column a file lacks reads as null."""
+
+    def test_audit_matches_and_pinpoints_a_flip_in_a_file_without_stars(
+        self, mixed_schema_lake, tmp_path
+    ):
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import audit_lake
+
+        spec, out, manifest, lake, old, new = mixed_schema_lake
+        assert old and new
+        rep = audit_lake(manifest, lake)
+        assert len(rep) == len(old) + len(new)
+        assert rep["match"].all() and (rep["expected_rows"] == rep["actual_rows"]).all()
+
+        tampered = str(tmp_path / "lake")
+        shutil.copytree(lake, tampered)
+        victim = old[0].replace(lake, tampered)
+        t = pq.read_table(victim)
+        content = t["content"].to_pylist()
+        content[0] += "!TAMPERED"
+        i = t.schema.get_field_index("content")
+        pq.write_table(t.set_column(i, "content", pa.array(content)), victim)
+        rep = audit_lake(manifest, tampered)
+        vpart = int(victim.split("part=")[1].split("/")[0])
+        assert list(rep[~rep["match"]]["part"]) == [vpart]
+
+    @pytest.mark.parametrize("n_new", [1, 8])
+    def test_point_lookup_equals_oracle(self, mixed_schema_lake, n_new):
+        """Keys from files of both kinds, through the driver path
+        (2 partitions) and the task path (> 8 partitions)."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import lake_point_lookup
+        from mysql_binlog_ray.stages.merge import partition_codes
+
+        spec, out, manifest, lake, old, new = mixed_schema_lake
+        files = old[: 1 if n_new == 1 else None] + new[:n_new]
+        keys = pa.concat_tables(
+            pq.ParquetFile(f).read(columns=["repo", "path"]).slice(0, 2) for f in files
+        )
+        n_parts = len(set(partition_codes(keys, ("repo", "path"), 64)))
+        assert n_parts == len(files) and (n_parts <= 8) == (n_new == 1)
+        got = _normalize(lake_point_lookup(lake, keys).to_pandas())
+        exp = final_state_oracle(spec, out).to_pandas()
+        want = set(zip(keys["repo"].to_pylist(), keys["path"].to_pylist()))
+        exp = exp[[k in want for k in zip(exp["repo"], exp["path"])]]
+        exp["stars"] = exp["stars"].astype("float64")
+        assert len(got) == len(want)
+        assert got.equals(exp.reset_index(drop=True))
+
+    def test_read_lake_equals_oracle(self, mixed_schema_lake):
+        spec, out, manifest, lake, old, new = mixed_schema_lake
+        got = _normalize(read_lake(lake).to_pandas())
+        exp = final_state_oracle(spec, out).to_pandas()
+        exp["stars"] = exp["stars"].astype("float64")
+        assert got.equals(exp.sort_values(["repo", "path"]).reset_index(drop=True))
+
+
 class TestOneLakeWriter:
     """Structural guard: the lake has one commit path and one final LWW,
     the per-partition lake writer, which the Dataset-returning paths
@@ -1562,6 +1650,7 @@ class TestOneLakeWriter:
             "run_to_lake": 1,
             "seed_lake_from_snapshot": 1,
             "compact_lake": 1,
+            "audit_lake": 1,
         }
 
     def test_shard_replays_share_one_source_plan(self):
@@ -1571,7 +1660,7 @@ class TestOneLakeWriter:
         import ast
 
         path = os.path.join(self.PIPELINES, "cdc.py")
-        replays = {"run_to_lake": 1, "run_to_dataset": 1, "state_as_of": 1}
+        replays = {"run_to_lake": 1, "run_to_dataset": 1, "state_as_of": 1, "audit_lake": 1}
         assert self._calls(path, "_event_sources") == replays
         assert self._calls(path, "_exchange_to_dataset") == {
             "merge_lww": 1,
@@ -1589,6 +1678,47 @@ class TestOneLakeWriter:
             ):
                 users.add(top.name)
         assert users == {"merge_lww"}
+
+    def test_one_lake_reader(self):
+        """Every reader of partition files, committed or scratch, takes
+        its paths from the one resolver, ``_partition_files``: only it
+        and the writer (the staging path, ``_exchange``'s moves) spell
+        the file layout, and no hive read is left to strip."""
+        import ast
+
+        callers = {}
+        for path in self._modules():
+            for fn, n in self._calls(path, "_lake_partition_path").items():
+                callers[(os.path.basename(path), fn)] = n
+        assert callers == {
+            ("cdc.py", "_partition_files"): 1,
+            ("cdc.py", "_merge_write_partition"): 1,
+            ("cdc.py", "_exchange"): 2,
+        }
+        path = os.path.join(self.PIPELINES, "cdc.py")
+        assert self._calls(path, "_partition_files") == {
+            "_exchange_to_dataset": 1,
+            "run_to_lake": 1,
+            "read_lake": 1,
+            "lake_point_lookup": 1,
+            "compact_lake": 1,
+            "audit_lake": 2,
+        }
+        defined = {
+            n.name for n in ast.walk(ast.parse(open(path).read())) if isinstance(n, ast.FunctionDef)
+        }
+        assert not defined & {"_read_live_partitions", "_strip_hive", "_live_partition_paths"}
+
+    def test_audit_runs_no_ray_data(self, ray_session, small_stream, tmp_path, monkeypatch):
+        from mysql_binlog_ray.pipelines.cdc import audit_lake
+
+        spec, out, manifest = small_stream
+        lake = str(tmp_path / "lake")
+        run_to_lake(manifest, lake, CdcConfig(num_partitions=8))
+        runs = _guard_ray_data(monkeypatch, lambda p: True)
+        rep = audit_lake(manifest, lake)
+        monkeypatch.undo()
+        assert runs == [] and rep["match"].all()
 
     def test_atomic_write_parquet_called_from_lake_writer_only(self):
         """Every lake file write (run_to_lake, snapshot seed, compaction)

@@ -519,8 +519,8 @@ class TestAuditLake:
         assert bad == {p_src, p_dst}
 
     def test_lake_with_no_live_rows(self, small_stream, tmp_path):
-        """A lake seeded from an empty snapshot reads as a schemaless
-        Dataset: the audit folds it to nothing and reports every
+        """A lake seeded from an empty snapshot has no file that holds
+        rows: the audit digests none on the lake side and reports every
         partition the replay fills as missing its rows."""
         import ray.data as rd
 
