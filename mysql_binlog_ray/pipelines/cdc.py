@@ -57,7 +57,8 @@ import pyarrow.parquet as pq
 import ray
 import ray.data as rd
 
-from ..stages.decode_stage import BinlogDecoder
+from ..protocol.constants import EventType
+from ..stages.decode_stage import BinlogDecoder, event_headers
 from ..stages.merge import (
     PARTITION_HASH_ALGO,
     SEQ_COLS,
@@ -157,8 +158,9 @@ def _map_decoder(events: rd.Dataset, decoder_kwargs: dict[str, Any]) -> rd.Datas
 
 def build_xid_index(events: rd.Dataset) -> tuple[Any, Any, Any]:
     """(sorted XID event_seqs, XID values, per-file seq boundaries) via a
-    distributed payload-prefix scan — one byte peek per event, one output
-    row per transaction plus one per file.
+    distributed scan of the header columns (``decode_stage.event_headers``:
+    the XIDs are the ``type`` selection, their values ``body_u64``), one
+    output row per transaction plus one per file.
 
     Commit-stamping fallback for GTID-less streams: with GTIDs in the
     stream the decoder stamps exactly in-band and needs no index.  The
@@ -167,29 +169,22 @@ def build_xid_index(events: rd.Dataset) -> tuple[Any, Any, Any]:
     (not the row count) fits driver memory; with GTIDs enabled (any
     modern MySQL/MariaDB) prefer the in-band path at unbounded scale.
     """
-    from ..protocol.constants import EventType
-    from ..protocol.decode import parse_xid
 
     def extract(batch: pa.Table) -> pa.Table:
-        seqs: list[int] = []
-        vals: list[int] = []
-        event_seqs = batch.column("event_seq").to_numpy(zero_copy_only=False)
-        shard_ids = batch.column("shard_id").to_numpy(zero_copy_only=False)
-        shard_lo: dict[int, int] = {}
-        for sid in np.unique(shard_ids):  # few shards per batch; min is C
-            shard_lo[int(sid)] = int(event_seqs[shard_ids == sid].min())
-        for seq, payload in zip(event_seqs, BinlogDecoder._payload_views(batch)):
-            if payload[5] == EventType.XID:
-                seqs.append(int(seq))
-                vals.append(parse_xid(payload))
-        n = len(seqs)
-        lo_items = sorted(shard_lo.items())
+        """One row per XID, then one per shard with its lowest event_seq."""
+        seqs = batch.column("event_seq").to_numpy(zero_copy_only=False).astype(np.int64)
+        sids = batch.column("shard_id").to_numpy(zero_copy_only=False).astype(np.int64)
+        hdr = event_headers(batch)
+        xids = np.flatnonzero(hdr["type"] == EventType.XID)
+        shards = np.unique(sids)  # few shards per batch; min is C
+        lows = np.array([seqs[sids == sid].min() for sid in shards], dtype=np.int64)
+        no_x, no_s = np.full(len(xids), -1), np.full(len(shards), -1)
         return pa.table(
             {
-                "xid_seq": pa.array(seqs + [-1] * len(lo_items), pa.int64()),
-                "xid": pa.array(vals + [-1] * len(lo_items), pa.int64()),
-                "shard_id": pa.array([-1] * n + [sid for sid, _ in lo_items], pa.int64()),
-                "shard_lo": pa.array([-1] * n + [lo for _, lo in lo_items], pa.int64()),
+                "xid_seq": np.concatenate([seqs[xids], no_s]),
+                "xid": pa.concat_arrays([pa.array(hdr["body_u64"][xids], pa.int64()), pa.array(no_s)]),
+                "shard_id": np.concatenate([no_x, shards]),
+                "shard_lo": np.concatenate([no_x, lows]),
             }
         )
 
@@ -504,10 +499,9 @@ def _file_task(path: str, fn: Any = None, *args: Any) -> Any:
 def _rows_as_inserts(tab: pa.Table, snapshot_seq: int | None = None) -> pa.Table:
     """Rows as flat merge input, [values..., op='insert', event_seq,
     row_seq] (the spilled rows' order).  Lake rows keep their lineage so
-    newer events win; snapshot rows get ``(snapshot_seq, 0)``.  A hive
-    ``part`` column is dropped."""
+    newer events win; snapshot rows get ``(snapshot_seq, 0)``."""
     n = tab.num_rows
-    drop = ("op", *SEQ_COLS, "commit_seq", "part")
+    drop = ("op", *SEQ_COLS, "commit_seq")
     cols = {c: tab.column(c) for c in tab.column_names if c not in drop}
     cols["op"] = pa.array(["insert"] * n, pa.string())
     if snapshot_seq is None:
@@ -974,7 +968,6 @@ def run_tables_to_lakes(
     base_dir: str,
     table_cfgs: dict[tuple[str, str], CdcConfig],
     resume: bool = True,
-    concurrency: int = 1,
 ) -> dict[str, dict[str, Any]]:
     """Per-table exactly-once lakes from one binlog stream.
 
@@ -982,36 +975,21 @@ def run_tables_to_lakes(
     stream pass per table — other tables' row events are filtered
     BEFORE row decode, so only the event walk repeats, not row decode)
     into ``base_dir/<schema>.<table>``; every lake keeps its own
-    watermark manifest, so each table resumes independently.  With
-    ``concurrency > 1``, that many tables run AT ONCE from driver
-    threads — each thread submits its own spill and merge tasks, so
-    their stages interleave on the cluster (per-table state is fully
-    disjoint: lake dir, spill dir, watermark manifest; the pipelines
-    only share the immutable input shards).  Useful when tables are
-    small enough that per-pipeline setup/latency dominates a sequential
-    walk.  For every table from literally ONE stream pass, use
+    watermark manifest, so each table resumes independently.  Tables
+    run one after another; each table's exchange already runs one task
+    per CPU.  For every table from literally ONE stream pass, use
     ``decode_all_tables`` — the trade is its JSON row rendering vs this
     path's typed flat decode and exactly-once sinks.
     """
-    def one(schema: str, table: str, cfg: CdcConfig) -> dict[str, Any]:
-        cfg = replace(cfg, target_table=(schema, table))
-        lake = os.path.join(base_dir, f"{schema}.{table}")
-        return run_to_lake(manifest, lake, cfg, resume=resume)
-
-    if concurrency <= 1:
-        return {
-            f"{schema}.{table}": one(schema, table, cfg)
-            for (schema, table), cfg in table_cfgs.items()
-        }
-
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        futs = {
-            f"{schema}.{table}": pool.submit(one, schema, table, cfg)
-            for (schema, table), cfg in table_cfgs.items()
-        }
-        return {name: f.result() for name, f in futs.items()}
+    return {
+        f"{schema}.{table}": run_to_lake(
+            manifest,
+            os.path.join(base_dir, f"{schema}.{table}"),
+            replace(cfg, target_table=(schema, table)),
+            resume=resume,
+        )
+        for (schema, table), cfg in table_cfgs.items()
+    }
 
 
 def read_lake(lake_dir: str) -> rd.Dataset:
@@ -1040,7 +1018,10 @@ def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
     ``key_cols``), or a list of scalars for a single-column key.  Returns
     the matching live rows as one Arrow table (point lookups are small by
     contract; use ``read_lake`` for scans).  A partition untouched since
-    an ``ALTER`` lacks the added columns: its rows hold nulls there.
+    an ``ALTER`` lacks the added columns: its rows hold nulls there.  The
+    columns come in the newest file's order (the file of the partition
+    entry with the largest ``max_event_seq``), then any other column of
+    the files read.
     """
     from ..stages.bucketed import _type_family, normalize_probe, probe_semi_join
     from ..stages.merge import partition_codes
@@ -1058,9 +1039,10 @@ def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
     if not files:
         return pa.table({k: pa.array([], pa.null()) for k in key_cols})
     # family guard BEFORE pruning: the lake manifest predates families,
-    # so derive them from the stored partition schema — a float probe of
-    # an int-keyed lake would hash to the wrong partition and miss
-    schema = pq.read_schema(next(iter(files.values())))
+    # so derive them from the newest partition file's schema — a float
+    # probe of an int-keyed lake would hash to the wrong partition and miss
+    newest = max((p for p in m["partitions"] if p["part"] in files), key=lambda p: p["max_event_seq"])
+    schema = pq.read_schema(files[newest["part"]])
     families = {
         k: _type_family(schema.field(k).type) for k in key_cols if k in schema.names
     }
@@ -1078,7 +1060,8 @@ def lake_point_lookup(lake_dir: str, keys) -> pa.Table:
         out = ray.get(
             [_file_task.remote(files[p], probe_semi_join, keys_ref, key_cols) for p in wanted]
         )
-    return pa.concat_tables(out, promote_options="default")
+    # the newest schema first: unification keeps the first table's column order
+    return pa.concat_tables([schema.empty_table(), *out], promote_options="default")
 
 
 def follow(
@@ -1237,27 +1220,23 @@ def schema_history(
     surface for schema evolution (M3/M9): which DDL landed, where in
     the sequence, against which schema.
 
-    Scale shape: a distributed payload-prefix scan (one type-byte peek
-    per event, full parse only for the rare QUERY events) — the same
-    pattern as ``build_xid_index``; output is O(DDL count)."""
-    from ..protocol.constants import EventType
+    Scale shape: a distributed scan of the header columns
+    (``decode_stage.event_headers``), full parse only for the rare QUERY
+    events — the same pattern as ``build_xid_index``; output is O(DDL
+    count)."""
     from ..protocol.decode import parse_header, parse_query
 
     def extract(batch: pa.Table) -> pa.Table:
-        seqs: list[int] = []
+        queries = np.flatnonzero(event_headers(batch)["type"] == EventType.QUERY)
         schemas: list[str] = []
         sqls: list[str] = []
-        event_seqs = batch.column("event_seq").to_numpy(zero_copy_only=False)
-        for seq, payload in zip(event_seqs, BinlogDecoder._payload_views(batch)):
-            if payload[5] == EventType.QUERY:
-                header = parse_header(payload, checksum_size)
-                schema, sql = parse_query(bytes(payload), header)
-                seqs.append(int(seq))
-                schemas.append(schema)
-                sqls.append(sql)
+        for payload in batch.column("payload").take(queries).to_pylist():
+            schema, sql = parse_query(payload, parse_header(payload, checksum_size))
+            schemas.append(schema)
+            sqls.append(sql)
         return pa.table(
             {
-                "event_seq": pa.array(seqs, pa.int64()),
+                "event_seq": batch.column("event_seq").take(queries).cast(pa.int64()),
                 "schema_name": pa.array(schemas, pa.string()),
                 "sql": pa.array(sqls, pa.string()),
             }

@@ -7,11 +7,13 @@ shard ("binlog file"), each walking its events strictly in order like the
 reference's EventsIterator — so
 
 - every row image gets its transaction's XID (`EventsIterator.php:335-341`),
-- event-position continuity is verified: each header's ``log_pos`` must
-  equal the running offset mod 2^32 (`EventsIterator.php:175-196`),
-- the FORMAT_DESCRIPTION-first rule is enforced (`EventsIterator.php:137-139`),
-- ROTATE resets the position and drops in-band table maps
-  (`EventsIterator.php:163-173`).
+- with ``strict=True``, :func:`position_discontinuities` checks the
+  shard's header columns before the decode: each header's ``log_pos``
+  must equal the running offset mod 2^32 (`EventsIterator.php:175-196`),
+  a FORMAT_DESCRIPTION must come first (`EventsIterator.php:137-139`)
+  and a ROTATE resets the position,
+- ROTATE drops in-band table maps (`EventsIterator.php:163-173`), in
+  the decode's walk.
 
 Shards are independent files, so the stream still decodes embarrassingly
 parallel across shards (SURVEY §4.2) — the unit of order is the file,
@@ -22,48 +24,43 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.parquet as pq
 import ray.data as rd
 
 from ..protocol.constants import BINLOG_START_POS, EventType
-from ..stages.decode_stage import BinlogDecoder
+from ..stages.decode_stage import BinlogDecoder, event_headers
 
 
-class SequentialShardDecoder(BinlogDecoder):
-    """BinlogDecoder + strict in-order integrity checks for one shard."""
+def position_discontinuities(hdr: np.ndarray) -> int:
+    """E13 over one shard's header columns (``decode_stage.event_headers``),
+    in stream order; returns the count of events whose ``log_pos`` breaks
+    continuity (`EventsIterator.php:175-196`):
 
-    def __init__(self, *args: Any, **kwargs: Any) -> None:
-        super().__init__(*args, **kwargs)
-        self.n_position_errors = 0
-        self._expected_offset: int | None = None
-        self._seen_fd = False
-
-    def check_event(self, payload: bytes) -> None:
-        """Reference integrity semantics per event (E13)."""
-        etype = payload[5]
-        if etype == EventType.FORMAT_DESCRIPTION:
-            self._seen_fd = True
-            self._expected_offset = None
-            return
-        if not self._seen_fd:
-            raise ValueError(
-                "Expected FORMAT_DESCRIPTION first"  # EventsIterator.php:137-139
-            )
-        if etype == EventType.ROTATE:
-            self._expected_offset = BINLOG_START_POS
-            return
-        import struct
-
-        event_size, log_pos = struct.unpack_from("<II", payload, 10)
-        if self._expected_offset is not None:
-            want = (self._expected_offset + event_size) & 0xFFFFFFFF
-            if log_pos != want:
-                self.n_position_errors += 1
-            self._expected_offset = self._expected_offset + event_size
-        else:
-            # first event after FD: seed from the header
-            self._expected_offset = log_pos
+    - a FORMAT_DESCRIPTION must come first, else ``ValueError``
+      (`EventsIterator.php:137-139`);
+    - a ROTATE resets the running offset to 4;
+    - the first event after a FORMAT_DESCRIPTION seeds it from its own
+      ``log_pos``;
+    - every other event's ``log_pos`` must equal (running offset +
+      ``event_size``) mod 2^32, and that sum is the new offset."""
+    types = hdr["type"]
+    fd = types == EventType.FORMAT_DESCRIPTION
+    if len(types) and not fd[0]:
+        raise ValueError("Expected FORMAT_DESCRIPTION first")  # EventsIterator.php:137-139
+    rotate = types == EventType.ROTATE
+    after_fd = np.roll(fd, 1)  # event 0 is a FORMAT_DESCRIPTION, so the wrap never matters
+    checked = ~(fd | rotate | after_fd)
+    log_pos = hdr["log_pos"].astype(np.int64)
+    # each checked event's offset runs from the last reset (a ROTATE, or
+    # the event seeding it after a FORMAT_DESCRIPTION)
+    reset = (rotate | after_fd) & ~fd
+    last = np.maximum.accumulate(np.where(reset, np.arange(len(types)), 0))
+    run = np.cumsum(np.where(checked, hdr["event_size"].astype(np.int64), 0))
+    seed = np.where(rotate, BINLOG_START_POS, log_pos)
+    want = (seed[last] + run - run[last]) & 0xFFFFFFFF
+    return int((checked & (want != log_pos)).sum())
 
 
 def decode_shards_sequential(
@@ -84,23 +81,13 @@ def decode_shards_sequential(
     def decode_shard(batch: dict) -> pa.Table:
         tables = []
         for path in batch["path"]:
-            dec = SequentialShardDecoder(
-                registry_snapshot=registry_snapshot,
-                start_after_seq=start_after_seq,
-                output=output,
-                key_cols=key_cols,
-                **decoder_kwargs,
-            )
+            dec = BinlogDecoder(registry_snapshot=registry_snapshot, start_after_seq=start_after_seq,
+                                output=output, key_cols=key_cols, **decoder_kwargs)
             t = pq.read_table(path, columns=["shard_id", "event_seq", "payload"])
             if strict:
-                # zero-copy memoryviews — the integrity walk peeks a few
-                # header bytes per event, never copies the payloads
-                for p in BinlogDecoder._payload_views(t):
-                    dec.check_event(p)
-                if dec.n_position_errors:
-                    raise ValueError(
-                        f"{dec.n_position_errors} event-position discontinuities in {path}"
-                    )
+                n_bad = position_discontinuities(event_headers(t))
+                if n_bad:
+                    raise ValueError(f"{n_bad} event-position discontinuities in {path}")
             tables.append(dec(t))
         return pa.concat_tables(tables)
 

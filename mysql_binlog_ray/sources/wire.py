@@ -929,15 +929,22 @@ def scan_table_maps(shard_paths: list[str]) -> list[dict]:
     exist only in-band (a real-server tail; the fixture generator
     publishes its own snapshot).  A block that starts mid-transaction
     may otherwise see ROWS events whose TABLE_MAP landed in an earlier
-    block.  One sequential pass of :func:`_scan_map_event`, the scan
-    ``tail_to_shards`` runs as it spools."""
+    block.  :func:`_scan_map_event`, the scan ``tail_to_shards`` runs as
+    it spools, parses the FORMAT_DESCRIPTION and TABLE_MAP events that
+    the header columns (``decode_stage.event_headers``) select."""
+    import numpy as np
     import pyarrow.parquet as pq
+
+    from ..protocol.constants import EventType
+    from ..stages.decode_stage import event_headers
 
     latest: dict[int, dict] = {}
     checksum_size = 4  # CRC32 until an FDE says otherwise (modern default)
     for path in shard_paths:
         tab = pq.read_table(path, columns=["payload"])
-        for payload in tab.column("payload").to_pylist():
+        types = event_headers(tab)["type"]
+        maps = np.flatnonzero((types == EventType.FORMAT_DESCRIPTION) | (types == EventType.TABLE_MAP))
+        for payload in tab.column("payload").take(maps).to_pylist():
             checksum_size = _scan_map_event(payload, checksum_size, latest)
     return [latest[k] for k in sorted(latest)]
 

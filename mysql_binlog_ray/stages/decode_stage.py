@@ -10,20 +10,25 @@ exchange's ``_spill_task`` (every shard replay) builds one decoder per
 shard and ``_map_decoder`` (the changefeed consumers) caches one per
 worker.
 
-The three output modes (changefeed, flat, json) share ONE event walk,
-``_row_events`` — the reference's single ``EventsIterator`` loop
-(`EventsIterator.php:73-88`) — and ONE ROWS-event prologue,
-``protocol.decode.rows_body_offset``; a mode only chooses how it emits
-the rows of each accepted ROWS event.  Json mode decodes rows through
-``parse_rows_event``, the conformance reference.  The changefeed mode,
-``__call__``'s flat mode and ``flat_combined`` (the lake's spill tasks)
-run ONE row decoder, a located decode with no per-row Python: it finds
-the cells of every row image with one numpy pass per layout
-(``_locate_images``, all events at once, one row image of each per
-iteration, widths from ``protocol.decode.cell_layout``) and gathers the
-cells it keeps from the block's payload buffer with numpy and Arrow
-takes (``_decode_cells``), reading only the types no gather covers
-through the layout's cell readers.  The flat modes decode merge keys in
+Every scan of a block's events reads the header fields from ONE numpy
+pass, ``protocol.decode.header_columns`` over :func:`_payload_base`'s
+buffer (:func:`event_headers`): type, timestamp, ``event_size``,
+``log_pos``, flags and the u64 at byte 20 (table id, XID value,
+MARIA_GTID seqno) as columns.  The three output modes (changefeed,
+flat, json) share ONE event walk, ``_row_events`` — the reference's
+single ``EventsIterator`` loop (`EventsIterator.php:73-88`) — over the
+ROWS events and state-changing markers those columns select, and ONE
+ROWS-event prologue, ``protocol.decode.rows_body_offset``; a mode only
+chooses how it emits the rows of each accepted ROWS event.  Json mode
+decodes rows through ``parse_rows_event``, the conformance reference.
+The changefeed mode, ``__call__``'s flat mode and ``flat_combined`` (the
+lake's spill tasks) run ONE row decoder, a located decode with no
+per-row Python: it finds the cells of every row image with one numpy
+pass per layout (``_locate_images``, all events at once, one row image
+of each per iteration, widths from ``protocol.decode.cell_layout``) and
+gathers the cells it keeps from the block's payload buffer with numpy
+and Arrow takes (``_decode_cells``), reading only the types no gather
+covers through the layout's cell readers.  The flat modes decode merge keys in
 that pass and walk only the after-images they keep again for their
 value cells (``flat_combined`` keeps each key's newest row, ``__call__``
 every row); the changefeed decodes every target column in that pass.
@@ -59,13 +64,14 @@ import pyarrow.compute as pc
 
 from ..protocol.constants import INTEGER_TYPES, ColumnType, EventType, collation_codec
 from ..protocol.decode import (
+    TABLE_ID_MASK,
     DecodePlan,
     cell_layout,
+    header_columns,
     parse_format_description,
     parse_header,
     parse_rows_event,
     parse_table_map,
-    parse_xid,
     rows_body_offset,
     rows_overrun,
     verify_checksum,
@@ -74,6 +80,11 @@ from ..protocol.model import ColumnDef, TableMapDef
 from .merge import _winner_indices
 
 _ROWS_TYPES = {0x17, 0x18, 0x19, 0x1E, 0x1F, 0x20}
+# the event types the walk visits: ROWS events and the markers that
+# change decode state (``_handle_marker``); the rest are only counted
+_WALKED = np.zeros(256, dtype=bool)
+_WALKED[[*_ROWS_TYPES, EventType.FORMAT_DESCRIPTION, EventType.ROTATE, EventType.MARIA_GTID,
+         EventType.GTID, EventType.TABLE_MAP, EventType.XID]] = True
 # op codes into _OP_NAMES_ARROW, one per event (expanded via np.repeat)
 _OP_NAMES_ARROW = pa.array(["insert", "update", "delete"], pa.string())
 _OP_CODE_BY_TYPE = {0x17: 0, 0x1E: 0, 0x18: 1, 0x1F: 1, 0x19: 2, 0x20: 2}
@@ -119,8 +130,6 @@ def changefeed_schema(tm: TableMapDef) -> pa.Schema:
     )
 
 
-
-
 def _stamp_xid(commit_seqs: list, txn_start: int, xid: int) -> int:
     """XID commit: stamp exactly the current transaction's rows
     ([txn_start, end) — from the last marker boundary), overwriting any
@@ -151,31 +160,28 @@ def _meta_arrays(
     ]
 
 
-def _payload_base(batch: pa.Table) -> tuple[pa.Buffer, np.ndarray, list[int]]:
-    """The located decode's byte source: one buffer holding every
-    event's bytes, as a pyarrow Buffer and a numpy view, and each event's
-    start offset in it.  One chunk's data buffer is used as it is
-    (sliced or not, binary or large_binary); several chunks are copied
-    into one buffer, their used byte ranges back to back."""
+def _payload_base(batch: pa.Table) -> tuple[pa.Buffer, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A block's byte source: one buffer holding every event's bytes, as
+    a pyarrow Buffer and a numpy view, each event's start and end offsets
+    in it, and the header pass over them
+    (``protocol.decode.header_columns``).  One chunk's data buffer is
+    used as it is (sliced or not, binary or large_binary); several chunks
+    are concatenated into one."""
     col = batch.column("payload")
-    spans = []
-    for chunk in col.chunks if isinstance(col, pa.ChunkedArray) else [col]:
-        if not len(chunk):
-            continue
-        _validity, offsets, data = chunk.buffers()
-        dtype = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
-        offs = np.frombuffer(offsets, dtype=dtype)[chunk.offset : chunk.offset + len(chunk) + 1]
-        spans.append((data or pa.py_buffer(b""), offs.astype(np.int64)))
-    if len(spans) == 1:
-        data, offs = spans[0]
-        return data, np.frombuffer(data, dtype=np.uint8), offs[:-1].tolist()
-    parts, starts, at = [], [], 0
-    for data, offs in spans:
-        parts.append(np.frombuffer(data, dtype=np.uint8)[offs[0] : offs[-1]])
-        starts += (offs[:-1] - offs[0] + at).tolist()
-        at += int(offs[-1] - offs[0])
-    joined = np.concatenate(parts) if parts else np.empty(0, dtype=np.uint8)
-    return pa.py_buffer(joined), joined, starts
+    chunks = [c for c in col.chunks if len(c)] if isinstance(col, pa.ChunkedArray) else [col]
+    arr = chunks[0] if len(chunks) == 1 else pa.concat_arrays(chunks or [pa.array([], col.type)])
+    _validity, offsets, data = arr.buffers()
+    dtype = np.int64 if pa.types.is_large_binary(arr.type) else np.int32
+    offs = np.frombuffer(offsets, dtype=dtype)[arr.offset : arr.offset + len(arr) + 1].astype(np.int64)
+    data = data or pa.py_buffer(b"")
+    buf, starts, ends = np.frombuffer(data, dtype=np.uint8), offs[:-1], offs[1:]
+    return data, buf, starts, ends, header_columns(buf, starts, ends)
+
+
+def event_headers(batch: pa.Table) -> np.ndarray:
+    """The header pass over a block's payload column: one record per
+    event, each header field a column (:func:`_payload_base`)."""
+    return _payload_base(batch)[4]
 
 
 def _prefix_views(buf: np.ndarray) -> dict[int, np.ndarray]:
@@ -684,11 +690,12 @@ class BinlogDecoder:
                 return st
         raise KeyError(f"unknown table_map id {table_id}; no registry entry")
 
-    def _handle_marker(self, etype: int, payload, ctx: _BlockCtx, commit_seqs: list) -> None:
+    def _handle_marker(self, etype: int, word: int, payload, ctx: _BlockCtx, commit_seqs: list) -> None:
         """ONE definition of the non-ROWS event semantics, shared by all
         three decode modes (changefeed/flat/json) — commit stamping,
         ROTATE, checksum gating and in-band TABLE_MAP binding must never
-        diverge between output modes.
+        diverge between output modes.  ``word`` is the event's ``body_u64``
+        (XID value, MARIA_GTID seqno, TABLE_MAP table id).
 
         - FORMAT_DESCRIPTION gates checksum handling
           (`EventsIterator.php:141-151`).
@@ -713,7 +720,7 @@ class BinlogDecoder:
             ctx.txn_start = len(commit_seqs)
         elif etype == EventType.MARIA_GTID:
             if self.commit_source in ("hybrid", "gtid"):
-                ctx.cur_commit = int.from_bytes(payload[20:28], "little")
+                ctx.cur_commit = word
             ctx.txn_start = len(commit_seqs)
         elif etype == EventType.GTID:
             # MySQL-flavor GTID_LOG_EVENT (0x21): flags(1) + SID(16) +
@@ -725,7 +732,7 @@ class BinlogDecoder:
                 ctx.cur_commit = int.from_bytes(payload[37:45], "little")
             ctx.txn_start = len(commit_seqs)
         elif etype == EventType.TABLE_MAP:
-            tid = int.from_bytes(payload[20:26], "little")
+            tid = word & TABLE_ID_MASK
             if tid in ctx.bound:
                 return
             payload = bytes(payload)
@@ -738,58 +745,47 @@ class BinlogDecoder:
             ctx.bound.add(tid)
         elif etype == EventType.XID:
             if self.commit_source in ("hybrid", "xid"):
-                ctx.txn_start = _stamp_xid(commit_seqs, ctx.txn_start, parse_xid(payload))
+                ctx.txn_start = _stamp_xid(commit_seqs, ctx.txn_start, word)
             else:
                 ctx.txn_start = len(commit_seqs)
             ctx.cur_commit = -1
         # QUERY / skip events: no state change, no output
 
-    @staticmethod
-    def _payload_views(batch: pa.Table):
-        """Zero-copy memoryviews into the binary column's data buffer —
-        the ~GB of payload bytes is never copied into Python objects."""
-        col = batch.column("payload")
-        chunks = col.chunks if isinstance(col, pa.ChunkedArray) else [col]
-        out = []
-        for chunk in chunks:
-            bufs = chunk.buffers()
-            dtype = np.int64 if pa.types.is_large_binary(chunk.type) else np.int32
-            offs = np.frombuffer(bufs[1], dtype=dtype)[
-                chunk.offset : chunk.offset + len(chunk) + 1
-            ]
-            # pyarrow Buffers expose a SIGNED ('b') memoryview; cast to
-            # unsigned so single-byte indexing returns 0..255 (signed
-            # values silently corrupt shift/arithmetic decode paths)
-            mv = memoryview(bufs[2]).cast("B")
-            out.extend(mv[offs[i] : offs[i + 1]] for i in range(len(chunk)))
-        return out
-
-    def _row_events(self, batch: pa.Table, commit_seqs: list):
+    def _row_events(self, batch: pa.Table, commit_seqs: list, block=None):
         """The ONE event walk shared by the three output modes (the
         reference's single `EventsIterator` loop, `EventsIterator.php:73-88`).
-        Yields each accepted ROWS event as ``(row, event_seq, etype,
-        table_id, state, header, payload, ctx)``, ``row`` being its row in
-        ``batch``; every other event goes through ``_handle_marker``,
-        which stamps ``commit_seqs`` (the caller's list, one entry per
-        output row or per event) in place — so a caller reads
-        ``ctx.cur_commit`` after each yield, never before.  Json mode has
-        no target table, so it skips the target check."""
+        ``block`` is :func:`_payload_base` of ``batch`` (computed if not
+        given); its header columns select the events visited, in order:
+        ROWS events and the markers that change decode state.  Yields each
+        accepted ROWS event as ``(row, event_seq, etype, table_id, state,
+        payload, ctx)``, ``row`` being its row in ``batch``; each marker
+        goes through ``_handle_marker``, which stamps ``commit_seqs`` (the
+        caller's list, one entry per output row or per event) in place —
+        so a caller reads ``ctx.cur_commit`` after each yield, never
+        before.  Json mode has no target table: no target check."""
+        base, _buf, starts, ends, hdr = block or _payload_base(batch)
         event_seqs = batch.column("event_seq").to_numpy(zero_copy_only=False)
-        payloads = self._payload_views(batch)
         self._begin_block()
-        start_after = self.start_after_seq
+        live = np.arange(len(starts))
+        if self.start_after_seq is not None:
+            live = live[event_seqs > self.start_after_seq]  # F2 replay-skip (`EventsIterator.php:207-215`)
+        self.n_events += len(live)
+        self.n_bytes += int((ends[live] - starts[live]).sum())
+        walked = live[_WALKED[hdr["type"][live]]]
         target = self.target_table
         ctx = _BlockCtx(self.checksum_size)
-        for row, (event_seq, payload) in enumerate(zip(event_seqs, payloads)):
-            if start_after is not None and event_seq <= start_after:
-                continue  # F2 replay-skip (`EventsIterator.php:207-215`)
-            etype = payload[5]
-            self.n_events += 1
-            self.n_bytes += len(payload)
+        # pyarrow Buffers expose a SIGNED ('b') memoryview; cast to
+        # unsigned so single-byte indexing returns 0..255
+        data = memoryview(base).cast("B")
+        for row, event_seq, etype, word, lo, hi in zip(
+            walked.tolist(), event_seqs[walked].tolist(), hdr["type"][walked].tolist(),
+            hdr["body_u64"][walked].tolist(), starts[walked].tolist(), ends[walked].tolist(),
+        ):
+            payload = data[lo:hi]
             if etype not in _ROWS_TYPES:
-                self._handle_marker(etype, payload, ctx, commit_seqs)
+                self._handle_marker(etype, word, payload, ctx, commit_seqs)
                 continue
-            table_id = int.from_bytes(payload[20:26], "little")
+            table_id = word & TABLE_ID_MASK
             if self.filtered.get(table_id):
                 continue  # F1: filtered tables never deserialized
             st = self._resolve(table_id)
@@ -804,8 +800,7 @@ class BinlogDecoder:
             if self.verify and not verify_checksum(payload, ctx.checksum_size):
                 self.n_checksum_failures += 1
                 continue
-            h = parse_header(payload, ctx.checksum_size)
-            yield row, event_seq, etype, table_id, st, h, payload, ctx
+            yield row, event_seq, etype, table_id, st, payload, ctx
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.output == "flat":
@@ -818,30 +813,32 @@ class BinlogDecoder:
         self, batch: pa.Table
     ) -> tuple[dict[str, np.ndarray], list[_Located], pa.Buffer, np.ndarray] | None:
         """The walk and pass 1 of the located decode, shared by the
-        changefeed and flat modes.  :meth:`_row_events` and, per accepted
-        ROWS event, the one prologue, ``rows_body_offset``, give where
-        its row images start and end in :func:`_payload_base`'s buffer;
-        :func:`_locate_images` then walks each layout's events at once.
+        changefeed and flat modes.  :meth:`_row_events` over
+        :func:`_payload_base`'s buffer and its header columns and, per
+        accepted ROWS event, the one prologue, ``rows_body_offset``, give
+        where its row images start and end in that buffer (the end from
+        ``event_size``); :func:`_locate_images` then walks each layout's
+        events at once.
         Returns the events' columns (``row`` in the batch, ``layout``
         into the located list, ``op`` code, ``seq``, ``table_id``,
         ``ts``, ``commit``), the located layouts and the payload buffer,
         or None when the walk accepted no ROWS event."""
-        base, buf, starts = _payload_base(batch)
+        block = base, buf, starts, ends, hdr = _payload_base(batch)
         # one commit stamp per event: an XID stamps all of an event's rows
         commits: list[int] = []
         layouts: dict[_TableState, int] = {}
         events = []
-        for row, event_seq, etype, tid, st, h, payload, ctx in self._row_events(batch, commits):
+        for row, event_seq, etype, tid, st, payload, ctx in self._row_events(batch, commits, block):
             off, _ = rows_body_offset(payload, etype, st.plan)
-            at = starts[row]
-            events.append(
-                (row, layouts.setdefault(st, len(layouts)), _OP_CODE_BY_TYPE[etype], event_seq, tid,
-                 h.timestamp, at + off, at + h.payload_size, at + len(payload))
-            )
+            layout = layouts.setdefault(st, len(layouts))
+            events.append((row, layout, _OP_CODE_BY_TYPE[etype], event_seq, tid, off, 1 - ctx.checksum_size))
             commits.append(ctx.cur_commit)
         if not events:
             return None
-        row, layout, op, seq, tid, ts, pos, end, cap = np.array(events, dtype=np.int64).T
+        row, layout, op, seq, tid, off, trail = np.array(events, dtype=np.int64).T
+        h = hdr[row]
+        ts = h["timestamp"].astype(np.int64)
+        pos, end, cap = starts[row] + off, starts[row] + h["event_size"] + trail, ends[row]
         located = []
         for st, j in layouts.items():
             lanes = np.flatnonzero(layout == j)
@@ -940,10 +937,9 @@ class BinlogDecoder:
         befores: list[str | None] = []
         afters: list[str | None] = []
 
-        for _row, event_seq, _etype, table_id, st, h, payload, ctx in self._row_events(
-            batch, commit_seqs
-        ):
-            ev = parse_rows_event(payload, h, {table_id: st.plan}, int(event_seq))
+        for _row, event_seq, _etype, table_id, st, payload, ctx in self._row_events(batch, commit_seqs):
+            h = parse_header(payload, ctx.checksum_size)
+            ev = parse_rows_event(payload, h, {table_id: st.plan}, event_seq)
             n_rows = len(ev.rows)
             if ev.op == "update":
                 befores.extend(dump(r["before"]) for r in ev.rows)
@@ -958,7 +954,7 @@ class BinlogDecoder:
             tables.extend([tm.table_name] * n_rows)
             ops.extend([ev.op] * n_rows)
             tm_ids.extend([table_id] * n_rows)
-            ev_seqs.extend([int(event_seq)] * n_rows)
+            ev_seqs.extend([event_seq] * n_rows)
             row_seqs.extend(range(n_rows))
             commit_seqs.extend([ctx.cur_commit] * n_rows)
             tss.extend([h.timestamp] * n_rows)

@@ -62,7 +62,7 @@ def _reference_rows(dec, batch):
     a delete holding only the merge keys and a tombstone after the
     event's rows for each key-changing update.  Counts rows on ``dec``
     as the modes do."""
-    from mysql_binlog_ray.protocol.decode import parse_rows_event
+    from mysql_binlog_ray.protocol.decode import parse_header, parse_rows_event
 
     types = {f.name: f.type for f in dec.struct_type}
 
@@ -77,8 +77,9 @@ def _reference_rows(dec, batch):
 
     shard_ids = batch.column("shard_id").to_pylist()
     commits, rows = [], []
-    for row, event_seq, _etype, table_id, st, h, payload, ctx in dec._row_events(batch, commits):
-        ev = parse_rows_event(payload, h, {table_id: st.plan}, int(event_seq))
+    for row, event_seq, _etype, table_id, st, payload, ctx in dec._row_events(batch, commits):
+        h = parse_header(payload, ctx.checksum_size)
+        ev = parse_rows_event(payload, h, {table_id: st.plan}, event_seq)
         dec.n_rows += len(ev.rows)
         images = {
             "insert": lambda r: (None, r),
@@ -1004,6 +1005,103 @@ class TestCrossModeParity:
         assert stamped(js, is_repos) == want
 
 
+def _assert_header_pass(batch):
+    """Every column of the header pass (``event_headers``) equals the
+    scalar readers' value for every event of ``batch``: ``parse_header``'s
+    fields, ``parse_xid`` on XIDs, and the table id ``p[20:26]``."""
+    from mysql_binlog_ray.protocol.decode import TABLE_ID_MASK, parse_header, parse_xid
+    from mysql_binlog_ray.stages.decode_stage import event_headers
+
+    hdr = event_headers(batch)
+    payloads = batch.column("payload").to_pylist()
+    assert len(hdr) == len(payloads)
+    for (ok, ts, etype, server_id, size, pos, flags, word), p in zip(hdr.tolist(), payloads):
+        h = parse_header(p, 0)
+        assert (ok, ts, etype, server_id, size, pos, flags) == (
+            p[0], h.timestamp, h.type, h.server_id, h.event_size, h.log_pos, h.flags
+        )
+        assert word == int.from_bytes(p[20:28], "little")
+        assert word & TABLE_ID_MASK == int.from_bytes(p[20:26], "little")
+        if etype == EventType.XID:
+            assert word == parse_xid(p)
+    return hdr
+
+
+class TestHeaderPass:
+    """``protocol.decode.header_columns`` over ``decode_stage._payload_base``
+    equals the scalar header readers on every payload shape."""
+
+    @pytest.fixture(scope="class")
+    def seed1(self, tmp_path_factory):
+        import pyarrow.parquet as pq
+
+        m = generate_stream(
+            StreamSpec(seed=1, n_keys=300, n_ops=1500, n_shards=3, issues_every=3),
+            str(tmp_path_factory.mktemp("seed1")),
+        )
+        return m, [pq.read_table(sh["path"]) for sh in m["shards"]]
+
+    def test_whole_shards_and_slices(self, seed1):
+        _m, shards = seed1
+        types = set()
+        for t in shards:
+            types |= set(_assert_header_pass(t)["type"].tolist())
+            for i in range(0, t.num_rows, 700):
+                _assert_header_pass(t.slice(i, 700))
+        assert {EventType.FORMAT_DESCRIPTION, EventType.ROTATE, EventType.TABLE_MAP, EventType.XID} <= types
+
+    def test_chunked_and_large_binary_payloads(self, seed1):
+        _m, shards = seed1
+        t = shards[0]
+        col = t.column("payload").combine_chunks()
+        chunked = pa.chunked_array([col.slice(0, 301), col.slice(301, 5), col.slice(306)])
+        hdr = _assert_header_pass(pa.table({"payload": chunked}))
+        assert len(hdr) == t.num_rows
+        _assert_header_pass(pa.table({"payload": col.slice(17).cast(pa.large_binary())}))
+
+    def test_short_last_event(self, seed1):
+        """An event shorter than 28 bytes at the buffer's end: the bytes
+        it lacks read as 0 and no read leaves the buffer."""
+        _m, shards = seed1
+        payloads = shards[0].column("payload").to_pylist()[:40]
+        for cut in (20, 24, 27):
+            hdr = _assert_header_pass(pa.table({"payload": pa.array(payloads + [payloads[-1][:cut]], pa.binary())}))
+            assert hdr["body_u64"][-1] == int.from_bytes(payloads[-1][20:cut], "little")
+
+    def test_wire_spooled_stream(self, seed1, tmp_path):
+        import glob
+        import socket
+        import threading
+
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.fixtures.wire_server import serve_session
+        from mysql_binlog_ray.sources.wire import BinlogWireClient, tail_to_shards
+
+        _m, shards = seed1
+        payloads = [p for t in shards for p in t.column("payload").to_pylist()]
+        srv, cli = socket.socketpair()
+        th = threading.Thread(target=lambda: (serve_session(srv, payloads), srv.close()), daemon=True)
+        th.start()
+        tail_to_shards(BinlogWireClient(cli, user="repl", password="secret"), str(tmp_path), shard_events=256)
+        cli.close()
+        th.join(timeout=30)
+        spooled = sorted(glob.glob(str(tmp_path / "events-*.parquet")))
+        assert len(spooled) > 1
+        n = sum(len(_assert_header_pass(pq.read_table(f))) for f in spooled)
+        assert n > 0
+
+    def test_binlog_file_block(self, seed1, tmp_path, ray_session):
+        import ray
+
+        from mysql_binlog_ray.sources.binlog_file import binlog_files_to_dataset, export_stream_to_binlog_files
+
+        m, shards = seed1
+        ds = binlog_files_to_dataset(export_stream_to_binlog_files(m, str(tmp_path)))
+        blocks = [ray.get(r) for r in ds.to_arrow_refs()]
+        assert sum(len(_assert_header_pass(b)) for b in blocks) == sum(t.num_rows for t in shards)
+
+
 class TestOneDecodeWalk:
     """Structural guard: the three decode modes share one event walk
     (``BinlogDecoder._row_events``) and the package has one ROWS-event
@@ -1040,6 +1138,8 @@ class TestOneDecodeWalk:
         return os.path.join(self.PKG, "stages", "decode_stage.py")
 
     def test_one_loop_over_the_batch(self):
+        """One Python loop walks a block's events: ``_row_events``, over
+        the events the header columns select."""
         import ast
 
         loops = []
@@ -1050,23 +1150,60 @@ class TestOneDecodeWalk:
                 if (
                     isinstance(node, ast.For)
                     and isinstance(node.iter, ast.Call)
-                    and getattr(node.iter.func, "id", None) == "enumerate"
-                    and isinstance(node.iter.args[0], ast.Call)
-                    and getattr(node.iter.args[0].func, "id", None) == "zip"
-                    and [getattr(a, "id", None) for a in node.iter.args[0].args]
-                    == ["event_seqs", "payloads"]
+                    and getattr(node.iter.func, "id", None) == "zip"
+                    and ast.unparse(node.iter.args[0]) == "walked.tolist()"
                 ):
                     loops.append(fn.name)
         assert loops == ["_row_events"]
+        assert not hasattr(BinlogDecoder, "_payload_views")
 
-    def test_walk_resolves_filters_and_parses_rows_headers(self):
+    def test_walk_resolves_filters_and_reads_header_columns(self):
         for name in ("_resolve", "_row_filtered"):
             assert list(self._calls(self._stage(), name)) == ["_row_events"], name
-        # _handle_marker parses the headers of FORMAT_DESCRIPTION and
-        # TABLE_MAP; every ROWS event header is parsed by the walk
+        # the walk and the located decode read header fields from the
+        # header pass; _handle_marker parses the headers of
+        # FORMAT_DESCRIPTION and TABLE_MAP, json mode those of its ROWS
+        # events
+        assert list(self._calls(self._stage(), "header_columns")) == ["_payload_base"]
         calls = self._calls(self._stage(), "parse_header")
-        assert sorted(calls) == ["_handle_marker", "_row_events"]
-        assert len(calls["_row_events"]) == 1
+        assert sorted(calls) == ["_call_json", "_handle_marker"]
+        assert len(calls["_call_json"]) == 1
+
+    def test_only_the_header_pass_reads_header_bytes(self):
+        """Outside ``protocol/`` and ``fixtures/``, only ``_scan_map_event``
+        (the live tail's per-packet scan) reads an event's type byte
+        (``[5]``) or table id (``[20:26]``); every other scan reads the
+        header pass's columns.  ``hdr[5]`` in ``sources/wire.py`` is a
+        compressed packet's 7-byte header, not an event's."""
+        import ast
+        import glob as _glob
+
+        from mysql_binlog_ray.pipelines import sequential
+
+        assert not hasattr(sequential, "SequentialShardDecoder")
+        reads = set()
+        for path in _glob.glob(os.path.join(self.PKG, "**", "*.py"), recursive=True):
+            rel = os.path.relpath(path, self.PKG)
+            if rel.split(os.sep)[0] in ("protocol", "fixtures"):
+                continue
+
+            class V(ast.NodeVisitor):
+                fn = None
+
+                def visit_FunctionDef(self, node):
+                    outer, self.fn = self.fn, node.name
+                    self.generic_visit(node)
+                    self.fn = outer
+
+                def visit_Subscript(self, node):
+                    at = node.slice
+                    if ast.unparse(at) in ("5", "20:26"):
+                        reads.add((rel, self.fn, ast.unparse(node)))
+                    self.generic_visit(node)
+
+            V().visit(ast.parse(open(path).read()))
+        wire = os.path.join("sources", "wire.py")
+        assert reads == {(wire, "_scan_map_event", "payload[5]"), (wire, "recv", "hdr[5]")}
 
     def test_checksum_only_in_walk_and_table_map_branch(self):
         import ast

@@ -291,22 +291,106 @@ class TestSequentialDecode:
     def test_position_discontinuity_detected(self, small_stream):
         import pyarrow.parquet as pq
 
-        from mysql_binlog_ray.pipelines.sequential import SequentialShardDecoder
+        spec, out, manifest = small_stream
+        t = pq.read_table(manifest["shards"][0]["path"])
+        payloads = t.column("payload").to_pylist()
+        assert _discontinuities(payloads) == 0
+        # corrupt one header's log_pos
+        bad = bytearray(payloads[5])
+        bad[14] ^= 0x01  # log_pos byte
+        assert _discontinuities([bytes(bad) if i == 5 else p for i, p in enumerate(payloads[:10])]) >= 1
+
+    def test_strict_decode_refuses_a_corrupted_shard(self, small_stream, tmp_path):
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.sequential import decode_shards_sequential
 
         spec, out, manifest = small_stream
         t = pq.read_table(manifest["shards"][0]["path"])
         payloads = t.column("payload").to_pylist()
-        dec = SequentialShardDecoder(registry_snapshot=manifest["table_maps"])
-        for p in payloads:
-            dec.check_event(p)
-        assert dec.n_position_errors == 0
-        # corrupt one header's log_pos
         bad = bytearray(payloads[5])
-        bad[14] ^= 0x01  # log_pos byte
-        dec2 = SequentialShardDecoder(registry_snapshot=manifest["table_maps"])
-        for i, p in enumerate(payloads[:10]):
-            dec2.check_event(bytes(bad) if i == 5 else p)
-        assert dec2.n_position_errors >= 1
+        bad[14] ^= 0x01
+        payloads[5] = bytes(bad)
+        path = str(tmp_path / "events-00000.parquet")
+        pq.write_table(t.set_column(2, "payload", pa.array(payloads, pa.binary())), path)
+        corrupted = dict(manifest, shards=[dict(manifest["shards"][0], path=path)])
+        with pytest.raises(Exception, match="1 event-position discontinuities"):
+            decode_shards_sequential(corrupted).materialize()
+        assert decode_shards_sequential(corrupted, strict=False).count() > 0
+
+
+def _header_event(etype: int, event_size: int, log_pos: int) -> bytes:
+    """An event's OK byte, v4 header and 8 body bytes (the position
+    check reads only the header)."""
+    import struct
+
+    return b"\x00" + struct.pack("<IBIIIH", 0, etype, 1, event_size, log_pos, 0) + bytes(8)
+
+
+def _discontinuities(payloads) -> int:
+    from mysql_binlog_ray.pipelines.sequential import position_discontinuities
+    from mysql_binlog_ray.stages.decode_stage import event_headers
+
+    return position_discontinuities(event_headers(pa.table({"payload": pa.array(payloads, pa.binary())})))
+
+
+def _discontinuities_per_event(events) -> int:
+    """The position rules as a loop over ``(type, event_size, log_pos)``,
+    one event at a time (`EventsIterator.php:175-196`)."""
+    expected, seen_fd, bad = None, False, 0
+    for etype, size, pos in events:
+        if etype == EventType.FORMAT_DESCRIPTION:
+            expected, seen_fd = None, True
+        elif not seen_fd:
+            raise ValueError("Expected FORMAT_DESCRIPTION first")
+        elif etype == EventType.ROTATE:
+            expected = 4
+        elif expected is None:
+            expected = pos
+        else:
+            bad += pos != (expected + size) & 0xFFFFFFFF
+            expected += size
+    return bad
+
+
+class TestPositionCheck:
+    """``sequential.position_discontinuities`` over header columns."""
+
+    FD, ROT, WR = EventType.FORMAT_DESCRIPTION, EventType.ROTATE, EventType.WRITE_ROWS_V2
+
+    def _count(self, events):
+        return _discontinuities([_header_event(*e) for e in events])
+
+    def test_must_start_with_format_description(self):
+        with pytest.raises(ValueError, match="FORMAT_DESCRIPTION first"):
+            self._count([(self.WR, 30, 130), (self.FD, 120, 250)])
+        assert self._count([]) == 0
+
+    def test_rotate_mid_shard_resets_to_4(self):
+        ok = [(self.FD, 120, 124), (self.WR, 30, 154), (self.WR, 20, 174), (self.ROT, 44, 0),
+              (self.WR, 30, 34), (self.WR, 10, 44)]
+        assert self._count(ok) == 0
+        # after the ROTATE the offset restarts at 4, not at 174
+        assert self._count(ok[:4] + [(self.WR, 30, 204), (self.WR, 10, 214)]) == 2
+
+    def test_log_pos_wraps_past_2_32(self):
+        top = (1 << 32) - 10
+        assert self._count([(self.FD, 120, 124), (self.WR, 30, top), (self.WR, 30, 20), (self.WR, 5, 25)]) == 0
+        assert self._count([(self.FD, 120, 124), (self.WR, 30, top), (self.WR, 30, top + 9)]) == 1
+
+    def test_equals_the_per_event_rules(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            n = int(rng.integers(1, 40))
+            types = rng.choice([self.FD, self.ROT, self.WR, EventType.XID], size=n, p=[0.1, 0.1, 0.5, 0.3])
+            types[0] = self.FD
+            sizes = rng.integers(19, 1 << 31, size=n)
+            events, at = [], 4
+            for t, size in zip(types.tolist(), sizes.tolist()):
+                at = 4 if t == self.ROT else (at + size) & 0xFFFFFFFF
+                pos = at if rng.random() < 0.8 else int(rng.integers(0, 1 << 32))
+                events.append((t, size, pos))
+            assert self._count(events) == _discontinuities_per_event(events), events
 
 
 class TestConnectedComponents:

@@ -1137,38 +1137,6 @@ class TestMultiTableLakes:
         # typed columns survived decode + merge + parquet round-trip
         assert issues["n_comments"].dtype.kind == "i"
 
-    def test_concurrent_tables_equal_sequential(self, tmp_path, monkeypatch):
-        """concurrency=2 runs both tables' pipelines from driver threads;
-        lakes are identical to the sequential run (disjoint lake/spill
-        state; only the immutable input shards are shared).  The threads
-        drive plain Ray tasks only, no Ray Data executor, so nothing needs
-        to guard Ray Data's lazy imports against thread races."""
-        from mysql_binlog_ray.pipelines.cdc import (
-            CdcConfig,
-            read_lake,
-            run_tables_to_lakes,
-        )
-
-        spec = StreamSpec(n_keys=120, n_ops=700, n_shards=3, issues_every=3)
-        out = str(tmp_path / "stream")
-        manifest = generate_stream(spec, out)
-        cfgs = {
-            ("code", "repos"): CdcConfig(num_partitions=8, key_cols=("repo", "path")),
-            ("code", "issues"): CdcConfig(num_partitions=4, key_cols=("issue_id",)),
-        }
-        seq = str(tmp_path / "seq")
-        conc = str(tmp_path / "conc")
-        run_tables_to_lakes(manifest, seq, cfgs)
-        runs = _guard_ray_data(monkeypatch, lambda p: True)
-        res = run_tables_to_lakes(manifest, conc, cfgs, concurrency=2)
-        assert runs == []
-        monkeypatch.undo()
-        assert set(res) == {"code.repos", "code.issues"}
-        for name, keys in [("code.repos", ["repo", "path"]), ("code.issues", ["issue_id"])]:
-            a = read_lake(f"{seq}/{name}").to_pandas().sort_values(keys).reset_index(drop=True)
-            b = read_lake(f"{conc}/{name}").to_pandas().sort_values(keys).reset_index(drop=True)
-            assert a.equals(b), name
-
 
 @pytest.mark.usefixtures("ray_session")
 class TestCompactionOneWriter:
@@ -1555,6 +1523,61 @@ class TestMixedSchemaLake:
         exp = final_state_oracle(spec, out).to_pandas()
         exp["stars"] = exp["stars"].astype("float64")
         assert got.equals(exp.sort_values(["repo", "path"]).reset_index(drop=True))
+
+    def test_point_lookup_keeps_the_newest_column_order(self, mixed_schema_lake):
+        """The lowest wanted partition is a file without ``stars``: the
+        result, an empty one included, still has the newest file's
+        column order, through the driver path (2 partitions) and the
+        task path (> 8 partitions)."""
+        import pyarrow as pa
+        import pyarrow.parquet as pq
+
+        from mysql_binlog_ray.pipelines.cdc import lake_point_lookup
+        from mysql_binlog_ray.stages.merge import partition_codes
+
+        spec, out, manifest, lake, old, new = mixed_schema_lake
+
+        def part(f):
+            return int(f.split("part=")[1].split("/")[0])
+
+        lowest = min(old, key=part)
+        later = [f for f in new if part(f) > part(lowest)]
+        names = pq.read_schema(new[-1]).names
+        assert "stars" not in pq.read_schema(lowest).names and names.index("stars") < len(names) - 1
+        for files in ([lowest, later[0]], [lowest, *later[:9]]):
+            keys = pa.concat_tables(pq.ParquetFile(f).read(columns=["repo", "path"]).slice(0, 2) for f in files)
+            assert min(partition_codes(keys, ("repo", "path"), 64)) == part(lowest)
+            got = lake_point_lookup(lake, keys)
+            assert got.num_rows == 2 * len(files) and got.column_names == names
+        miss = next(
+            k for k in (pa.table({"repo": ["absent"], "path": [f"p{i}"]}) for i in range(10_000))
+            if partition_codes(k, ("repo", "path"), 64)[0] == part(lowest)
+        )
+        got = lake_point_lookup(lake, miss)
+        assert got.num_rows == 0 and got.column_names == names
+
+
+def test_rows_as_inserts_keeps_a_table_column_named_part():
+    """Only the merge's own columns are replaced; a table column named
+    ``part`` is a value column like any other."""
+    import pyarrow as pa
+
+    from mysql_binlog_ray.pipelines.cdc import _rows_as_inserts
+
+    tab = pa.table(
+        {
+            "part": [3, 4],
+            "k": ["a", "b"],
+            "op": ["insert", "update"],
+            "event_seq": [5, 6],
+            "row_seq": pa.array([0, 1], pa.int32()),
+            "commit_seq": [5, 6],
+        }
+    )
+    got = _rows_as_inserts(tab)
+    assert got.column_names == ["part", "k", "op", "event_seq", "row_seq"]
+    assert got["part"].to_pylist() == [3, 4]
+    assert _rows_as_inserts(tab, snapshot_seq=9)["part"].to_pylist() == [3, 4]
 
 
 class TestOneLakeWriter:
