@@ -156,117 +156,20 @@ def _map_decoder(events: rd.Dataset, decoder_kwargs: dict[str, Any]) -> rd.Datas
     return events.map_batches(decode_fn, batch_format="pyarrow", zero_copy_batch=True)
 
 
-def build_xid_index(events: rd.Dataset) -> tuple[Any, Any, Any]:
-    """(sorted XID event_seqs, XID values, per-file seq boundaries) via a
-    distributed scan of the header columns (``decode_stage.event_headers``:
-    the XIDs are the ``type`` selection, their values ``body_u64``), one
-    output row per transaction plus one per file.
-
-    Commit-stamping fallback for GTID-less streams: with GTIDs in the
-    stream the decoder stamps exactly in-band and needs no index.  The
-    index is one (int64, int64) pair per transaction, collected on the
-    driver and broadcast once — suitable whenever the transaction count
-    (not the row count) fits driver memory; with GTIDs enabled (any
-    modern MySQL/MariaDB) prefer the in-band path at unbounded scale.
-    """
-
-    def extract(batch: pa.Table) -> pa.Table:
-        """One row per XID, then one per shard with its lowest event_seq."""
-        seqs = batch.column("event_seq").to_numpy(zero_copy_only=False).astype(np.int64)
-        sids = batch.column("shard_id").to_numpy(zero_copy_only=False).astype(np.int64)
-        hdr = event_headers(batch)
-        xids = np.flatnonzero(hdr["type"] == EventType.XID)
-        shards = np.unique(sids)  # few shards per batch; min is C
-        lows = np.array([seqs[sids == sid].min() for sid in shards], dtype=np.int64)
-        no_x, no_s = np.full(len(xids), -1), np.full(len(shards), -1)
-        return pa.table(
-            {
-                "xid_seq": np.concatenate([seqs[xids], no_s]),
-                "xid": pa.concat_arrays([pa.array(hdr["body_u64"][xids], pa.int64()), pa.array(no_s)]),
-                "shard_id": np.concatenate([no_x, shards]),
-                "shard_lo": np.concatenate([no_x, lows]),
-            }
-        )
-
-    idx = events.map_batches(extract, batch_format="pyarrow").to_pandas()
-    xids = idx[idx["xid_seq"] >= 0].sort_values("xid_seq")
-    # per-shard GLOBAL minimum event_seq = file boundaries (blocks split
-    # shards, so take the min across the per-block partials): a row must
-    # never be stamped by an XID from a different file (a truncated-tail
-    # transaction stays -1 rather than stealing the next file's commit)
-    lows = idx[idx["shard_id"] >= 0].sort_values("shard_lo").drop_duplicates("shard_id")
-    bounds = lows["shard_lo"].to_numpy()
-    return xids["xid_seq"].to_numpy(), xids["xid"].to_numpy(), bounds
-
-
-def repair_commit_seqs(cf: rd.Dataset, xid_index: tuple[Any, Any, Any]) -> rd.Dataset:
-    """Fill commit_seq = -1 rows with the first XID at-or-after their
-    event_seq (transactions are contiguous within a binlog file, so that
-    XID is exactly the row's commit marker).  Vectorized searchsorted per
-    batch against the broadcast index.  A row whose candidate XID lies
-    beyond its own file's boundary (truncated-tail transaction) stays -1
-    — unknown is honest; a foreign file's commit id is not."""
-    xid_seqs, xid_vals, shard_bounds = xid_index
-    ref = ray.put(
-        (
-            np.asarray(xid_seqs, dtype=np.int64),
-            np.asarray(xid_vals, dtype=np.int64),
-            np.asarray(shard_bounds, dtype=np.int64),
-        )
-    )
-    cache: dict = {}
-
-    def fix(batch: pa.Table) -> pa.Table:
-        commit = batch.column("commit_seq").to_numpy(zero_copy_only=False).copy()
-        mask = commit == -1
-        if not mask.any():
-            return batch
-        state = cache.get("i")
-        if state is None:
-            state = cache["i"] = ray.get(ref)  # one object-store read per worker
-        xs, xv, bounds = state
-        es = batch.column("event_seq").to_numpy(zero_copy_only=False)[mask]
-        pos = np.searchsorted(xs, es, side="left")
-        vals = np.full(len(es), -1, dtype=np.int64)
-        in_range = pos < len(xs)
-        if in_range.any():
-            cand = np.minimum(pos, len(xs) - 1)
-            same_file = np.searchsorted(bounds, es, side="right") == np.searchsorted(
-                bounds, xs[cand], side="right"
-            )
-            ok = in_range & same_file
-            vals[ok] = xv[pos[ok]]
-        commit[mask] = vals
-        i = batch.column_names.index("commit_seq")
-        return batch.set_column(i, "commit_seq", pa.array(commit, pa.int64()))
-
-    return cf.map_batches(fix, batch_format="pyarrow")
-
-
 def decode_changefeed(
     events: rd.Dataset,
     registry_snapshot: list[dict[str, Any]],
     cfg: CdcConfig,
     start_after_seq: int | None = None,
-    exact_commits: bool = False,
 ) -> rd.Dataset:
     """Decode stage: map_batches over zero-copy Arrow batches of payloads.
 
-    ``exact_commits=True`` adds the XID-index repair pass for GTID-less
-    streams (see ``build_xid_index``); GTID streams are exact without it.
-    The repair stamps XID-domain values, so it refuses to combine with
-    ``commit_source="gtid"`` (it would silently mix numbering domains).
+    Each block decodes on its own, so a transaction whose XID lands in
+    another block keeps its GTID stamp (``commit_source``), or -1 on a
+    GTID-less stream; ``sequential.decode_shards_sequential`` decodes
+    each shard as one block and is the exact path.
     """
-    if exact_commits and cfg.decoder_kwargs.get("commit_source") == "gtid":
-        raise ValueError(
-            "exact_commits repairs with XID-domain values; "
-            "commit_source='gtid' would mix numbering domains — "
-            "use 'xid' or 'hybrid'"
-        )
-    cf = _map_decoder(events, _decoder_kwargs(registry_snapshot, cfg, start_after_seq))
-    if exact_commits:
-        cf = repair_commit_seqs(cf, build_xid_index(events))
-    return cf
+    return _map_decoder(events, _decoder_kwargs(registry_snapshot, cfg, start_after_seq))
 
 
 def _decoder_kwargs(
@@ -838,11 +741,14 @@ def run_to_lake(
     lake_dir: str,
     cfg: CdcConfig | None = None,
     resume: bool = True,
-) -> dict[str, Any]:
+) -> dict[str, Any] | None:
     """Run the pipeline into a partitioned Parquet lake with an atomic
     watermark manifest; rerun/resume reproduces the identical table.
 
-    Returns the committed manifest.  Besides ``elapsed_sec`` it records
+    Returns the committed manifest.  A stream manifest with no shards
+    (a tail session that spooled no events) is nothing new: it returns
+    the prior manifest, or None for a lake never committed (or with
+    ``resume=False``), and writes nothing.  Besides ``elapsed_sec`` it records
     :func:`_exchange`'s counters: ``readback_rows`` (committed rows the
     merge tasks read back), ``partitions_rewritten``, ``spill_bytes``,
     the size of the exchange's spill files, and the spill tasks' decode
@@ -858,6 +764,8 @@ def run_to_lake(
     prior = read_manifest(lake_dir) if resume else None
     start_after = prior["watermark"] if prior else None
 
+    if not manifest["shards"]:
+        return prior  # no events: nothing new
     watermark = max(s["last_event_seq"] for s in manifest["shards"])
     if prior and prior["watermark"] >= watermark:
         return prior  # nothing new: idempotent no-op
@@ -1068,14 +976,16 @@ def follow(
     manifest: dict[str, Any],
     lake_dir: str,
     cfg: CdcConfig | None = None,
-) -> dict[str, Any]:
+) -> dict[str, Any] | None:
     """Tailing/incremental ingest step: apply whatever the stream
     manifest contains beyond the lake's watermark (micro-batch follow
     mode — the batch-replay equivalent of the reference's endless
     `foreach ($eventStream ...)` loop, `examples/print-row-events.php:37-43`).
 
     Call repeatedly as the stream grows; each call is an idempotent
-    resume, so a crashed or repeated step never corrupts the lake.
+    resume, so a crashed or repeated step never corrupts the lake.  A
+    manifest with no shards yet returns the lake's manifest (None
+    before its first commit).
     """
     return run_to_lake(manifest, lake_dir, cfg, resume=True)
 
@@ -1222,8 +1132,7 @@ def schema_history(
 
     Scale shape: a distributed scan of the header columns
     (``decode_stage.event_headers``), full parse only for the rare QUERY
-    events — the same pattern as ``build_xid_index``; output is O(DDL
-    count)."""
+    events; output is O(DDL count)."""
     from ..protocol.decode import parse_header, parse_query
 
     def extract(batch: pa.Table) -> pa.Table:

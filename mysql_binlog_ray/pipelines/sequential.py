@@ -1,9 +1,11 @@
 """Per-shard sequential decode (exact M4 commit stamping + E13 integrity).
 
 The block-parallel decode stage (`decode_changefeed`) stamps
-``commit_seq = -1`` on rows whose XID lands in a different block.  This
-mode trades a little parallelism granularity for exactness: one task per
-shard ("binlog file"), each walking its events strictly in order like the
+``commit_seq = -1`` on rows whose XID lands in a different block (or
+their GTID, per ``commit_source``).  This mode, the package's one
+exact-commit path, trades a little parallelism granularity for
+exactness: one task per shard ("binlog file"), each decoding the shard
+as ONE block, so its events are walked strictly in order like the
 reference's EventsIterator — so
 
 - every row image gets its transaction's XID (`EventsIterator.php:335-341`),

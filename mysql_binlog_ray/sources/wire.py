@@ -1271,15 +1271,16 @@ def tail_to_shards(
     # in-stream registry-snapshot scan: a REAL stream's TABLE_MAPs exist
     # only in-band, and a follower's PARALLEL decode needs the snapshot
     # for blocks that start mid-transaction — so every publish carries
-    # the latest layout per table_id, seeded from any maps the caller
-    # (or a resumed prior manifest) already provided.  Cost: one byte
-    # peek per event (already in hand) + a full parse only for
-    # TABLE_MAP / FORMAT_DESCRIPTION events (:func:`_scan_map_event`).
+    # the latest layout per table_id, seeded from a resumed prior
+    # manifest's maps (earlier sessions' tables), then the caller's, then
+    # this session's.  Cost: one byte peek per event (already in hand) +
+    # a full parse only for TABLE_MAP / FORMAT_DESCRIPTION events
+    # (:func:`_scan_map_event`).
     scan_maps = manifest_extra is not None
     latest_maps: dict[int, dict] = {}
     scan_checksum = 4  # CRC32 until an FDE says otherwise
     if scan_maps:
-        for d in manifest_extra.get("table_maps", []):
+        for d in [*prior_meta.get("table_maps", []), *manifest_extra.get("table_maps", [])]:
             latest_maps[int(d["table_id"])] = d
 
     def publish() -> None:

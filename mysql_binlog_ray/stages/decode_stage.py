@@ -33,13 +33,25 @@ that pass and walk only the after-images they keep again for their
 value cells (``flat_combined`` keeps each key's newest row, ``__call__``
 every row); the changefeed decodes every target column in that pass.
 
+The block is the unit of decode order: blocks reach workers in any
+order, so every block starts from the broadcast snapshot and all decode
+state lives in the walk's per-block context (``_BlockCtx``: table
+bindings, checksum gate, open transaction, one commit stamp per ROWS
+event).  A decoder keeps only its counters and which layouts it
+decodes (``_accepts``, a function of the layout alone) across blocks,
+so one decoder over blocks in any order equals a fresh decoder per
+block.  A transaction whose XID falls in another block keeps its
+GTID stamp or -1; ``pipelines.sequential.decode_shards_sequential``
+decodes each shard as one block for exact stamps.
+
 Semantics reproduced from the reference (citations in protocol/decode.py):
 
 - FORMAT_DESCRIPTION gates checksum handling (`EventsIterator.php:141-151`)
-- TABLE_MAP events update the in-band schema registry
-  (`EventsIterator.php:198-205`); unknown table ids fall back to the
-  broadcast registry snapshot (our distributed stand-in for the
-  single-process dict at `EventsIterator.php:40`)
+- TABLE_MAP events bind into the block's copy of the registry
+  (`EventsIterator.php:198-205`), which starts as the broadcast
+  registry snapshot (our distributed stand-in for the single-process
+  dict at `EventsIterator.php:40`); ROTATE resets it to the snapshot
+  (`EventsIterator.php:163-173`)
 - include/exclude db.table filters are applied BEFORE row decode, so
   filtered tables are never deserialized (`EventsIterator.php:103-130`)
 - skip events advance position only (`EventsIterator.php:244-254`)
@@ -138,8 +150,8 @@ def _stamp_xid(commit_seqs: list, txn_start: int, xid: int) -> int:
     their own transaction's id or are honestly unknown (-1) — e.g. a
     GTID-delimited group whose XID is absent, or a truncated
     transaction — and stamping them with a LATER transaction's XID
-    would be silent corruption the repair pass cannot detect.  Returns
-    the new boundary.  One definition, used by all three decode modes.
+    would be silent corruption.  Returns the new boundary.  One
+    definition, used by all three decode modes.
     """
     for i in range(txn_start, len(commit_seqs)):
         commit_seqs[i] = xid
@@ -453,18 +465,23 @@ def _table_state(
 
 
 class _BlockCtx:
-    """Per-block decode context threaded through the shared marker
-    handler: checksum size (set by FORMAT_DESCRIPTION), the open
-    transaction's provisional commit id and start index, and the
-    table ids bound in-band this block."""
+    """One block's decode state, owned by the walk (``_row_events``):
+    every block starts from the broadcast snapshot, so nothing here
+    outlives the block.  The table bindings (``states``, a copy of the
+    snapshot that in-band TABLE_MAPs bind into and a ROTATE resets), the
+    table ids bound in-band, the checksum size (set by
+    FORMAT_DESCRIPTION), the open transaction's provisional commit id and
+    start, and one commit stamp per accepted ROWS event (``commits``)."""
 
-    __slots__ = ("checksum_size", "cur_commit", "txn_start", "bound")
+    __slots__ = ("states", "bound", "checksum_size", "cur_commit", "txn_start", "commits")
 
-    def __init__(self, checksum_size: int) -> None:
+    def __init__(self, states: dict[int, _TableState], checksum_size: int) -> None:
+        self.states = dict(states)
+        self.bound: set[int] = set()
         self.checksum_size = checksum_size
         self.cur_commit = -1
         self.txn_start = 0
-        self.bound: set[int] = set()
+        self.commits: list[int] = []
 
 
 class BinlogDecoder:
@@ -496,11 +513,12 @@ class BinlogDecoder:
           block end keeps its MARIA_GTID sequence number.  Exact and
           single-domain whenever GTID seqno == XID (as in the fixture
           streams); on servers where they differ, cross-block tails are
-          GTID-domain — use ``"xid"`` + ``exact_commits`` for one strict
-          domain.
+          GTID-domain — use ``"xid"`` + ``decode_shards_sequential`` for
+          one strict domain.
         - ``"xid"``: strict XID domain; GTIDs only mark transaction
-          boundaries; rows whose XID is out-of-block stay -1 (repair
-          with ``decode_changefeed(exact_commits=True)``).
+          boundaries; rows whose XID is out-of-block stay -1 (exact with
+          ``pipelines.sequential.decode_shards_sequential``, one block
+          per shard).
         - ``"gtid"``: strict MariaDB GTID-seqno domain; rows whose GTID
           is out-of-block stay -1.
         """
@@ -569,15 +587,13 @@ class BinlogDecoder:
             self.out_schema = changefeed_schema(self.target_map)
         self._empty = self.out_schema.empty_table()
 
+        # the broadcast snapshot, never mutated: every block's bindings
+        # start from a copy of it (``_BlockCtx.states``)
         self.states: dict[int, _TableState] = {
             m.table_id: _table_state(m, self.target_names, self.key_names) for m in maps
         }
-        # ROTATE must drop in-band bindings (schema binding never crosses
-        # a binlog file, `EventsIterator.php:163-173`); the broadcast
-        # snapshot is the cross-file registry we fall back to
-        self._snapshot_states: dict[int, _TableState] = dict(self.states)
-        self.filtered: dict[int, bool] = {}
-        self._states_dirty = False
+        # _accepts' answer per layout
+        self._accepted: dict[_TableState, bool] = {}
         assert commit_source in ("hybrid", "xid", "gtid")
         self.commit_source = commit_source
 
@@ -618,26 +634,26 @@ class BinlogDecoder:
             return True
         return False
 
-    def _begin_block(self) -> None:
-        """Reset per-block decode state.  Blocks are scheduled to workers
-        in arbitrary order across shards/files, so in-band bindings must
-        NEVER leak from one block into the next (a stale binding from
-        file 2 would mis-decode a file-1 block that starts mid-
-        transaction).  Every block starts from the broadcast snapshot —
-        the documented cross-file registry — exactly like a fresh
-        decoder."""
-        if self._states_dirty:
-            self.states = dict(self._snapshot_states)
-            self.filtered = {}
-            self._states_dirty = False
+    def _accepts(self, st: _TableState) -> bool:
+        """Whether the walk decodes layout ``st``'s ROWS events: its table
+        is the target (any table in json mode) and passes the F1 filters.
+        A function of the layout alone, cached per decoder."""
+        ok = self._accepted.get(st)
+        if ok is None:
+            tm = st.plan.table_map
+            target = self.target_table
+            ok = (target is None or (tm.schema_name, tm.table_name) == target) and not self._filtered(tm)
+            self._accepted[st] = ok
+        return ok
 
-    def _bind_table_map(self, tm: TableMapDef) -> _TableState:
-        """In-band TABLE_MAP binding: in-band wins over the snapshot for
-        the current file (a real server reuses table ids across files
-        with different layouts; the in-band map is the authoritative one,
-        `EventsIterator.php:198-205`).  Identical layouts reuse the
-        compiled state from :func:`_table_state` — no recompilation."""
-        cur = self.states.get(tm.table_id)
+    def _bind_table_map(self, tm: TableMapDef, ctx: _BlockCtx) -> None:
+        """In-band TABLE_MAP binding into the block's ``ctx.states``:
+        in-band wins over the snapshot for the current file (a real
+        server reuses table ids across files with different layouts; the
+        in-band map is the authoritative one, `EventsIterator.php:198-205`).
+        Identical layouts reuse the compiled state from
+        :func:`_table_state` — no recompilation."""
+        cur = ctx.states.get(tm.table_id)
         if cur is not None:
             ctm = cur.plan.table_map
             if (
@@ -646,34 +662,14 @@ class BinlogDecoder:
             ):
                 # identical layout: keep the bound state — the snapshot
                 # entry carries schema_ver lineage the wire map lacks
-                self.filtered[tm.table_id] = self._filtered(tm)
-                return cur
-        st = _table_state(tm, self.target_names, self.key_names)
-        self.states[tm.table_id] = st
-        self.filtered[tm.table_id] = self._filtered(tm)
-        self._states_dirty = True
-        return st
+                return
+        ctx.states[tm.table_id] = _table_state(tm, self.target_names, self.key_names)
 
-    def _on_rotate(self, bound_this_block: set[int]) -> None:
-        """ROTATE: drop in-band bindings, keep the snapshot registry
-        (`EventsIterator.php:163-173` — table maps never cross files)."""
-        self.states = dict(self._snapshot_states)
-        self.filtered = {}
-        bound_this_block.clear()
-
-    def _row_filtered(self, table_id: int, st: _TableState) -> bool:
-        """F1 filter status for a table resolved WITHOUT an in-band
-        TABLE_MAP in this block (snapshot/actor fallback): the filter
-        must still apply — a missing cache entry is not a pass."""
-        flt = self.filtered.get(table_id)
-        if flt is None:
-            flt = self.filtered[table_id] = self._filtered(st.plan.table_map)
-        return flt
-
-    def _resolve(self, table_id: int) -> _TableState | None:
-        """Registry lookup: in-band first, broadcast snapshot second, the
-        registry actor last (M3)."""
-        st = self.states.get(table_id)
+    def _resolve(self, table_id: int, ctx: _BlockCtx) -> _TableState:
+        """Registry lookup: the block's bindings (in-band, then the
+        broadcast snapshot they start from) first, the registry actor
+        last (M3); an actor hit is bound for the rest of the block."""
+        st = ctx.states.get(table_id)
         if st is not None:
             return st
         if self.registry_actor_name is not None:
@@ -684,13 +680,11 @@ class BinlogDecoder:
             d = ray.get(self._registry_handle.get.remote(table_id))
             if d is not None:
                 tm = TableMapDef.from_dict(d)
-                st = _table_state(tm, self.target_names, self.key_names)
-                self.states[table_id] = st
-                self._states_dirty = True
+                st = ctx.states[table_id] = _table_state(tm, self.target_names, self.key_names)
                 return st
         raise KeyError(f"unknown table_map id {table_id}; no registry entry")
 
-    def _handle_marker(self, etype: int, word: int, payload, ctx: _BlockCtx, commit_seqs: list) -> None:
+    def _handle_marker(self, etype: int, word: int, payload, ctx: _BlockCtx) -> None:
         """ONE definition of the non-ROWS event semantics, shared by all
         three decode modes (changefeed/flat/json) — commit stamping,
         ROTATE, checksum gating and in-band TABLE_MAP binding must never
@@ -699,14 +693,15 @@ class BinlogDecoder:
 
         - FORMAT_DESCRIPTION gates checksum handling
           (`EventsIterator.php:141-151`).
-        - ROTATE drops in-band bindings AND closes the open transaction
-          (its unstamped rows stay -1 rather than being claimed by the
-          next file's first XID).
+        - ROTATE resets the block's bindings to the snapshot (table maps
+          never cross files, `EventsIterator.php:163-173`) AND closes the
+          open transaction (its unstamped rows stay -1 rather than being
+          claimed by the next file's first XID).
         - MARIA_GTID opens a transaction: provisional forward stamp in
           gtid/hybrid modes, boundary marker always.
         - TABLE_MAP parses once per block per table id; in-band wins
           over the snapshot for the current file.
-        - XID stamps exactly [txn_start, end) via _stamp_xid in
+        - XID stamps exactly ``ctx.commits[txn_start:]`` via _stamp_xid in
           xid/hybrid modes (one transaction, one commit id).
         """
         if etype == EventType.FORMAT_DESCRIPTION:
@@ -715,13 +710,14 @@ class BinlogDecoder:
             _, _, alg = parse_format_description(payload, h)
             ctx.checksum_size = 4 if alg > 0 else 0
         elif etype == EventType.ROTATE:
-            self._on_rotate(ctx.bound)
+            ctx.states = dict(self.states)
+            ctx.bound.clear()
             ctx.cur_commit = -1
-            ctx.txn_start = len(commit_seqs)
+            ctx.txn_start = len(ctx.commits)
         elif etype == EventType.MARIA_GTID:
             if self.commit_source in ("hybrid", "gtid"):
                 ctx.cur_commit = word
-            ctx.txn_start = len(commit_seqs)
+            ctx.txn_start = len(ctx.commits)
         elif etype == EventType.GTID:
             # MySQL-flavor GTID_LOG_EVENT (0x21): flags(1) + SID(16) +
             # GNO(8 LE) [+ logical-clock suffix, ignored].  The GNO is
@@ -730,7 +726,7 @@ class BinlogDecoder:
             # this family entirely, `EventsIterator.php:244-254`).
             if self.commit_source in ("hybrid", "gtid"):
                 ctx.cur_commit = int.from_bytes(payload[37:45], "little")
-            ctx.txn_start = len(commit_seqs)
+            ctx.txn_start = len(ctx.commits)
         elif etype == EventType.TABLE_MAP:
             tid = word & TABLE_ID_MASK
             if tid in ctx.bound:
@@ -740,40 +736,38 @@ class BinlogDecoder:
             if self.verify and not verify_checksum(payload, ctx.checksum_size):
                 self.n_checksum_failures += 1
                 return
-            tm = parse_table_map(payload, h)
-            self._bind_table_map(tm)
+            self._bind_table_map(parse_table_map(payload, h), ctx)
             ctx.bound.add(tid)
         elif etype == EventType.XID:
             if self.commit_source in ("hybrid", "xid"):
-                ctx.txn_start = _stamp_xid(commit_seqs, ctx.txn_start, word)
+                ctx.txn_start = _stamp_xid(ctx.commits, ctx.txn_start, word)
             else:
-                ctx.txn_start = len(commit_seqs)
+                ctx.txn_start = len(ctx.commits)
             ctx.cur_commit = -1
         # QUERY / skip events: no state change, no output
 
-    def _row_events(self, batch: pa.Table, commit_seqs: list, block=None):
+    def _row_events(self, batch: pa.Table, block=None) -> tuple[list[tuple], _BlockCtx]:
         """The ONE event walk shared by the three output modes (the
         reference's single `EventsIterator` loop, `EventsIterator.php:73-88`).
         ``block`` is :func:`_payload_base` of ``batch`` (computed if not
         given); its header columns select the events visited, in order:
-        ROWS events and the markers that change decode state.  Yields each
-        accepted ROWS event as ``(row, event_seq, etype, table_id, state,
-        payload, ctx)``, ``row`` being its row in ``batch``; each marker
-        goes through ``_handle_marker``, which stamps ``commit_seqs`` (the
-        caller's list, one entry per output row or per event) in place —
-        so a caller reads ``ctx.cur_commit`` after each yield, never
-        before.  Json mode has no target table: no target check."""
+        ROWS events and the markers that change decode state.  Returns
+        each accepted ROWS event as ``(row, event_seq, etype, table_id,
+        state, payload, checksum_size)``, ``row`` being its row in
+        ``batch``, and the block's context, whose ``commits`` holds one
+        commit stamp per returned event.  The walk owns all decode state
+        (:class:`_BlockCtx`); across blocks the decoder keeps only its
+        counters, :meth:`_accepts`' cache and the registry actor's handle."""
         base, _buf, starts, ends, hdr = block or _payload_base(batch)
         event_seqs = batch.column("event_seq").to_numpy(zero_copy_only=False)
-        self._begin_block()
         live = np.arange(len(starts))
         if self.start_after_seq is not None:
             live = live[event_seqs > self.start_after_seq]  # F2 replay-skip (`EventsIterator.php:207-215`)
         self.n_events += len(live)
         self.n_bytes += int((ends[live] - starts[live]).sum())
         walked = live[_WALKED[hdr["type"][live]]]
-        target = self.target_table
-        ctx = _BlockCtx(self.checksum_size)
+        ctx = _BlockCtx(self.states, self.checksum_size)
+        events = []
         # pyarrow Buffers expose a SIGNED ('b') memoryview; cast to
         # unsigned so single-byte indexing returns 0..255
         data = memoryview(base).cast("B")
@@ -783,24 +777,18 @@ class BinlogDecoder:
         ):
             payload = data[lo:hi]
             if etype not in _ROWS_TYPES:
-                self._handle_marker(etype, word, payload, ctx, commit_seqs)
+                self._handle_marker(etype, word, payload, ctx)
                 continue
             table_id = word & TABLE_ID_MASK
-            if self.filtered.get(table_id):
+            st = self._resolve(table_id, ctx)
+            if not self._accepts(st):
                 continue  # F1: filtered tables never deserialized
-            st = self._resolve(table_id)
-            if target is not None:
-                tm = st.plan.table_map
-                if (tm.schema_name, tm.table_name) != target:
-                    if self.filtered.get(table_id) is None:
-                        self.filtered[table_id] = True
-                    continue
-            if self._row_filtered(table_id, st):
-                continue  # F1 applies even without an in-band map
             if self.verify and not verify_checksum(payload, ctx.checksum_size):
                 self.n_checksum_failures += 1
                 continue
-            yield row, event_seq, etype, table_id, st, payload, ctx
+            events.append((row, event_seq, etype, table_id, st, payload, ctx.checksum_size))
+            ctx.commits.append(ctx.cur_commit)
+        return events, ctx
 
     def __call__(self, batch: pa.Table) -> pa.Table:
         if self.output == "flat":
@@ -824,17 +812,15 @@ class BinlogDecoder:
         ``ts``, ``commit``), the located layouts and the payload buffer,
         or None when the walk accepted no ROWS event."""
         block = base, buf, starts, ends, hdr = _payload_base(batch)
-        # one commit stamp per event: an XID stamps all of an event's rows
-        commits: list[int] = []
+        accepted, ctx = self._row_events(batch, block)
+        if not accepted:
+            return None
         layouts: dict[_TableState, int] = {}
         events = []
-        for row, event_seq, etype, tid, st, payload, ctx in self._row_events(batch, commits, block):
+        for row, event_seq, etype, tid, st, payload, checksum_size in accepted:
             off, _ = rows_body_offset(payload, etype, st.plan)
             layout = layouts.setdefault(st, len(layouts))
-            events.append((row, layout, _OP_CODE_BY_TYPE[etype], event_seq, tid, off, 1 - ctx.checksum_size))
-            commits.append(ctx.cur_commit)
-        if not events:
-            return None
+            events.append((row, layout, _OP_CODE_BY_TYPE[etype], event_seq, tid, off, 1 - checksum_size))
         row, layout, op, seq, tid, off, trail = np.array(events, dtype=np.int64).T
         h = hdr[row]
         ts = h["timestamp"].astype(np.int64)
@@ -845,7 +831,7 @@ class BinlogDecoder:
             update = op[lanes] == _OP_UPDATE_CODE
             bounds = pos[lanes], end[lanes], cap[lanes]
             located.append(_locate_images(base, buf, st, lanes, update, *bounds, seq[lanes]))
-        commit = np.asarray(commits, dtype=np.int64)
+        commit = np.asarray(ctx.commits, dtype=np.int64)
         ev = {"row": row, "layout": layout, "op": op, "seq": seq, "table_id": tid, "ts": ts, "commit": commit}
         return ev, located, base, buf
 
@@ -932,15 +918,17 @@ class BinlogDecoder:
         tm_ids: list[int] = []
         ev_seqs: list[int] = []
         row_seqs: list[int] = []
-        commit_seqs: list[int] = []
         tss: list[int] = []
         befores: list[str | None] = []
         afters: list[str | None] = []
+        rows_e: list[int] = []  # rows per event: each repeats its event's commit stamp
 
-        for _row, event_seq, _etype, table_id, st, payload, ctx in self._row_events(batch, commit_seqs):
-            h = parse_header(payload, ctx.checksum_size)
+        events, ctx = self._row_events(batch)
+        for _row, event_seq, _etype, table_id, st, payload, checksum_size in events:
+            h = parse_header(payload, checksum_size)
             ev = parse_rows_event(payload, h, {table_id: st.plan}, event_seq)
             n_rows = len(ev.rows)
+            rows_e.append(n_rows)
             if ev.op == "update":
                 befores.extend(dump(r["before"]) for r in ev.rows)
                 afters.extend(dump(r["after"]) for r in ev.rows)
@@ -956,7 +944,6 @@ class BinlogDecoder:
             tm_ids.extend([table_id] * n_rows)
             ev_seqs.extend([event_seq] * n_rows)
             row_seqs.extend(range(n_rows))
-            commit_seqs.extend([ctx.cur_commit] * n_rows)
             tss.extend([h.timestamp] * n_rows)
             self.n_rows += n_rows
 
@@ -970,7 +957,7 @@ class BinlogDecoder:
                 "table_map_id": pa.array(tm_ids, pa.int64()),
                 "event_seq": pa.array(ev_seqs, pa.int64()),
                 "row_seq": pa.array(row_seqs, pa.int32()),
-                "commit_seq": pa.array(commit_seqs, pa.int64()),
+                "commit_seq": pa.array(np.repeat(np.asarray(ctx.commits, dtype=np.int64), rows_e)),
                 "ts": pa.array(tss, pa.int64()),
                 "before": pa.array(befores, pa.string()),
                 "after": pa.array(afters, pa.string()),

@@ -55,13 +55,13 @@ TM = repos_table_map(False)
 def _reference_rows(dec, batch):
     """What ``dec(batch)`` returns in the changefeed or flat mode, built
     without the located decode: ``dec``'s event walk (``_row_events``:
-    replay skip, filters, checksums, in-band maps, commit stamps) yields
-    each ROWS event, ``parse_rows_event`` (the conformance reference)
-    decodes its rows, and Python applies the typed modes' rules: target
-    remap with added columns null and dropped ones gone, and in flat mode
-    a delete holding only the merge keys and a tombstone after the
-    event's rows for each key-changing update.  Counts rows on ``dec``
-    as the modes do."""
+    replay skip, filters, checksums, in-band maps, commit stamps) returns
+    each ROWS event and its commit stamp, ``parse_rows_event`` (the
+    conformance reference) decodes its rows, and Python applies the typed
+    modes' rules: target remap with added columns null and dropped ones
+    gone, and in flat mode a delete holding only the merge keys and a
+    tombstone after the event's rows for each key-changing update.
+    Counts rows on ``dec`` as the modes do."""
     from mysql_binlog_ray.protocol.decode import parse_header, parse_rows_event
 
     types = {f.name: f.type for f in dec.struct_type}
@@ -77,8 +77,9 @@ def _reference_rows(dec, batch):
 
     shard_ids = batch.column("shard_id").to_pylist()
     commits, rows = [], []
-    for row, event_seq, _etype, table_id, st, payload, ctx in dec._row_events(batch, commits):
-        h = parse_header(payload, ctx.checksum_size)
+    events, ctx = dec._row_events(batch)
+    for (row, event_seq, _etype, table_id, st, payload, checksum_size), commit in zip(events, ctx.commits):
+        h = parse_header(payload, checksum_size)
         ev = parse_rows_event(payload, h, {table_id: st.plan}, event_seq)
         dec.n_rows += len(ev.rows)
         images = {
@@ -104,7 +105,7 @@ def _reference_rows(dec, batch):
                         "after": remap(after),
                     }
                 )
-                commits.append(ctx.cur_commit)
+                commits.append(commit)
             continue
         keys = [k for k in dec.key_names if k in st.plan.names]
         tombs = []
@@ -114,7 +115,7 @@ def _reference_rows(dec, batch):
             if before is not None and after is not None and any(before[k] != after[k] for k in keys):
                 tombs.append({**remap({k: before[k] for k in keys}), "op": "delete", **seq, "row_seq": i})
         rows += tombs
-        commits += [ctx.cur_commit] * (len(ev.rows) + len(tombs))
+        commits += [commit] * (len(ev.rows) + len(tombs))
     for r, c in zip(rows, commits):
         r["commit_seq"] = c
     return pa.Table.from_pylist(rows, schema=dec.out_schema)
@@ -568,6 +569,114 @@ class TestNoCrossBlockLeak:
         # value (reading 'extra' bytes that aren't there)
         assert (got["repo"], got["path"]) == ("r1", "p1")
 
+    @staticmethod
+    def _blocks():
+        """A snapshot and four blocks that exercise every piece of decode
+        state: ``code.repos`` (id 300) rebound in-band to another layout,
+        ``code.other`` (id 301) resolved from the snapshot (a target
+        mismatch) and rebound in-band as ``code.repos``, ``db2.t``
+        (id 302) for the filters, a ROTATE back to the snapshot, and
+        transactions open across block ends (GTID stamps, -1)."""
+        from mysql_binlog_ray.protocol.constants import COLLATION_UTF8MB4
+
+        cols = (
+            ColumnDef("repo", ColumnType.VARCHAR, nullable=False, max_length=255, charset=COLLATION_UTF8MB4),
+            ColumnDef("path", ColumnType.VARCHAR, nullable=False, max_length=255, charset=COLLATION_UTF8MB4),
+        )
+
+        def tmdef(tid, schema, table, columns=cols, ver=1):
+            return TableMapDef(
+                table_id=tid, schema_name=schema, table_name=table,
+                columns=columns, primary_key=(0,), schema_ver=ver,
+            )
+
+        repos = tmdef(300, "code", "repos")
+        repos_v2 = tmdef(300, "code", "repos", (*cols, ColumnDef("extra", ColumnType.LONG, signed=True)), 2)
+        other = tmdef(301, "code", "other")
+        other_as_repos = tmdef(301, "code", "repos")
+        db2 = tmdef(302, "db2", "t")
+        w = E.BinlogWriter(server_id=1)
+        n = iter(range(1000))
+
+        def rows(tm, op="insert"):
+            i = next(n)
+            row = {"repo": f"r{i}", "path": f"p{i}", "extra": i}
+            body = [{"before": row, "after": {**row, "path": f"q{i}"}}] if op == "update" else [row]
+            return _rows_events(tm, [(op, body)], w)[0]
+
+        def table_map(tm):
+            return w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm))
+
+        fd = w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body())
+
+        def gtid(seq):
+            return w.packet(EventType.MARIA_GTID, E.encode_gtid_body(seq))
+
+        def xid(val):
+            return w.packet(EventType.XID, E.encode_xid_body(val))
+
+        blocks = [
+            [fd, gtid(10), table_map(repos_v2), rows(repos_v2), rows(other), rows(db2), xid(10),
+             gtid(11), rows(repos_v2, "update")],
+            [fd, rows(repos), rows(other, "delete"), rows(db2), xid(11), rows(repos, "delete")],
+            [fd, gtid(12), table_map(other_as_repos), rows(other_as_repos), rows(repos), xid(12),
+             table_map(repos_v2), rows(repos_v2), w.rotate("binlog.000002"), rows(repos), rows(other)],
+            [fd, table_map(db2), rows(db2), rows(other), gtid(13), rows(repos, "update"), xid(13)],
+        ]
+        tables = [
+            _batch(evs, shard=k, seq0=100 * k + 1) for k, evs in enumerate(blocks)
+        ]
+        return [m.to_dict() for m in (repos, other, db2)], tables
+
+    CONFIGS = (
+        {},
+        {"exclude_databases": ["db2"]},
+        {"tables": ["code.repos", "code.other"]},
+        {"exclude_tables": ["code.other"], "databases": ["code", "db2"]},
+    )
+
+    def test_decoding_mutates_only_counters_and_acceptance_cache(self):
+        """The walk owns all decode state: decoding a block changes a
+        decoder's attributes only in the ``n_*`` counters and the
+        acceptance cache."""
+        snapshot, blocks = self._blocks()
+        for output in ("changefeed", "flat", "json"):
+            dec = BinlogDecoder(registry_snapshot=snapshot, target_table=("code", "repos"), output=output)
+
+            def state():
+                return {
+                    k: dict(v) if isinstance(v, dict) else v
+                    for k, v in vars(dec).items()
+                    if not k.startswith("n_") and k != "_accepted"
+                }
+
+            for blk in blocks:
+                before = state()
+                dec(blk)
+                assert state() == before, output
+            assert dec.n_rows > 0
+
+    def test_one_decoder_in_any_block_order_equals_fresh_decoders(self):
+        """One decoder over the blocks in every order returns, block by
+        block, what a fresh decoder per block returns, with equal
+        counters: in all three modes, with include / exclude filters."""
+        from itertools import permutations
+
+        snapshot, blocks = self._blocks()
+        counters = ("n_events", "n_rows", "n_bytes", "n_checksum_failures")
+        for output in ("changefeed", "flat", "json"):
+            for cfg in self.CONFIGS:
+                kw = dict(registry_snapshot=snapshot, target_table=("code", "repos"), output=output, **cfg)
+                fresh = [BinlogDecoder(**kw) for _ in blocks]
+                want = [d(b) for d, b in zip(fresh, blocks)]
+                total = [sum(getattr(d, c) for d in fresh) for c in counters]
+                assert sum(t.num_rows for t in want) > 0, (output, cfg)
+                for order in permutations(range(len(blocks))):
+                    dec = BinlogDecoder(**kw)
+                    for i in order:
+                        assert dec(blocks[i]).equals(want[i]), (output, cfg, order, i)
+                    assert [getattr(dec, c) for c in counters] == total
+
 
 @pytest.mark.usefixtures("ray_session")
 class TestReviewFindings:
@@ -703,15 +812,13 @@ class TestReviewFindings:
         dec = BinlogDecoder(registry_snapshot=[tm.to_dict()], output="json")
         assert dec(t).num_rows == 1
 
-    def test_repair_does_not_steal_next_files_xid(self, tmp_path):
-        """A truncated-tail transaction (XID lost) must stay -1 under
-        exact_commits, not get the next file's first XID."""
+    def test_truncated_transaction_does_not_steal_next_files_xid(self, tmp_path):
+        """A truncated-tail transaction (XID lost) must stay -1 in the
+        exact per-shard decode, not get the next file's first XID."""
         import json
 
-        import ray.data as rd
-
         from mysql_binlog_ray.fixtures.generator import StreamSpec, generate_stream
-        from mysql_binlog_ray.pipelines.cdc import CdcConfig, decode_changefeed
+        from mysql_binlog_ray.pipelines.sequential import decode_shards_sequential
         import pyarrow.parquet as pq
 
         spec = StreamSpec(n_keys=60, n_ops=300, n_shards=2, include_noise_events=False)
@@ -728,11 +835,7 @@ class TestReviewFindings:
         manifest = json.loads(json.dumps(manifest))
         manifest["shards"][0]["path"] = p0b
 
-        paths = [s["path"] for s in manifest["shards"]]
-        events = rd.read_parquet(paths, override_num_blocks=16)
-        cf = decode_changefeed(
-            events, manifest["table_maps"], CdcConfig(), exact_commits=True
-        ).to_pandas()
+        cf = decode_shards_sequential(manifest).to_pandas()
         # the orphaned transaction's rows stay -1 (honest unknown)...
         orphans = cf[cf["commit_seq"] == -1]
         assert len(orphans) > 0
@@ -1158,7 +1261,7 @@ class TestOneDecodeWalk:
         assert not hasattr(BinlogDecoder, "_payload_views")
 
     def test_walk_resolves_filters_and_reads_header_columns(self):
-        for name in ("_resolve", "_row_filtered"):
+        for name in ("_resolve", "_accepts"):
             assert list(self._calls(self._stage(), name)) == ["_row_events"], name
         # the walk and the located decode read header fields from the
         # header pass; _handle_marker parses the headers of

@@ -271,22 +271,27 @@ class TestPropertyRoundTrip:
 
 @pytest.mark.usefixtures("ray_session")
 class TestSequentialDecode:
-    def test_commit_seq_exact_vs_oplog(self, small_stream):
+    def test_commit_seq_exact_vs_oplog(self, small_stream, tmp_path):
         """Sequential mode stamps every row with its transaction's XID;
-        must equal the generator's oplog ground truth row-for-row."""
+        must equal the generator's oplog ground truth row-for-row, on a
+        GTID stream and on a GTID-less one."""
         import pyarrow.parquet as pq
 
+        from mysql_binlog_ray.fixtures.generator import StreamSpec, generate_stream
         from mysql_binlog_ray.pipelines.sequential import decode_shards_sequential
 
         spec, out, manifest = small_stream
-        cf = decode_shards_sequential(manifest).to_pandas()
-        assert (cf["commit_seq"] != -1).all()
-        oplog = pq.read_table(f"{out}/oplog.parquet").to_pandas()
-        merged = cf.merge(
-            oplog, on=["event_seq", "row_seq"], suffixes=("_cf", "_op"), how="inner"
-        )
-        assert len(merged) == len(oplog) == len(cf)
-        assert (merged["commit_seq_cf"] == merged["commit_seq_op"]).all()
+        gtidless = str(tmp_path / "gtidless")
+        spec = StreamSpec(n_keys=120, n_ops=600, n_shards=2, include_noise_events=False)
+        for out, manifest in ((out, manifest), (gtidless, generate_stream(spec, gtidless))):
+            cf = decode_shards_sequential(manifest).to_pandas()
+            assert (cf["commit_seq"] != -1).all()
+            oplog = pq.read_table(f"{out}/oplog.parquet").to_pandas()
+            merged = cf.merge(
+                oplog, on=["event_seq", "row_seq"], suffixes=("_cf", "_op"), how="inner"
+            )
+            assert len(merged) == len(oplog) == len(cf)
+            assert (merged["commit_seq_cf"] == merged["commit_seq_op"]).all()
 
     def test_position_discontinuity_detected(self, small_stream):
         import pyarrow.parquet as pq
@@ -592,18 +597,18 @@ class TestParallelCommitStamping:
     """M4: the block-parallel decoder must stamp commit_seq exactly like
     sequential mode, even when transactions span block boundaries."""
 
-    def _parallel_cf(self, manifest, num_blocks, exact_commits=False):
+    def _parallel_cf(self, manifest, num_blocks):
         import ray.data as rd
 
         from mysql_binlog_ray.pipelines.cdc import CdcConfig, decode_changefeed
 
         paths = [s["path"] for s in manifest["shards"]]
         events = rd.read_parquet(paths, override_num_blocks=num_blocks)
-        return decode_changefeed(
-            events, manifest["table_maps"], CdcConfig(), exact_commits=exact_commits
-        ).to_pandas()
+        return decode_changefeed(events, manifest["table_maps"], CdcConfig()).to_pandas()
 
-    def _assert_matches_sequential(self, manifest, par):
+    def _assert_matches_sequential(self, manifest, par, known_only=False):
+        """``par``'s stamps equal the per-shard decode's on every row
+        (with ``known_only``, on the rows ``par`` stamped)."""
         from mysql_binlog_ray.pipelines.sequential import decode_shards_sequential
 
         seq = decode_shards_sequential(manifest).to_pandas()
@@ -615,6 +620,9 @@ class TestParallelCommitStamping:
             indicator=True,
         )
         assert (m["_merge"] == "both").all()
+        assert (seq["commit_seq"] != -1).all()
+        if known_only:
+            m = m[m["commit_seq_par"] != -1]
         assert (m["commit_seq_par"] == m["commit_seq_seq"]).all()
 
     def test_gtid_stamping_exact_across_block_boundaries(self, small_stream):
@@ -644,9 +652,12 @@ class TestParallelCommitStamping:
         assert (par["commit_seq"] != -1).all()
         self._assert_matches_sequential(manifest, par)
 
-    def test_gtidless_stream_repaired_by_xid_index(self, tmp_path):
+    def test_gtidless_stream_exact_by_per_shard_decode(self, tmp_path):
         """GTID-less streams at pathologically tiny blocks (smaller than
-        a transaction): the XID-index repair pass restores exactness."""
+        a transaction) leave -1 where a transaction's XID is in another
+        block; every stamp they do give is exact, and the per-shard
+        decode (``decode_shards_sequential``: each shard one block)
+        stamps every row."""
         from mysql_binlog_ray.fixtures.generator import StreamSpec, generate_stream
 
         spec = StreamSpec(
@@ -655,11 +666,9 @@ class TestParallelCommitStamping:
         manifest = generate_stream(spec, str(tmp_path / "stream"))
         total_events = sum(s["events"] for s in manifest["shards"])
         nb = max(8, total_events // 4)  # ~4 events per block << txn size
-        unrepaired = self._parallel_cf(manifest, num_blocks=nb)
-        assert (unrepaired["commit_seq"] == -1).any(), "blocks too large to exercise repair"
-        par = self._parallel_cf(manifest, num_blocks=nb, exact_commits=True)
-        assert (par["commit_seq"] != -1).all()
-        self._assert_matches_sequential(manifest, par)
+        par = self._parallel_cf(manifest, num_blocks=nb)
+        assert (par["commit_seq"] == -1).any(), "blocks too large to leave a transaction open"
+        self._assert_matches_sequential(manifest, par, known_only=True)
 
 
 @pytest.mark.usefixtures("ray_session")

@@ -467,6 +467,25 @@ class TestFollowMode:
         b = read_lake(lake_inc).to_pandas().sort_values(["repo", "path"]).reset_index(drop=True)
         assert a.equals(b)
 
+    def test_manifest_without_shards_is_nothing_new(self, small_stream, tmp_path):
+        """A stream manifest with maps but no shards (a tail session
+        that spooled no events) commits nothing: ``run_to_lake`` returns
+        None for a lake never committed and the prior manifest
+        otherwise, with every file unchanged."""
+        from mysql_binlog_ray.state.checkpoint import read_manifest
+
+        spec, out, manifest = small_stream
+        cfg = CdcConfig(num_partitions=8)
+        empty = dict(manifest, shards=[])
+        fresh = str(tmp_path / "fresh")
+        assert run_to_lake(empty, fresh, cfg) is None
+        assert read_manifest(fresh) is None
+        lake = str(tmp_path / "lake")
+        m1 = run_to_lake(_prefix(manifest, 1), lake, cfg)
+        files = _part_files(lake)
+        assert run_to_lake(empty, lake, cfg) == m1 == read_manifest(lake)
+        assert _part_files(lake) == files
+
     def test_alter_inside_increment(self, small_stream, tmp_path):
         """The ALTER adding `stars` lands inside the second increment, and
         the first step saw only the old table map (as a wire tail does), so

@@ -1443,6 +1443,47 @@ class TestInStreamMapScan:
         assert len(scanned) >= 2  # the stream's ALTER re-maps the table
         assert json.loads(json.dumps(scanned)) == man["table_maps"]
 
+    def test_resumed_tail_keeps_earlier_sessions_maps(self, tmp_path, ray_session):
+        """A resumed tail (the daemon's ``--resume``: ``manifest_extra={}``)
+        publishes the table maps of the earlier sessions too: session 1
+        binds ``code.repos``, session 2 only ``code.other``, and a replay
+        of the spool targeting ``code.repos`` commits session 1's row."""
+        import json
+
+        from mysql_binlog_ray.fixtures.generator import repos_table_map
+        from mysql_binlog_ray.pipelines.cdc import CdcConfig, read_lake, run_to_lake
+        from mysql_binlog_ray.protocol import encode as E
+        from mysql_binlog_ray.protocol.constants import EventType
+        from mysql_binlog_ray.protocol.model import TableMapDef
+
+        repos = repos_table_map(False)
+        other = TableMapDef(
+            table_id=repos.table_id + 1, schema_name="code", table_name="other",
+            columns=repos.columns[:2], primary_key=(0, 1), schema_ver=1,
+        )
+        w = E.BinlogWriter(server_id=1)
+
+        def session(tm, row, xid):
+            return [
+                w.packet(EventType.FORMAT_DESCRIPTION, E.encode_format_description_body()),
+                w.packet(EventType.TABLE_MAP, E.encode_table_map_body(tm)),
+                w.packet(EventType.WRITE_ROWS_V2, E.encode_rows_body(tm, [row], "insert")),
+                w.packet(EventType.XID, E.encode_xid_body(xid)),
+            ]
+
+        spool, lake = str(tmp_path / "spool"), str(tmp_path / "lake")
+        row = {"repo": "org/r", "path": "a.py", "commit": "c" * 40, "lang": "py", "content": "x"}
+        _tail_session(spool, session(repos, row, 1), shard_events=64, manifest_extra={})
+        _tail_session(spool, session(other, {"repo": "o", "path": "b"}, 2), shard_events=64,
+                      resume=True, manifest_extra={})
+        with open(f"{spool}/manifest.json") as f:
+            manifest = json.load(f)
+        names = sorted(d["table_name"] for d in manifest["table_maps"])
+        assert names == ["other", "repos"]
+        run_to_lake(manifest, lake, CdcConfig(num_partitions=2, target_table=("code", "repos")))
+        got = read_lake(lake).take_all()
+        assert [(r["repo"], r["path"], r["content"]) for r in got] == [("org/r", "a.py", "x")]
+
     def test_follow_daemon_skips_snapshotless_manifest(self, tmp_path, ray_session):
         """A manifest without table_maps (tail hasn't seen a TABLE_MAP
         yet, or a pre-scan producer) must be treated like a mid-publish:
@@ -1467,6 +1508,21 @@ class TestInStreamMapScan:
         assert history == []  # no ingest ticks, no exception
         assert daemon._errors == 0
         assert daemon._snapshotless_ticks == 10
+
+    def test_follow_daemon_idles_on_manifest_without_shards(self, small_stream, tmp_path, ray_session):
+        """A manifest with table maps but no shards (a seeded tail
+        session that spooled no events) is an idle stream: no tick
+        ingests, none raises."""
+        import json
+
+        from mysql_binlog_ray.pipelines.tailer import FollowDaemon
+
+        _spec, _out, manifest = small_stream
+        mpath = tmp_path / "manifest.json"
+        mpath.write_text(json.dumps(dict(manifest, shards=[])))
+        daemon = FollowDaemon(manifest_path=str(mpath), lake_dir=str(tmp_path / "lake"), interval_sec=0.001)
+        assert daemon.run(max_iterations=2) == []
+        assert daemon._errors == 0
 
     def test_follow_daemon_still_aborts_on_parse_errors(self, tmp_path, ray_session):
         """Genuine manifest corruption (unparseable JSON every tick) must
